@@ -64,7 +64,6 @@ def build_parser():
     p = sub.add_parser("obstructions", help="minimal non-members up to a size")
     p.add_argument("--shape", choices=(TREE, INTERVAL), required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("necessary", help="necessary edge sets of a host")
     p.add_argument("--shape", choices=(TREE, INTERVAL), required=True)
@@ -72,7 +71,6 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     group.add_argument("--verify", metavar="SETFILE")
     group.add_argument("--all-minimal", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("trace-check", help="trace property report")
     p.add_argument("tracefile")
@@ -112,7 +110,7 @@ def _cmd_realize(args, out):
 
 
 def _cmd_obstructions(args, out):
-    reps = minimal_obstructions(args.shape, args.max_n, jobs=args.jobs)
+    reps = minimal_obstructions(args.shape, args.max_n)
     for i, g in enumerate(reps):
         if i:
             out.write("\n")
@@ -124,8 +122,7 @@ def _cmd_necessary(args, out):
     g = parse_graph(_read(args.graphfile))
     if args.verify is not None:
         ns = parse_necessary_set(_read(args.verify))
-        ok, verdicts, evidence = verify_claims(args.shape, g, ns,
-                                               jobs=args.jobs)
+        ok, verdicts, evidence = verify_claims(args.shape, g, ns)
         if ok:
             out.write(format_necessary_set(ns))
             return 0

@@ -28,8 +28,7 @@ Enumeration is capped at n <= 8.  The environment variable ``UGL_MAX_N``
 may lower (never raise) that cap and the caps of the callers in
 :mod:`ugl.shapes`.
 
-All objects here are immutable; every operation is a pure function, so
-the module is safe to use from worker processes without locking.
+All objects here are immutable, and every operation is a pure function.
 """
 
 import os
@@ -522,7 +521,7 @@ def _extend_keys(n, parent_keys):
     return found
 
 
-def enumerate_graphs(n, jobs=1):
+def enumerate_graphs(n):
     """One representative per isomorphism class on n vertices, sorted by
     canonical key.  Bounded to n <= 8 (UGL_MAX_N may lower the bound).
     """
@@ -532,16 +531,6 @@ def enumerate_graphs(n, jobs=1):
     if n > cap:
         raise CapabilityError("enumeration bounded to n <= %d" % cap)
     for k in range(1, n + 1):
-        if k in _ENUM_CACHE:
-            continue
-        parents = _ENUM_CACHE[k - 1]
-        if jobs > 1 and len(parents) > 1:
-            from multiprocessing import Pool
-            chunks = [parents[i::jobs] for i in range(jobs) if parents[i::jobs]]
-            with Pool(min(jobs, len(chunks))) as pool:
-                parts = pool.starmap(_extend_keys, [(k, c) for c in chunks])
-            keys = set().union(*parts)
-        else:
-            keys = _extend_keys(k, parents)
-        _ENUM_CACHE[k] = tuple(sorted(keys))
+        if k not in _ENUM_CACHE:
+            _ENUM_CACHE[k] = tuple(sorted(_extend_keys(k, _ENUM_CACHE[k - 1])))
     return [graph_from_canonical_key(n, key) for key in _ENUM_CACHE[n]]

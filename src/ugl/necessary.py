@@ -320,22 +320,13 @@ def _sandwiches(h, edges):
     return sorted(out.items())
 
 
-def _counterexample_chunk(shape, n, items):
-    idx = pair_index(n)
-    memo = {}
-    for rank, (floor, banned), psi in items:
-        got = _complete_to_member(shape, n, idx, floor, banned, memo)
-        if got is not None:
-            return rank, got, psi
-    return None
-
-
-def necessity_counterexample(shape, h, edges, jobs=1):
+def necessity_counterexample(shape, h, edges):
     """None when the set is necessary, else a completion that avoids it.
 
     A counterexample is a pair (member graph, psi): the member contains
     every host edge and every psi-image of one, and none of the
-    psi-images of the candidate pairs.
+    psi-images of the candidate pairs.  Sandwiches are tried in order,
+    so the witness comes from the least sandwich that has a completion.
     """
     check_shape(shape)
     _check_pairs(h, edges)
@@ -344,28 +335,17 @@ def necessity_counterexample(shape, h, edges, jobs=1):
         raise CapabilityError(
             "necessity search bounded to hosts with <= %d vertices"
             % SEARCH_VERTEX_CAP)
-    items = [(rank, key, psi)
-             for rank, (key, psi) in enumerate(_sandwiches(h, edges))]
-    hits = []
-    if jobs > 1 and len(items) > 200:
-        from multiprocessing import Pool
-        chunks = [items[i::jobs] for i in range(jobs) if items[i::jobs]]
-        with Pool(len(chunks)) as pool:
-            results = pool.starmap(_counterexample_chunk,
-                                   [(shape, n, c) for c in chunks])
-        hits = [r for r in results if r is not None]
-    else:
-        got = _counterexample_chunk(shape, n, items)
+    idx = pair_index(n)
+    memo = {}
+    for (floor, banned), psi in _sandwiches(h, edges):
+        got = _complete_to_member(shape, n, idx, floor, banned, memo)
         if got is not None:
-            hits = [got]
-    if not hits:
-        return None
-    _, mask, psi = min(hits)
-    return graph_from_mask(n, mask), psi
+            return graph_from_mask(n, got), psi
+    return None
 
 
-def is_necessary(shape, h, edges, jobs=1):
-    return necessity_counterexample(shape, h, edges, jobs=jobs) is None
+def is_necessary(shape, h, edges):
+    return necessity_counterexample(shape, h, edges) is None
 
 
 def counterexample_checks(shape, h, edges, completion, psi):
@@ -395,7 +375,7 @@ def forced_edges(shape, h):
             if recognize(shape, h.with_edges([e])) is None]
 
 
-def compute_flags(shape, h, edges, jobs=1):
+def compute_flags(shape, h, edges):
     """The full flag vector for a candidate set; None marks an unsettled flag.
 
     Exact when the host has at most 9 non-edges.  Beyond that,
@@ -408,7 +388,7 @@ def compute_flags(shape, h, edges, jobs=1):
     _check_pairs(h, edges)
     b = tuple(sorted(edges))
     exact = len(h.non_edges()) <= MINIMAL_SET_CAP
-    necessary = is_necessary(shape, h, b, jobs=jobs)
+    necessary = is_necessary(shape, h, b)
     if exact:
         mins = _minimal_hits(shape, h)
         submin = b in mins
@@ -421,13 +401,13 @@ def compute_flags(shape, h, edges, jobs=1):
         return {"necessary": False, "submin": False,
                 "mincard": False, "unique": False}
     submin = all(
-        not is_necessary(shape, h, b[:i] + b[i + 1:], jobs=jobs)
+        not is_necessary(shape, h, b[:i] + b[i + 1:])
         for i in range(len(b)))
     forced = tuple(forced_edges(shape, h))
     if b == forced:
         return {"necessary": True, "submin": submin,
                 "mincard": True, "unique": True}
-    if is_necessary(shape, h, forced, jobs=jobs):
+    if is_necessary(shape, h, forced):
         return {"necessary": True, "submin": submin,
                 "mincard": False, "unique": False}
     if len(b) == len(forced) + 1:
@@ -437,7 +417,7 @@ def compute_flags(shape, h, edges, jobs=1):
             "mincard": None, "unique": None}
 
 
-def verify_claims(shape, h, ns, jobs=1):
+def verify_claims(shape, h, ns):
     """Check each claimed flag of a stored set; unclaimed flags are skipped.
 
     Returns (ok, verdicts, evidence): verdicts maps each claimed flag to
@@ -456,10 +436,13 @@ def verify_claims(shape, h, ns, jobs=1):
     def cex(pairs):
         key = frozenset(pairs)
         if key not in cex_memo:
-            cex_memo[key] = necessity_counterexample(shape, h, pairs, jobs=jobs)
+            cex_memo[key] = necessity_counterexample(shape, h, pairs)
         return cex_memo[key]
 
     exact = len(h.non_edges()) <= MINIMAL_SET_CAP
+    if exact and ("mincard" in claimed or "unique" in claimed):
+        mins = _minimal_hits(shape, h)
+        smallest = min((len(s) for s in mins), default=0)
     for flag in claimed:
         if flag == "necessary":
             got = cex(b)
@@ -479,8 +462,6 @@ def verify_claims(shape, h, ns, jobs=1):
                 evidence[flag] = ("redundant", culprit)
         elif flag == "mincard":
             if exact:
-                mins = _minimal_hits(shape, h)
-                smallest = min((len(s) for s in mins), default=0)
                 ok = cex(b) is None and len(b) == smallest
                 verdicts[flag] = ok
                 if not ok and mins and smallest < len(b):
@@ -489,8 +470,6 @@ def verify_claims(shape, h, ns, jobs=1):
                 verdicts[flag] = _mincard_by_forced(shape, h, b, cex, evidence)
         else:
             if exact:
-                mins = _minimal_hits(shape, h)
-                smallest = min((len(s) for s in mins), default=0)
                 same = [s for s in mins if len(s) == smallest]
                 ok = cex(b) is None and len(b) == smallest and same == [b]
                 verdicts[flag] = ok

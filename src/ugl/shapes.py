@@ -391,19 +391,6 @@ def recognize(shape, g):
     return None
 
 
-_MEMBER_CACHE = {TREE: {}, INTERVAL: {}}
-
-
-def is_member(shape, g):
-    """Membership with a per-shape cache keyed by canonical form."""
-    check_shape(shape)
-    cache = _MEMBER_CACHE[shape]
-    key = canonical_key(g)
-    if key not in cache:
-        cache[key] = recognize(shape, g) is None
-    return cache[key]
-
-
 # ---------------------------------------------------------------------------
 # interval models
 # ---------------------------------------------------------------------------
@@ -540,7 +527,7 @@ def realize_intervals(g, distinct_endpoints=False):
 # minimal obstructions
 # ---------------------------------------------------------------------------
 
-def minimal_obstructions(shape, max_n, jobs=1):
+def minimal_obstructions(shape, max_n):
     """Canonical representatives of every minimal non-member with at most
     ``max_n`` vertices, in enumeration order.  Bounded to max_n <= 7."""
     check_shape(shape)
@@ -548,36 +535,15 @@ def minimal_obstructions(shape, max_n, jobs=1):
     if max_n > cap:
         raise CapabilityError("minimal obstruction search bounded to n <= %d" % cap)
     out = []
-    member_at = {}
     for n in range(0, max_n + 1):
-        reps = enumerate_graphs(n, jobs=jobs)
-        level = {}
-        if jobs > 1 and len(reps) > 50:
-            from multiprocessing import Pool
-            chunks = [reps[i::jobs] for i in range(jobs) if reps[i::jobs]]
-            with Pool(len(chunks)) as pool:
-                parts = pool.starmap(_member_chunk, [(shape, c) for c in chunks])
-            for part in parts:
-                level.update(part)
-        else:
-            level = _member_chunk(shape, reps)
-        for g in reps:
-            if level[canonical_key(g)]:
+        for g in enumerate_graphs(n):
+            if recognize(shape, g) is None:
                 continue
-            minimal = True
-            for v in range(n):
-                sub = induced_subgraph(g, [u for u in range(n) if u != v])
-                if not member_at[canonical_key(sub)]:
-                    minimal = False
-                    break
-            if minimal:
+            subs = (induced_subgraph(g, [u for u in range(n) if u != v])
+                    for v in range(n))
+            if all(recognize(shape, sub) is None for sub in subs):
                 out.append(g)
-        member_at.update(level)
     return out
-
-
-def _member_chunk(shape, graphs):
-    return {canonical_key(g): recognize(shape, g) is None for g in graphs}
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,15 @@ def test_necessary_flag_conflict(tmp_path, capsys):
     assert code == 2
 
 
+def test_jobs_flag_is_rejected(tmp_path, capsys):
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    for argv in (("obstructions", "--shape", "tree", "--max-n", "4"),
+                 ("necessary", "--shape", "interval", gf)):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--jobs" in err
+
+
 # ---------------------------------------------------------------------------
 # trace commands
 # ---------------------------------------------------------------------------

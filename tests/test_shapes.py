@@ -304,10 +304,11 @@ def test_model_checks_rejects_wrong_graph():
 # ---------------------------------------------------------------------------
 
 def test_minimal_obstructions_tree():
-    got = minimal_obstructions(TREE, 6)
-    assert len(got) == 2
-    assert any(is_isomorphic(g, family_graph("C4")) for g in got)
-    assert any(is_isomorphic(g, family_graph("L4")) for g in got)
+    for max_n in (6, 7):
+        got = minimal_obstructions(TREE, max_n)
+        assert len(got) == 2
+        assert any(is_isomorphic(g, family_graph("C4")) for g in got)
+        assert any(is_isomorphic(g, family_graph("L4")) for g in got)
 
 
 def test_minimal_obstructions_interval_six():
