@@ -157,8 +157,7 @@ def _write_evidence(out, ev):
         out.write("smaller " + " ".join("%d-%d" % p for p in ev[1]) + "\n")
 
 
-def _report_sop2(t, out):
-    got = dist.check_sop2_condition(t)
+def _report_sop2(got, out):
     if got is None:
         out.write("sop2 holds\n")
         return True
@@ -168,8 +167,7 @@ def _report_sop2(t, out):
     return False
 
 
-def _report_necessary(t, shape, out):
-    got = dist.check_necessary_conditions(t, shape)
+def _report_necessary(shape, got, out):
     if got is None:
         out.write("necessary %s holds\n" % shape)
         return True
@@ -181,6 +179,11 @@ def _report_necessary(t, shape, out):
 
 def _cmd_trace_check(args, out):
     t = dist.parse_trace(_read(args.tracefile))
+    # every condition is decided before any output, so a capability
+    # error leaves stdout empty
+    sop2 = dist.check_sop2_condition(t)
+    necessary = [(shape, dist.check_necessary_conditions(t, shape))
+                 for shape in (TREE, INTERVAL)]
     bad_b, bad_p = dist.adequacy_report(t)
     ok = not bad_b and not bad_p
     out.write("adequate %s\n" % ("yes" if ok else "no"))
@@ -190,10 +193,10 @@ def _cmd_trace_check(args, out):
         out.write("inadequate-pair %d-%d\n" % p)
     out.write("multiplicative %s\n"
               % ("yes" if dist.is_multiplicative_trace(t) else "no"))
-    if not _report_sop2(t, out):
+    if not _report_sop2(sop2, out):
         ok = False
-    for shape in (TREE, INTERVAL):
-        if not _report_necessary(t, shape, out):
+    for shape, got in necessary:
+        if not _report_necessary(shape, got, out):
             ok = False
     return 0 if ok else 1
 
@@ -212,11 +215,13 @@ def _cmd_trace_condition(args, out):
     if not args.sop2 and args.shape is None:
         raise InputError("trace-condition needs --sop2 or --shape")
     t = dist.parse_trace(_read(args.tracefile))
+    if args.shape is not None:
+        necessary = dist.check_necessary_conditions(t, args.shape)
     ok = True
     if args.sop2:
-        ok = _report_sop2(t, out) and ok
+        ok = _report_sop2(dist.check_sop2_condition(t), out) and ok
     if args.shape is not None:
-        ok = _report_necessary(t, args.shape, out) and ok
+        ok = _report_necessary(args.shape, necessary, out) and ok
     return 0 if ok else 1
 
 

@@ -26,12 +26,13 @@ are load errors; pair-adequacy is deliberately only reported, since a
 stored trace may be meaningful before any adequacy repair.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import Graph, enumerate_maximal_cliques
+from .graphs import (EDGES_ONLY, Graph, enumerate_maximal_cliques,
+                     iter_embeddings)
 from .necessary import family_necessary_set
-from .shapes import check_shape, family_str, shape_families
+from .shapes import check_shape, diagonal_violation, family_str, shape_families
 
 FORMULA_CAP = 12
 
@@ -678,13 +679,17 @@ def find_multiplicative_refinement(t):
 # distribution-level conditions
 # ---------------------------------------------------------------------------
 
-def _pair_table(source):
-    nb = source.n_formulas
+def _index_graphs(source):
+    """One graph on the formulas per index: a pair is an edge at alpha
+    when alpha lies in its g2 support (trace) or its value (full
+    distribution)."""
     if isinstance(source, FullDistribution):
-        return {p: source.map[frozenset(p)]
-                for p in combinations(range(nb), 2)}
-    return {p: pair_support(source, p)
-            for p in combinations(range(nb), 2)}
+        edges = [[] for _ in range(source.n_indices)]
+        for p in combinations(range(source.n_formulas), 2):
+            for a in source.map[frozenset(p)]:
+                edges[a].append(p)
+        return [Graph(source.n_formulas, e) for e in edges]
+    return [g for _, g in graph_sequence(source)]
 
 
 def check_sop2_condition(source):
@@ -692,24 +697,16 @@ def check_sop2_condition(source):
 
     For distinct formulas x0..x3, every index carrying the three chain
     pairs {x0,x1}, {x1,x2}, {x2,x3} must carry a diagonal {x0,x2} or
-    {x1,x3}.  Accepts a full distribution or a trace (pair supports).
+    {x1,x3}.  Accepts a full distribution or a trace.  Each index graph
+    is searched once for its least chordless chain; the witness is the
+    least quadruple over all indices, then the least index carrying it.
     """
-    nb = source.n_formulas
-    if nb < 4:
-        return None
-    table = _pair_table(source)
-    for q in permutations(range(nb), 4):
-        x0, x1, x2, x3 = q
-        lhs = (table[_pair(x0, x1)]
-               & table[_pair(x1, x2)]
-               & table[_pair(x2, x3)])
-        if not lhs:
-            continue
-        rhs = table[_pair(x0, x2)] | table[_pair(x1, x3)]
-        bad = lhs - rhs
-        if bad:
-            return q, min(bad)
-    return None
+    found = []
+    for a, g in enumerate(_index_graphs(source)):
+        q = diagonal_violation(g)
+        if q is not None:
+            found.append((q, a))
+    return min(found, default=None)
 
 
 def check_necessary_conditions(t, shape):
@@ -719,30 +716,30 @@ def check_necessary_conditions(t, shape):
     vertices and every injective placement of its vertices into the
     formula set, the indices carrying all placed host edges must be
     covered by the placed necessary-set pairs.  A violation comes back
-    as (family token, placement, index).
+    as (family token, placement, index): the first family in catalog
+    order that has one, its least placement, then the least index at
+    that placement.  Each index graph is searched once per family for
+    its least edge-preserving placement that sends every necessary-set
+    pair to a non-edge.  The search is exponential in the host size, so
+    it is bounded to FORMULA_CAP formulas.  Accepts a trace or a full
+    distribution.
     """
     check_shape(shape)
-    nb = t.n_formulas
-    table = _pair_table(t)
-    for kind, param in shape_families(shape, nb):
+    if t.n_formulas > FORMULA_CAP:
+        raise CapabilityError(
+            "trace conditions bounded to %d formulas" % FORMULA_CAP)
+    graphs = _index_graphs(t)
+    for kind, param in shape_families(shape, t.n_formulas):
         _, host, ns = family_necessary_set(kind, param)
-        hedges = host.edges()
-        bedges = ns.edges
-        for x in permutations(range(nb), host.n):
-            lhs = None
-            for u, v in hedges:
-                val = table[_pair(x[u], x[v])]
-                lhs = val if lhs is None else lhs & val
-                if not lhs:
-                    break
-            if not lhs:
-                continue
-            rhs = frozenset()
-            for u, v in bedges:
-                rhs |= table[_pair(x[u], x[v])]
-            bad = lhs - rhs
-            if bad:
-                return family_str(kind, param), x, min(bad)
+        avoid = Graph(host.n, ns.edges)
+        found = []
+        for a, g in enumerate(graphs):
+            x = next(iter_embeddings(host, g, EDGES_ONLY, avoid=avoid), None)
+            if x is not None:
+                found.append((x, a))
+        if found:
+            x, a = min(found)
+            return family_str(kind, param), x, a
     return None
 
 

@@ -6,8 +6,9 @@ per-vertex adjacency bitmasks.  This module owns:
 
 * the ``Graph`` value type and its text format,
 * induced subgraphs,
-* injective embeddings (edges-only and induced modes) with deterministic,
-  lexicographically least witnesses,
+* injective embeddings (edges-only and induced modes, optionally with
+  pairs that must map to non-edges) with deterministic, lexicographically
+  least witnesses,
 * one-per-isomorphism-class enumeration via canonical forms,
 * maximal clique enumeration (Bron-Kerbosch with pivoting),
 * isomorphism tests.
@@ -374,8 +375,13 @@ class Embedding:
         return True
 
 
-def iter_embeddings(h, g, mode, bijective=False):
+def iter_embeddings(h, g, mode, bijective=False, avoid=None):
     """Yield injective embeddings h -> g as mapping tuples, ascending.
+
+    Every edge of h maps to an edge of g.  In ``INDUCED`` mode every
+    non-edge of h maps to a non-edge of g as well.  ``avoid``, a graph
+    on h's vertices, names further pairs whose images must be non-edges
+    of g; both kinds of pairs fold into one forbidden row per vertex.
 
     Vertices of h are mapped in index order and candidates are tried in
     ascending order, so the yield order is lexicographic by mapped
@@ -383,6 +389,8 @@ def iter_embeddings(h, g, mode, bijective=False):
     """
     if mode not in (EDGES_ONLY, INDUCED):
         raise InputError("unknown embedding mode %r" % mode)
+    if avoid is not None and avoid.n != h.n:
+        raise InputError("avoid graph must share the pattern's vertices")
     if bijective and h.n != g.n:
         return
     if h.n > g.n:
@@ -390,41 +398,35 @@ def iter_embeddings(h, g, mode, bijective=False):
     if h.n == 0:
         yield ()
         return
-    hdeg = [h.degree(v) for v in range(h.n)]
-    gdeg = [g.degree(v) for v in range(g.n)]
     hrows, grows = h.rows, g.rows
-    induced = mode == INDUCED
+    forbid = h.complement().rows if mode == INDUCED else (0,) * h.n
+    if avoid is not None:
+        forbid = [f | a for f, a in zip(forbid, avoid.rows)]
+    gdeg = [g.degree(v) for v in range(g.n)]
+    # an image needs a neighbour per h-neighbour and a non-neighbour per
+    # forbidden partner
+    allowed = [sum(1 << c for c in range(g.n) if gdeg[c] >= h.degree(v)
+                   and g.n - 1 - gdeg[c] >= bin(forbid[v]).count("1"))
+               for v in range(h.n)]
+    adj_before = [[i for i in range(k) if hrows[k] >> i & 1] for k in range(h.n)]
+    forbid_before = [[i for i in range(k) if forbid[k] >> i & 1]
+                     for k in range(h.n)]
     mapping = [0] * h.n
 
     def rec(k, used):
         if k == h.n:
             yield tuple(mapping)
             return
-        hn = hrows[k]
-        need = hdeg[k]
-        conever = h.n - 1 - need
-        for cand in range(g.n):
-            bit = 1 << cand
-            if used & bit:
-                continue
-            if gdeg[cand] < need:
-                continue
-            if induced and g.n - 1 - gdeg[cand] < conever:
-                continue
-            gm = grows[cand]
-            ok = True
-            for i in range(k):
-                if hn >> i & 1:
-                    if not gm >> mapping[i] & 1:
-                        ok = False
-                        break
-                elif induced and gm >> mapping[i] & 1:
-                    ok = False
-                    break
-            if ok:
-                mapping[k] = cand
-                yield from rec(k + 1, used | bit)
-        return
+        cands = allowed[k] & ~used
+        for i in adj_before[k]:
+            cands &= grows[mapping[i]]
+        for i in forbid_before[k]:
+            cands &= ~grows[mapping[i]]
+        while cands:
+            low = cands & -cands
+            mapping[k] = low.bit_length() - 1
+            yield from rec(k + 1, used | low)
+            cands ^= low
 
     yield from rec(0, 0)
 

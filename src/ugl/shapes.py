@@ -531,6 +531,8 @@ def minimal_obstructions(shape, max_n):
     """Canonical representatives of every minimal non-member with at most
     ``max_n`` vertices, in enumeration order.  Bounded to max_n <= 7."""
     check_shape(shape)
+    if max_n < 0:
+        raise InputError("vertex count must be nonnegative")
     cap = effective_cap(OBSTRUCTION_CAP)
     if max_n > cap:
         raise CapabilityError("minimal obstruction search bounded to n <= %d" % cap)

@@ -115,6 +115,35 @@ def brute_diagonal(g):
     return True
 
 
+def brute_pattern_violation(t, host, b_edges):
+    """Least (placement, index) where the index carries every placed host
+    edge and no placed ``b_edges`` pair, by sweeping every injective
+    placement of the host into the formula set, or None.
+
+    ``t`` is a trace (a pair's support is the indices whose g2 holds it)
+    or a full distribution (a pair's support is its value).  Supports
+    are index bitmasks.
+    """
+    support = {}
+    for u, v in combinations(range(t.n_formulas), 2):
+        if hasattr(t, "map"):
+            indices = t.map[frozenset((u, v))]
+        else:
+            indices = [a for a in range(t.n_indices) if (u, v) in t.g2[a]]
+        support[u, v] = support[v, u] = sum(1 << a for a in indices)
+    h_edges = host.edges()
+    everything = (1 << t.n_indices) - 1
+    for x in permutations(range(t.n_formulas), host.n):
+        carried = everything
+        for u, v in h_edges:
+            carried &= support[x[u], x[v]]
+        for u, v in b_edges:
+            carried &= ~support[x[u], x[v]]
+        if carried:
+            return x, (carried & -carried).bit_length() - 1
+    return None
+
+
 def classwide_constraints(h, members):
     """Used-pair sets over edge-preserving injections of h into any member.
 

@@ -1,5 +1,7 @@
 """Command line surface: outputs, exit codes, certificate round trips."""
 
+from itertools import combinations
+
 import pytest
 
 from ugl.cli import main
@@ -148,6 +150,12 @@ def test_obstructions_env_cap(capsys, monkeypatch):
     assert code == 3
 
 
+def test_obstructions_negative_max_n(capsys):
+    code, out, err = run(capsys, "obstructions", "--shape", "tree",
+                         "--max-n", "-3")
+    assert code == 2 and out == "" and "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # necessary
 # ---------------------------------------------------------------------------
@@ -252,6 +260,29 @@ def test_trace_check_sop2_failure(tmp_path, capsys):
     assert "sop2 fails 0 1 2 3 at 0\n" in out
     assert "necessary tree fails L4 0 1 2 3 at 0\n" in out
     assert "necessary interval holds\n" in out
+
+
+def complete_trace_text(n):
+    return format_trace(Trace(CoveringFamily.quorum(1, 1), n, [range(n)],
+                              [list(combinations(range(n), 2))]))
+
+
+def test_trace_check_twelve_formula_complete_trace(tmp_path, capsys):
+    tf = write(tmp_path, "k12.trace", complete_trace_text(12))
+    code, out, _ = run(capsys, "trace-check", tf)
+    assert code == 0
+    assert out.endswith("sop2 holds\n"
+                        "necessary tree holds\n"
+                        "necessary interval holds\n")
+
+
+def test_trace_check_thirteen_formulas_is_capability(tmp_path, capsys):
+    tf = write(tmp_path, "k13.trace", complete_trace_text(13))
+    code, out, err = run(capsys, "trace-check", tf)
+    assert code == 3 and out == "" and "capability" in err
+    code, out, err = run(capsys, "trace-condition", "--sop2", "--shape",
+                         "tree", tf)
+    assert code == 3 and out == "" and "capability" in err
 
 
 def test_trace_check_structure_error(tmp_path, capsys):

@@ -34,8 +34,11 @@ from ugl.distributions import (
     singleton_support,
 )
 from ugl.errors import CapabilityError, ConsistencyError, InputError
-from ugl.graphs import Graph
-from ugl.shapes import INTERVAL, TREE, recognize
+from ugl.graphs import Graph, enumerate_graphs
+from ugl.necessary import family_necessary_set
+from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
+
+from oracles import brute_pattern_violation
 
 
 def pairs_of(vs):
@@ -860,3 +863,59 @@ def test_necessary_conditions_bad_shape():
     t = random_trace(random.Random(71), 1, 3)
     with pytest.raises(InputError):
         check_necessary_conditions(t, "chordal")
+
+
+# ---------------------------------------------------------------------------
+# trace conditions against the permutation-sweep oracle
+# ---------------------------------------------------------------------------
+
+CHAIN = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def oracle_necessary(source, shape):
+    for kind, param in shape_families(shape, source.n_formulas):
+        _, host, ns = family_necessary_set(kind, param)
+        got = brute_pattern_violation(source, host, ns.edges)
+        if got is not None:
+            return (family_str(kind, param),) + got
+    return None
+
+
+def assert_conditions_match_oracle(source):
+    assert check_sop2_condition(source) == \
+        brute_pattern_violation(source, CHAIN, [(0, 2), (1, 3)])
+    for shape in (TREE, INTERVAL):
+        assert check_necessary_conditions(source, shape) == \
+            oracle_necessary(source, shape)
+
+
+def test_conditions_match_oracle_on_every_small_graph():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            assert_conditions_match_oracle(trace_of_graph(g))
+
+
+def test_conditions_match_oracle_on_multi_index_traces():
+    rng = random.Random(73)
+    witnesses = 0
+    for nb in (7, 7, 7, 8, 8):
+        for p_vertex in (0.5, 1.0):
+            t = random_trace(rng, rng.randrange(2, 5), nb, p_vertex=p_vertex,
+                             p_edge=rng.choice((0.3, 0.6, 0.9)))
+            assert_conditions_match_oracle(t)
+            witnesses += check_necessary_conditions(t, INTERVAL) is not None
+    assert 0 < witnesses < 10
+
+
+def test_conditions_match_oracle_on_full_distributions():
+    rng = random.Random(79)
+    for _ in range(5):
+        t = random_trace(rng, rng.randrange(1, 4), 6)
+        assert_conditions_match_oracle(extension_distribution(t))
+        assert_conditions_match_oracle(random_monotone(rng, 6, 3))
+
+
+def test_necessary_conditions_bounded_to_formula_cap():
+    t = trace_of_graph(Graph(D.FORMULA_CAP + 1))
+    with pytest.raises(CapabilityError):
+        check_necessary_conditions(t, TREE)

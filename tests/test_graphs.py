@@ -232,6 +232,24 @@ def test_iter_embeddings_matches_brute_force():
                         if len(m) == g.n])
 
 
+def test_iter_embeddings_avoid_matches_brute_force():
+    import random
+    rng = random.Random(23)
+    for _ in range(60):
+        h = random_graph(rng, rng.randint(0, 4))
+        g = random_graph(rng, rng.randint(h.n, 6))
+        avoid = random_graph(rng, h.n, 0.3)
+        for mode in (EDGES_ONLY, INDUCED):
+            want = [m for m in oracles.brute_embeddings(h, g, mode)
+                    if not any(g.has_edge(m[u], m[v]) for u, v in avoid.edges())]
+            assert list(iter_embeddings(h, g, mode, avoid=avoid)) == want
+
+
+def test_iter_embeddings_avoid_rejects_other_vertex_sets():
+    with pytest.raises(InputError):
+        list(iter_embeddings(L4, C4, EDGES_ONLY, avoid=Graph(3)))
+
+
 def test_automorphisms():
     assert len(automorphisms(C4)) == 8
     assert len(automorphisms(L4)) == 2
