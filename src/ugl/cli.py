@@ -7,7 +7,8 @@ chain and catalog conditions, reduced products).  Output is a single
 machine-parsable block on stdout; diagnostics go to stderr.
 
 Exit codes: 0 affirmative, 1 negative verdict with a witness, 2 input
-error, 3 capability bound exceeded.
+error, 3 capability bound exceeded, 4 internal error (a fault of the
+program, never a verdict).
 """
 
 import argparse
@@ -277,6 +278,10 @@ def main(argv=None):
     except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except Exception as err:
+        sys.excepthook(type(err), err, err.__traceback__)
+        print("internal: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -20,10 +20,18 @@ adjacency bits to the already-placed ones.  Reading the string as an
 integer with the earliest bit most significant makes lexicographic
 comparison plain integer comparison, and lets a branch-and-bound search
 prune any partial placement whose prefix already exceeds the best known
-string.  Enumeration for n is by extension: every class on n vertices
-arises from a class on n-1 vertices by attaching one vertex with some
-neighborhood, so extending each (n-1)-class by all 2^(n-1) masks and
-deduplicating canonical keys is exhaustive.
+string; the search also follows only the least adjacency blocks and
+prunes by the automorphisms it meets (McKay 1981).
+
+Enumeration for n is by extension: every class on n vertices arises
+from a class on n-1 vertices by attaching one vertex with some
+neighborhood.  Each parent tries one mask per orbit of its automorphism
+group; a child is kept only when its new vertex has the largest
+(degree, neighbour degree sum) pair, which some vertex of every class
+has, so the sweep stays exhaustive (canonical deletion, McKay 1998).
+Kept children are deduplicated by a bijective embedding test within
+buckets of equal invariants, and the canonical form runs once per
+class, for its key.
 
 Enumeration is capped at n <= 8.  The environment variable ``UGL_MAX_N``
 may lower (never raise) that cap and the caps of the callers in
@@ -38,6 +46,7 @@ from itertools import combinations
 from .errors import CapabilityError, InputError
 
 ENUMERATION_CAP = 8
+GRAPH_VERTEX_CAP = 10000
 
 
 def effective_cap(default):
@@ -169,6 +178,8 @@ def parse_graph(text):
     One ``graph <n>`` header, then ``e <u> <v>`` lines with 0-based
     endpoints, u != v.  Duplicate edges, including reversed duplicates,
     are rejected.  Lines starting with ``#`` and blank lines are ignored.
+    A header above ``GRAPH_VERTEX_CAP`` vertices is a capability error,
+    raised before anything is allocated for the graph.
     """
     n = None
     seen = set()
@@ -189,6 +200,9 @@ def parse_graph(text):
                 raise InputError("malformed vertex count: %r" % parts[1])
             if n < 0:
                 raise InputError("negative vertex count")
+            if n > GRAPH_VERTEX_CAP:
+                raise CapabilityError("graphs bounded to %d vertices"
+                                      % GRAPH_VERTEX_CAP)
         elif parts[0] == "e":
             if n is None:
                 raise InputError("edge before graph header")
@@ -267,8 +281,19 @@ def canonical_form(g):
 
     Returns ``(key, perm)`` where ``perm[pos]`` is the original vertex
     placed at position ``pos``.  Bounded to n <= 8 like enumeration; the
-    branch-and-bound search compares partial strings against the best
-    complete one and prunes larger prefixes.
+    search places vertices one at a time and prunes three ways, none of
+    which can hide the least string or change which permutation reaches
+    it first:
+
+    * only the unplaced vertices whose adjacency block to the placed
+      ones is least are tried, since any other block makes every
+      completion larger;
+    * a prefix larger than the best complete string is cut;
+    * two complete placements with the best string differ by an
+      automorphism fixing their common prefix.  On meeting one the
+      search leaves that subtree, which mirrors one already searched,
+      and it skips any later candidate that an automorphism met so far,
+      fixing the current prefix, maps onto a candidate already tried.
     """
     n = g.n
     if n > ENUMERATION_CAP:
@@ -281,31 +306,69 @@ def canonical_form(g):
     best_key = None
     best_perm = None
     perm = [0] * n
+    found = []
 
-    def rec(pos, used, prefix, nbits):
+    def rec(pos, used, prefix, nbits, blocks):
+        """Search below ``perm[:pos]``, where ``blocks[v]`` holds v's
+        adjacency bits to ``perm[:pos]``; return the depth to resume at."""
         nonlocal best_key, best_perm
         if pos == n:
             if best_key is None or prefix < best_key:
                 best_key = prefix
                 best_perm = tuple(perm)
-            return
+            elif prefix == best_key:
+                gamma = [0] * n
+                for a, b in zip(best_perm, perm):
+                    gamma[a] = b
+                found.append(gamma)
+                return next(i for i in range(n) if perm[i] != best_perm[i])
+            return n
+        least = min(blocks[v] for v in hint if not used >> v & 1)
+        np = (prefix << pos) | least
+        nb = nbits + pos
+        if best_key is not None and np > (best_key >> (total - nb)):
+            return n
+        tried = 0
+        known = 0
         for v in hint:
             bit = 1 << v
-            if used & bit:
+            if used & bit or blocks[v] != least:
                 continue
-            block = 0
-            m = rows[v]
-            for i in range(pos):
-                block = (block << 1) | (m >> perm[i] & 1)
-            np = (prefix << pos) | block
-            nb = nbits + pos
-            if best_key is not None and np > (best_key >> (total - nb)):
-                continue
+            if tried and found:
+                if known != len(found):
+                    known = len(found)
+                    orbits = _stabilizer_orbits(n, found, perm[:pos])
+                if orbits[v] & tried:
+                    continue
+            tried |= bit
             perm[pos] = v
-            rec(pos + 1, used | bit, np, nb)
+            back = rec(pos + 1, used | bit, np, nb,
+                       [b << 1 | (r >> v & 1) for b, r in zip(blocks, rows)])
+            if back < pos:
+                return back
+        return n
 
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0, 0, [0] * n)
     return best_key, best_perm
+
+
+def _stabilizer_orbits(n, gammas, prefix):
+    """Per vertex, the bitmask of its orbit under the group generated by
+    the ``gammas`` that fix every vertex of ``prefix``."""
+    orbit = [1 << v for v in range(n)]
+    for gm in gammas:
+        if any(gm[v] != v for v in prefix):
+            continue
+        for v in range(n):
+            w = gm[v]
+            if not orbit[v] >> w & 1:
+                merged = orbit[v] | orbit[w]
+                m = merged
+                while m:
+                    low = m & -m
+                    orbit[low.bit_length() - 1] = merged
+                    m ^= low
+    return orbit
 
 
 def canonical_key(g):
@@ -405,9 +468,11 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
     gdeg = [g.degree(v) for v in range(g.n)]
     # an image needs a neighbour per h-neighbour and a non-neighbour per
     # forbidden partner
-    allowed = [sum(1 << c for c in range(g.n) if gdeg[c] >= h.degree(v)
-                   and g.n - 1 - gdeg[c] >= bin(forbid[v]).count("1"))
-               for v in range(h.n)]
+    allowed = []
+    for v in range(h.n):
+        need_in, need_out = h.degree(v), bin(forbid[v]).count("1")
+        allowed.append(sum(1 << c for c in range(g.n) if gdeg[c] >= need_in
+                           and g.n - 1 - gdeg[c] >= need_out))
     adj_before = [[i for i in range(k) if hrows[k] >> i & 1] for k in range(h.n)]
     forbid_before = [[i for i in range(k) if forbid[k] >> i & 1]
                      for k in range(h.n)]
@@ -505,22 +570,50 @@ _ENUM_CACHE = {0: (0,)}
 
 
 def _extend_keys(n, parent_keys):
-    """Canonical keys of all n-vertex classes reachable from the parents."""
-    found = set()
+    """Canonical keys of all n-vertex classes reachable from the parents.
+
+    Masks in one orbit of the parent's automorphisms attach isomorphic
+    children, so each parent tries only the least mask of each orbit.
+    A child is kept only if its new vertex has the largest invariant
+    pair: every class arises by attaching such a vertex to some parent,
+    so no class is lost.  Kept children are bucketed by their sorted
+    invariant pairs and tested for isomorphism against the bucket's
+    classes; the canonical form runs once per class.
+    """
+    buckets = {}
     for pk in parent_keys:
         parent = graph_from_canonical_key(n - 1, pk)
-        rows = list(parent.rows) + [0]
+        auts = automorphisms(parent)
+        seen = set()
         for mask in range(1 << (n - 1)):
-            new_rows = list(rows)
-            new_rows[n - 1] = mask
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                new_rows[v] |= 1 << (n - 1)
-                m &= m - 1
-            key, _ = canonical_form(Graph._from_rows(n, new_rows))
-            found.add(key)
-    return found
+            if mask in seen:
+                continue
+            seen.update(sum(1 << sigma[v] for v in range(n - 1)
+                            if mask >> v & 1) for sigma in auts)
+            child = Graph._from_rows(n, [r | (mask >> v & 1) << (n - 1)
+                                         for v, r in enumerate(parent.rows)]
+                                     + [mask])
+            inv = _vertex_invariants(child)
+            if inv[n - 1] < max(inv):
+                continue
+            reps = buckets.setdefault(tuple(sorted(inv)), [])
+            if not any(is_isomorphic(child, r) for r in reps):
+                reps.append(child)
+    return {canonical_form(g)[0] for reps in buckets.values() for g in reps}
+
+
+def _vertex_invariants(g):
+    """Per vertex (degree, neighbour degree sum); isomorphisms keep them."""
+    deg = [bin(r).count("1") for r in g.rows]
+    out = []
+    for v, r in enumerate(g.rows):
+        total = 0
+        while r:
+            low = r & -r
+            total += deg[low.bit_length() - 1]
+            r ^= low
+        out.append((deg[v], total))
+    return out
 
 
 def enumerate_graphs(n):

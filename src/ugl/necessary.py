@@ -17,13 +17,16 @@ Two independent decision routes are implemented.
   subset-minimal necessary sets by a hitting-set sweep.
 * Search: for each self-bijection psi, look for a member between the
   forced floor (host edges plus their psi-image) and the complement of
-  psi(B).  The search branches only on pairs that can destroy a
-  concrete obstruction witness of the current graph: a chord of a
-  chordless cycle, a pair incident to an asteroidal triple, or a
-  missing diagonal of an induced 4-cycle or 4-path.  Adding any pair
-  outside those sets leaves the witness intact, so the branching is
-  complete.  Distinct bijections often induce the same sandwich, which
-  is deduplicated, and recognition is memoized per edge mask.
+  psi(B).  The psi that leave this sandwich nonempty come from one
+  bijective embedding search of (V, B) into the complement of H, not
+  from a sweep of all n! bijections.  The search branches only on
+  pairs that can destroy a concrete obstruction witness of the current
+  graph: a chord of a chordless cycle, a pair incident to an asteroidal
+  triple, or a missing diagonal of an induced 4-cycle or 4-path.
+  Adding any pair outside those sets leaves the witness intact, so the
+  branching is complete.  Distinct bijections often induce the same
+  sandwich, which is deduplicated, and recognition is memoized per
+  edge mask.
 
 The flag vocabulary for a candidate set: ``necessary``, ``submin`` (no
 proper subset is necessary), ``mincard`` (no smaller necessary set
@@ -32,11 +35,11 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CapabilityError, InputError
-from .graphs import (EDGES_ONLY, edges_mask, graph_from_mask, iter_embeddings,
-                     pair_index, pair_order)
+from .graphs import (EDGES_ONLY, Graph, edges_mask, graph_from_mask,
+                     iter_embeddings, pair_index, pair_order)
 from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                      IRREDUCIBLE_CYCLE, TREE, check_shape, family_graph,
                      recognize)
@@ -296,27 +299,32 @@ def _complete_to_member(shape, n, idx, floor, banned, memo):
 
 def _sandwiches(h, edges):
     """Deduplicated (floor, banned) sandwiches over all self-bijections,
-    each with the first bijection inducing it."""
+    each with the first bijection inducing it.
+
+    A bijection psi gives a sandwich when no psi-image of a candidate
+    pair lies in the floor E(H) | psi(E(H)).  The candidate pairs are
+    non-edges and psi is a bijection, so psi(B) never meets psi(E(H));
+    the condition is that psi maps every candidate pair to a non-edge
+    of H.  Those psi are the bijective embeddings of (V, B) into the
+    complement of H, yielded in ascending order like permutations.
+    """
     n = h.n
-    idx = pair_index(n)
-    base = edges_mask(h, idx)
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pair_order(n)):
+        bit[u][v] = bit[v][u] = 1 << i
     hedges = h.edges()
+    base = edges_mask(h)
     out = {}
-    for psi in permutations(range(n)):
-        pe = 0
+    for psi in iter_embeddings(Graph(n, edges), h.complement(), EDGES_ONLY,
+                               bijective=True):
+        floor = base
         for u, v in hedges:
-            a, b = psi[u], psi[v]
-            pe |= 1 << idx[(a, b) if a < b else (b, a)]
-        pb = 0
+            floor |= bit[psi[u]][psi[v]]
+        banned = 0
         for u, v in edges:
-            a, b = psi[u], psi[v]
-            pb |= 1 << idx[(a, b) if a < b else (b, a)]
-        floor = base | pe
-        if floor & pb:
-            continue
-        key = (floor, pb)
-        if key not in out:
-            out[key] = psi
+            banned |= bit[psi[u]][psi[v]]
+        if (floor, banned) not in out:
+            out[floor, banned] = psi
     return sorted(out.items())
 
 

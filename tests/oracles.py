@@ -162,3 +162,31 @@ def classwide_constraints(h, members):
                              if m.has_edge(phi[u], phi[v]))
             fam.add(used)
     return fam
+
+
+def brute_sandwiches(h, edges):
+    """(floor, banned) pair masks over every vertex permutation psi, each
+    with the first psi inducing it, sorted.
+
+    Masks index pairs by ``pair_order``.  The floor is E(H) plus the
+    psi-images of E(H), the banned set is the psi-images of ``edges``,
+    and psi counts only when the two are disjoint.
+    """
+    bit = [[0] * h.n for _ in range(h.n)]
+    for i, (u, v) in enumerate(pair_order(h.n)):
+        bit[u][v] = bit[v][u] = 1 << i
+    h_edges = h.edges()
+    base = 0
+    for u, v in h_edges:
+        base |= bit[u][v]
+    out = {}
+    for psi in permutations(range(h.n)):
+        floor = base
+        for u, v in h_edges:
+            floor |= bit[psi[u]][psi[v]]
+        banned = 0
+        for u, v in edges:
+            banned |= bit[psi[u]][psi[v]]
+        if not floor & banned and (floor, banned) not in out:
+            out[floor, banned] = psi
+    return sorted(out.items())

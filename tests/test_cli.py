@@ -88,6 +88,26 @@ def test_recognize_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_recognize_oversized_header_is_capability(tmp_path, capsys):
+    gf = write(tmp_path, "huge.graph", "graph 100000000\n")
+    code, out, err = run(capsys, "recognize", "--shape", "interval", gf)
+    assert code == 3 and out == "" and "capability" in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys,
+                                                monkeypatch):
+    import ugl.cli
+
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(ugl.cli._HANDLERS, "recognize", broken)
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    code, out, err = run(capsys, "recognize", "--shape", "interval", gf)
+    assert code == 4 and out == ""
+    assert err.splitlines()[-1] == "internal: RuntimeError: boom"
+
+
 # ---------------------------------------------------------------------------
 # realize
 # ---------------------------------------------------------------------------

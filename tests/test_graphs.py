@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugl import graphs
 from ugl.errors import CapabilityError, InputError
-from ugl.graphs import (EDGES_ONLY, INDUCED, Embedding, Graph, automorphisms,
-                        canonical_form, canonical_graph, canonical_key,
-                        enumerate_graphs, enumerate_maximal_cliques,
-                        find_embedding, format_graph, graph_from_canonical_key,
+from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Embedding,
+                        Graph, automorphisms, canonical_form, canonical_graph,
+                        canonical_key, enumerate_graphs,
+                        enumerate_maximal_cliques, find_embedding,
+                        format_graph, graph_from_canonical_key,
                         induced_subgraph, is_isomorphic, iter_embeddings,
                         parse_graph)
 
@@ -108,6 +110,14 @@ def test_graph_parser_rejects_malformed_input(text):
         parse_graph(text)
 
 
+def test_graph_parser_bounds_the_vertex_count():
+    assert parse_graph("graph %d\n" % GRAPH_VERTEX_CAP).n == GRAPH_VERTEX_CAP
+    with pytest.raises(CapabilityError):
+        parse_graph("graph %d\n" % (GRAPH_VERTEX_CAP + 1))
+    with pytest.raises(CapabilityError):
+        parse_graph("graph 100000000\ne 0 1\n")
+
+
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 # ---------------------------------------------------------------------------
@@ -146,6 +156,17 @@ def test_canonical_key_is_isomorphism_invariant(data):
     assert is_isomorphic(g, h)
 
 
+def test_canonical_key_is_isomorphism_invariant_at_eight_vertices():
+    import random
+    rng = random.Random(29)
+    for _ in range(1000):
+        g = random_graph(rng, 8, rng.choice([0.3, 0.5, 0.7]))
+        perm = list(range(8))
+        rng.shuffle(perm)
+        h = Graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert canonical_form(g)[0] == canonical_form(h)[0], g
+
+
 def test_is_isomorphic_distinguishes():
     assert not is_isomorphic(C4, L4)
     assert not is_isomorphic(C4, Graph(5, C4.edges()))
@@ -162,9 +183,37 @@ def test_canonical_form_bounded():
 # ---------------------------------------------------------------------------
 
 def test_enumeration_counts():
-    expected = [1, 1, 2, 4, 11, 34, 156]
+    expected = [1, 1, 2, 4, 11, 34, 156, 1044]
     for n, count in enumerate(expected):
         assert len(enumerate_graphs(n)) == count
+
+
+def test_enumeration_keys_pinned_through_seven_vertices():
+    # sha256 of repr() of the sorted key tuples, pinned so that no change
+    # of enumeration strategy can move a key
+    import hashlib
+    want = {
+        6: "eb7cdd89fe7a355d5af8d9162de74a9903c6ecf7e03509fc4b2a9d2072498e94",
+        7: "b8f64781cb0f26478777e22675e38d5926add5951fbeff67656cb77b43d4515d",
+    }
+    for n, digest in want.items():
+        keys = tuple(sorted(canonical_form(g)[0] for g in enumerate_graphs(n)))
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def test_enumeration_computes_one_canonical_form_per_class(monkeypatch):
+    calls = {}
+    plain = graphs.canonical_form
+
+    def counted(g):
+        calls[g.n] = calls.get(g.n, 0) + 1
+        return plain(g)
+
+    monkeypatch.setattr(graphs, "_ENUM_CACHE", {0: (0,)})
+    monkeypatch.setattr(graphs, "canonical_form", counted)
+    enumerate_graphs(7)
+    for n, count in enumerate([1, 1, 2, 4, 11, 34, 156, 1044]):
+        assert calls.get(n, 0) <= count, n
 
 
 def test_enumeration_matches_labeled_brute_force():

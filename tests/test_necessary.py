@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugl import necessary
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import Graph, automorphisms, enumerate_graphs
 from ugl.necessary import (NecessarySet, compute_flags, counterexample_checks,
@@ -14,6 +15,8 @@ from ugl.necessary import (NecessarySet, compute_flags, counterexample_checks,
                            necessity_counterexample, parse_necessary_set,
                            verify_claims)
 from ugl.shapes import INTERVAL, TREE, family_graph, recognize
+
+import oracles
 from oracles import classwide_constraints
 
 C4 = family_graph("C4")
@@ -152,6 +155,42 @@ def test_counterexample_checks_rejects_tampering():
         bad_psi = psi[1:] + psi[:1]
     assert not counterexample_checks(shape, host, [(0, 2)], completion,
                                      (0, 0, 1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# sandwiches agree with the permutation sweep
+# ---------------------------------------------------------------------------
+
+CATALOG = [("C4", None), ("L4", None), ("III", 4), ("III", 5), ("III", 6),
+           ("III", 7), ("I", None), ("II", None), ("IV", 2), ("IV", 3),
+           ("IV", 4), ("V", 1), ("V", 2), ("V", 3)]
+
+
+def assert_matches_sweep(monkeypatch, shape, host, pairs):
+    want = oracles.brute_sandwiches(host, pairs)
+    assert necessary._sandwiches(host, pairs) == want, (host, pairs)
+    got = necessity_counterexample(shape, host, pairs)
+    with monkeypatch.context() as m:
+        m.setattr(necessary, "_sandwiches", lambda h, edges: want)
+        assert necessity_counterexample(shape, host, pairs) == got, (host, pairs)
+
+
+def test_sandwiches_match_sweep_on_catalog_hosts(monkeypatch):
+    for kind, param in CATALOG:
+        shape, host, ns = family_necessary_set(kind, param)
+        b = ns.edges
+        cases = [b, tuple(forced_edges(shape, host))]
+        cases += [b[:i] + b[i + 1:] for i in range(len(b))]
+        for pairs in cases:
+            assert_matches_sweep(monkeypatch, shape, host, pairs)
+
+
+def test_sandwiches_match_sweep_on_small_nonmembers(monkeypatch):
+    for shape in (TREE, INTERVAL):
+        for n in range(7):
+            for h in nonmembers(shape, n):
+                for e in h.non_edges():
+                    assert_matches_sweep(monkeypatch, shape, h, [e])
 
 
 # ---------------------------------------------------------------------------
