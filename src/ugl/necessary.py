@@ -10,11 +10,15 @@ re-placed and extended into a member, some pair from B gets glued.
 
 Two independent decision routes are implemented.
 
-* Enumeration: list every member supergraph of H on V(H) and every
-  edge-preserving self-bijection, record the used set of each, and test
-  that B meets them all.  Exponential in the number of host non-edges,
-  so capped, but it also yields the full constraint family, hence all
-  subset-minimal necessary sets by a hitting-set sweep.
+* Enumeration: list every member supergraph of H on V(H), record the
+  host non-edges it adds, and test that B meets every such added set.
+  The used set of an edge-preserving bijection psi of H into a member
+  g2 is the added set of psi^-1(g2).  That graph is a member (it is
+  isomorphic to g2) and contains H (psi preserves edges), so the
+  identity placements already give every used set.  Exponential in the
+  number of host non-edges, so capped, but it also yields the full
+  constraint family, hence all subset-minimal necessary sets by a
+  hitting-set sweep.
 * Search: for each self-bijection psi, look for a member between the
   forced floor (host edges plus their psi-image) and the complement of
   psi(B).  The psi that leave this sandwich nonempty come from one
@@ -147,9 +151,12 @@ def _check_pairs(h, edges):
 def necessity_constraints(shape, h):
     """The family of used sets over all completions of the host.
 
-    Each member supergraph on V(H) and each edge-preserving bijection of
-    H into it contributes the set of host non-edges whose images are
-    supergraph edges.  Returned sorted by (size, pairs), deduplicated.
+    It is the family of added sets E(G) minus E(H) of the member
+    supergraphs G of H on V(H).  The used set of an edge-preserving
+    bijection psi of H into a member g2 is the added set of psi^-1(g2).
+    That graph is a member (it is isomorphic to g2) and contains H (psi
+    preserves edges), so no other placement contributes a new set.
+    Returned sorted by (size, pairs).
     """
     check_shape(shape)
     ne = h.non_edges()
@@ -157,19 +164,11 @@ def necessity_constraints(shape, h):
         raise CapabilityError(
             "constraint enumeration bounded to %d host non-edges"
             % ENUMERATION_NON_EDGE_CAP)
-    out = set()
+    out = []
     for mask in range(1 << len(ne)):
         added = [ne[i] for i in range(len(ne)) if mask >> i & 1]
-        g2 = h.with_edges(added)
-        if recognize(shape, g2) is not None:
-            continue
-        for psi in iter_embeddings(h, g2, EDGES_ONLY, bijective=True):
-            used = []
-            for u, v in ne:
-                a, b = psi[u], psi[v]
-                if g2.has_edge(a, b):
-                    used.append((u, v))
-            out.add(frozenset(used))
+        if recognize(shape, h.with_edges(added)) is None:
+            out.append(frozenset(added))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

@@ -2,12 +2,14 @@
 
 Everything here is written the slow, obviously-correct way (raw
 itertools sweeps, no pruning, no shared code with the package internals
-beyond the Graph value type) so that agreement is meaningful.
+beyond the Graph value type, unless an oracle's docstring names what it
+shares) so that agreement is meaningful.
 """
 
 from itertools import combinations, permutations
 
-from ugl.graphs import Graph, pair_order
+from ugl.graphs import EDGES_ONLY, Graph, iter_embeddings, pair_order
+from ugl.shapes import recognize
 
 
 def brute_canonical_key(g):
@@ -190,3 +192,28 @@ def brute_sandwiches(h, edges):
         if not floor & banned and (floor, banned) not in out:
             out[floor, banned] = psi
     return sorted(out.items())
+
+
+def brute_constraints(shape, h):
+    """Used sets over every member supergraph g2 of h on V(h) and every
+    edge-preserving bijection psi of h into g2, sorted by (size, pairs).
+
+    This is the sweep ``necessity_constraints`` ran before it kept only
+    the identity placements; it shares ``recognize`` and
+    ``iter_embeddings`` with the package.
+    """
+    ne = h.non_edges()
+    out = set()
+    for mask in range(1 << len(ne)):
+        added = [ne[i] for i in range(len(ne)) if mask >> i & 1]
+        g2 = h.with_edges(added)
+        if recognize(shape, g2) is not None:
+            continue
+        for psi in iter_embeddings(h, g2, EDGES_ONLY, bijective=True):
+            used = []
+            for u, v in ne:
+                a, b = psi[u], psi[v]
+                if g2.has_edge(a, b):
+                    used.append((u, v))
+            out.add(frozenset(used))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))

@@ -236,6 +236,15 @@ def test_necessary_flag_conflict(tmp_path, capsys):
     assert code == 2
 
 
+def test_necessary_verify_nine_vertex_host_is_capability(tmp_path, capsys):
+    gf = write(tmp_path, "C4plus5.graph", C4_TEXT.replace("graph 4", "graph 9"))
+    sf = write(tmp_path, "A.set",
+               "B 0-2 1-3\nflags necessary=1 submin=0 mincard=0 unique=0\n")
+    code, out, err = run(capsys, "necessary", "--shape", "interval", gf,
+                         "--verify", sf)
+    assert code == 3 and out == "" and "capability" in err
+
+
 def test_jobs_flag_is_rejected(tmp_path, capsys):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     for argv in (("obstructions", "--shape", "tree", "--max-n", "4"),

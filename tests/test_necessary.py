@@ -194,6 +194,49 @@ def test_sandwiches_match_sweep_on_small_nonmembers(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# constraints agree with the bijection sweep
+# ---------------------------------------------------------------------------
+
+def test_constraints_match_sweep_on_catalog_hosts():
+    for kind, param in CATALOG:
+        shape, host, _ = family_necessary_set(kind, param)
+        if len(host.non_edges()) > necessary.ENUMERATION_NON_EDGE_CAP:
+            continue
+        assert (necessity_constraints(shape, host)
+                == oracles.brute_constraints(shape, host)), (kind, param)
+
+
+@pytest.mark.parametrize("shape", [TREE, INTERVAL])
+def test_constraints_match_sweep_on_small_nonmembers(shape):
+    # Six-vertex hosts with 9 non-edges are left out: the oracle takes
+    # about 5 s on them.
+    for n in range(7):
+        for h in nonmembers(shape, n):
+            if len(h.non_edges()) <= 8:
+                assert (necessity_constraints(shape, h)
+                        == oracles.brute_constraints(shape, h)), h
+
+
+def test_constraints_recognize_each_supergraph_once(monkeypatch):
+    calls = {"recognize": 0, "iter_embeddings": 0}
+
+    def counted(name):
+        real = getattr(necessary, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(necessary, name, counted(name))
+    shape, host, _ = family_necessary_set("III", 5)
+    necessity_constraints(shape, host)
+    assert calls == {"recognize": 1 << len(host.non_edges()),
+                     "iter_embeddings": 0}
+
+
+# ---------------------------------------------------------------------------
 # reduction to same-vertex-set completions is sound
 # ---------------------------------------------------------------------------
 
