@@ -182,18 +182,16 @@ def parse_graph(text):
     raised before anything is allocated for the graph.
     """
     n = None
-    seen = set()
-    edges = []
+    rows = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "graph":
             if n is not None:
                 raise InputError("duplicate graph header")
             if len(parts) != 2:
-                raise InputError("malformed graph header: %r" % line)
+                raise InputError("malformed graph header: %r" % raw.strip())
             try:
                 n = int(parts[1])
             except ValueError:
@@ -203,29 +201,29 @@ def parse_graph(text):
             if n > GRAPH_VERTEX_CAP:
                 raise CapabilityError("graphs bounded to %d vertices"
                                       % GRAPH_VERTEX_CAP)
+            rows = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise InputError("edge before graph header")
             if len(parts) != 3:
-                raise InputError("malformed edge line: %r" % line)
+                raise InputError("malformed edge line: %r" % raw.strip())
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise InputError("malformed edge line: %r" % line)
+                raise InputError("malformed edge line: %r" % raw.strip())
             if u == v:
                 raise InputError("loop at vertex %d" % u)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError("edge (%d, %d) out of range" % (u, v))
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if rows[u] >> v & 1:
                 raise InputError("duplicate edge (%d, %d)" % (u, v))
-            seen.add(key)
-            edges.append(key)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         else:
             raise InputError("unknown directive %r in graph file" % parts[0])
     if n is None:
         raise InputError("missing graph header")
-    return Graph(n, edges)
+    return Graph._from_rows(n, rows)
 
 
 def format_graph(g):

@@ -11,8 +11,16 @@ Two hereditary graph classes ("shapes") are supported:
   graph is a member iff it has no chordless cycle of length >= 4 and no
   asteroidal triple (Lekkerkerker-Boland); non-membership certificates
   are a chordless cycle or an asteroidal triple, and membership
-  certificates are explicit interval models found by backtracking over
-  interleavings of the 2n endpoints.
+  certificates are explicit interval models read off an order of the
+  maximal cliques in which each vertex's cliques are consecutive
+  (Gilmore-Hoffman).
+
+Recognition is polynomial and iterative for both shapes: ``tree`` by a
+nested-neighborhood test on each edge, ``interval`` by a chordality test
+(maximum cardinality search), a consecutive-ones test on the maximal
+cliques, and the witness searches only on non-members.  Witnesses do not
+depend on how membership was decided: each is the first one in the
+fixed order of its search.
 
 The minimal forbidden induced subgraphs of the interval shape form the
 classical catalog: the two fixed seven-vertex graphs (here families
@@ -187,45 +195,82 @@ def is_diagonal(g):
 # interval obstructions: chordless cycles and asteroidal triples
 # ---------------------------------------------------------------------------
 
-def find_chordless_cycle(g, min_len=4):
-    """First chordless cycle of length >= min_len as a vertex list, or None.
+def _bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
-    The search grows induced paths whose start is their minimum vertex
-    and closes them when the tail sees the start and nothing else, so the
-    first hit is deterministic.
+
+def _reaches(rows, start, allowed, target):
+    """Whether a path from ``start`` through ``allowed`` vertices reaches a
+    vertex of ``target`` (both bitmasks): a breadth-first search that
+    expands each vertex once."""
+    seen = frontier = rows[start] & allowed
+    while frontier:
+        if frontier & target:
+            return True
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return False
+
+
+def find_chordless_cycle(g):
+    """First chordless cycle of length >= 4 as a vertex list, or None.
+
+    The order is that of a depth-first search over induced paths: the
+    start v0 ascending, each path's start is its least vertex, a path
+    grows by its tail's neighbors in ascending order, and it closes when
+    the new vertex sees v0 and no inner path vertex.
+
+    The search descends into a vertex w only when the path extended by w
+    can still close into a hole: some vertex above v0, off the path and
+    outside the neighborhoods of the inner path vertices is reachable
+    from w through such vertices and sees v0.  A shortest such route is
+    induced, so it closes the path into a hole, and every hole below the
+    path is such a route; so exactly the subtrees that hold no hole are
+    pruned, and the first hit is the one the unpruned search finds.  For
+    the two-vertex path [v0, w] the common neighbors of v0 and w are
+    excluded too (they would close a triangle), and the edge w-v0 is not
+    a route.  A path that can close always has a next vertex that closes
+    it or can itself close, so the search never backtracks below the
+    first step: O(m + n * d) reachability tests for maximum degree d,
+    each O(n) bitmask operations, and no recursion.
     """
     n = g.n
     rows = g.rows
-
-    def grow(path, blocked):
-        tail = path[-1]
-        m = rows[tail] & ~blocked
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            back = rows[w]
-            inner = False
-            sees_start = len(path) >= 2 and bool(back >> path[0] & 1)
-            for p in path[1:-1]:
-                if back >> p & 1:
-                    inner = True
-                    break
-            if inner:
-                continue
-            if sees_start:
-                if len(path) + 1 >= min_len:
-                    return path + [w]
-                continue
-            got = grow(path + [w], blocked | (1 << w))
-            if got:
-                return got
-        return None
-
     for v0 in range(n):
-        low = (1 << (v0 + 1)) - 1
-        got = grow([v0], low | (1 << v0))
-        if got:
-            return got
+        above = ((1 << n) - 1) & ~((1 << (v0 + 1)) - 1)
+        target = rows[v0]
+        for w in _bits(target & above):
+            if _reaches(rows, w, above & ~(1 << w) & ~(target & rows[w]), target):
+                break
+        else:
+            continue
+        path = [v0, w]
+        free = above & ~(1 << w)
+        inner = 0
+        while True:
+            tail = path[-1]
+            grown = inner | rows[tail]
+            for x in _bits(rows[tail] & free & ~inner):
+                if target >> x & 1:
+                    if len(path) >= 3:
+                        return path + [x]
+                    continue
+                if _reaches(rows, x, free & ~(1 << x) & ~grown, target):
+                    break
+            else:
+                raise AssertionError("a closable path has no next vertex")
+            path.append(x)
+            free &= ~(1 << x)
+            inner = grown
     return None
 
 
@@ -373,22 +418,251 @@ def parse_witness(text):
 # recognition
 # ---------------------------------------------------------------------------
 
+def _nested_neighborhoods(g):
+    """Whether every edge uv has N[u] within N[v] or N[v] within N[u]
+    (closed neighborhoods): O(m) bitmask tests.
+
+    This holds iff g has no induced C4 or L4: x in N[u] - N[v] and y in
+    N[v] - N[u] make x-u-v-y one of the two, and the middle edge of
+    either has neither neighborhood inside the other.
+    """
+    rows = g.rows
+    closed = [r | 1 << v for v, r in enumerate(rows)]
+    for u in range(g.n):
+        cu = closed[u]
+        for v in _bits(rows[u] >> (u + 1) << (u + 1)):
+            both = cu & closed[v]
+            if both != cu and both != closed[v]:
+                return False
+    return True
+
+
+def _chordal_cliques(rows):
+    """The maximal cliques of a chordal graph as vertex bitmasks, or None
+    if the graph is not chordal.
+
+    Maximum cardinality search numbers next an unnumbered vertex with the
+    most numbered neighbors (the least such vertex).  The graph is chordal
+    iff the reverse numbering is a perfect elimination ordering (Tarjan &
+    Yannakakis 1984), that is iff each vertex's numbered neighbors E(v)
+    lie in N(p) + p for the last numbered of them, p.  Then the sets
+    E(v) + v include every maximal clique, and E(p) + p is not maximal
+    iff E(v) = E(p) + p for some v with that p (Blair & Peyton 1993).
+    O(n + m) bitmask operations.
+    """
+    n = len(rows)
+    weight = [0] * n
+    last = [-1] * n
+    buckets = [(1 << n) - 1]
+    top = 0
+    numbered = 0
+    order = []
+    maximal = [True] * n
+    clique = [0] * n
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
+        seen = rows[v] & numbered
+        p = last[v]
+        if p >= 0:
+            if seen & ~rows[p] & ~(1 << p):
+                return None
+            if weight[v] == weight[p] + 1:
+                maximal[p] = False
+        clique[v] = seen | low
+        order.append(v)
+        numbered |= low
+        for u in _bits(rows[v] & ~numbered):
+            k = weight[u]
+            buckets[k] ^= 1 << u
+            if k + 1 == len(buckets):
+                buckets.append(0)
+            buckets[k + 1] |= 1 << u
+            weight[u] = k + 1
+            last[u] = v
+        if top + 1 < len(buckets) and buckets[top + 1]:
+            top += 1
+    return [clique[v] for v in order if maximal[v]]
+
+
+def _clique_spans(rows, cliques):
+    """Order the maximal cliques so that the cliques holding each vertex
+    are consecutive, and return each vertex's (first, last) position in
+    that order; None if no such order exists, that is if the chordal
+    graph is not an interval graph (Gilmore & Hoffman 1964).
+
+    This is the consecutive-ones test by overlap components (Fulkerson &
+    Gross 1965).  A vertex's row is the set of cliques holding it; two
+    rows overlap if they meet and neither contains the other.  Inside a
+    component of the overlap relation, rows are added along overlaps and
+    each addition has one placement up to reversal, so the component's
+    order of classes (cliques in the same rows) is forced.  Rows of
+    different components are disjoint or nested, so each component's
+    cliques lie inside one class of every larger component they meet;
+    sorting each clique by its (component, class position) chain from
+    the largest component inward nests the components.  Each vertex's
+    span is checked for consecutiveness before it is returned; when
+    every row is already consecutive in the given clique order, that
+    order is kept.
+    O(n + m) operations on clique bitmasks, plus one sort.
+    """
+    n = len(rows)
+    k = len(cliques)
+    row = [0] * n
+    for i, c in enumerate(cliques):
+        for v in _bits(c):
+            row[v] |= 1 << i
+    if all(not (r + (r & -r)) & r for r in row):
+        # the search order of the cliques already works, as it mostly
+        # does on small graphs
+        return [((r & -r).bit_length() - 1, r.bit_length() - 1) for r in row]
+    # classes of cliques in a doubly linked list; ends[0] is the head of
+    # the component being built, ends[1] its tail
+    cls, nxt, prv, where = [], [], [], [0] * k
+    ends = [0, 0]
+
+    def link(mask, left, right):
+        c = len(cls)
+        cls.append(mask)
+        prv.append(left)
+        nxt.append(right)
+        if left < 0:
+            ends[0] = c
+        else:
+            nxt[left] = c
+        if right < 0:
+            ends[1] = c
+        else:
+            prv[right] = c
+        for i in _bits(mask):
+            where[i] = c
+
+    def split(c, r, before):
+        """Move the r-part of class c to a new class beside it."""
+        part = cls[c] & r
+        if part != cls[c]:
+            cls[c] ^= part
+            if before:
+                link(part, prv[c], c)
+            else:
+                link(part, c, nxt[c])
+
+    def add(r, union):
+        """Place row r, which overlaps a placed row; False if it cannot."""
+        touched = {where[i] for i in _bits(r & union)}
+        first = next(iter(touched))
+        while prv[first] in touched:
+            first = prv[first]
+        run = [first]
+        while nxt[run[-1]] in touched:
+            run.append(nxt[run[-1]])
+        if len(run) != len(touched) or any(cls[c] & ~r for c in run[1:-1]):
+            return False
+        first, last = run[0], run[-1]
+        new = r & ~union
+        right = left = False
+        if new:
+            right = last == ends[1] and (first == last or not cls[last] & ~r)
+            left = not right and first == ends[0] and (
+                first == last or not cls[first] & ~r)
+            if not (right or left):
+                return False
+        if first != last:
+            split(first, r, False)
+            split(last, r, True)
+        elif right or left:
+            split(first, r, left)
+        if right:
+            link(new, ends[1], -1)
+        elif left:
+            link(new, -1, ends[0])
+        return True
+
+    components = []
+    placed = set()
+    for v in range(n):
+        if row[v] in placed:
+            continue
+        placed.add(row[v])
+        link(row[v], -1, -1)
+        union = row[v]
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            r = row[u]
+            for w in _bits(rows[u]):
+                s = row[w]
+                if s in placed or not (s & ~r and r & ~s):
+                    continue
+                if not add(s, union):
+                    return None
+                placed.add(s)
+                union |= s
+                stack.append(w)
+        order = [ends[0]]
+        while nxt[order[-1]] >= 0:
+            order.append(nxt[order[-1]])
+        components.append((-union.bit_count(), len(order), order))
+    components.sort(key=lambda comp: comp[:2])
+    chain = [[] for _ in range(k)]
+    for cid, (_, _, order) in enumerate(components):
+        for pos, c in enumerate(order):
+            for i in _bits(cls[c]):
+                chain[i].append((cid, pos))
+    at = [0] * k
+    for pos, i in enumerate(sorted(range(k), key=chain.__getitem__)):
+        at[i] = pos
+    spans = []
+    for v in range(n):
+        ps = [at[i] for i in _bits(row[v])]
+        if max(ps) - min(ps) + 1 != len(ps):
+            return None
+        spans.append((min(ps), max(ps)))
+    return spans
+
+
+def _interval_certificate(g):
+    """(spans, None) for an interval graph, with each vertex's span of
+    clique positions (``_clique_spans``), or (None, witness) otherwise.
+
+    A non-chordal graph gets ``find_chordless_cycle``'s cycle and a
+    chordal non-member ``find_asteroidal_triple``'s triple: the witness
+    that running the two searches in that order gives.  Near-linear up
+    to the witness searches, which run only on non-members.
+    """
+    cliques = _chordal_cliques(g.rows)
+    if cliques is None:
+        cycle = find_chordless_cycle(g)
+        assert cycle is not None, "no chordless cycle in a non-chordal graph"
+        return None, ObstructionWitness(IRREDUCIBLE_CYCLE, cycle)
+    spans = _clique_spans(g.rows, cliques)
+    if spans is not None:
+        return spans, None
+    triple = find_asteroidal_triple(g)
+    assert triple is not None, "no asteroidal triple in a chordal non-member"
+    return None, ObstructionWitness(ASTEROIDAL_TRIPLE, triple)
+
+
 def recognize(shape, g):
-    """None for members, otherwise a deterministic ObstructionWitness."""
+    """None for members, otherwise a deterministic ObstructionWitness.
+
+    ``tree``: members pass the nested-neighborhood test; a non-member
+    gets the first induced C4, else the first induced L4.  ``interval``:
+    see ``_interval_certificate``.
+    """
     check_shape(shape)
     if shape == TREE:
+        if _nested_neighborhoods(g):
+            return None
         for kind in ("C4", "L4"):
             emb = find_embedding(family_graph(kind), g, INDUCED)
             if emb is not None:
                 return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping, (kind, None))
-        return None
-    cycle = find_chordless_cycle(g)
-    if cycle is not None:
-        return ObstructionWitness(IRREDUCIBLE_CYCLE, cycle)
-    triple = find_asteroidal_triple(g)
-    if triple is not None:
-        return ObstructionWitness(ASTEROIDAL_TRIPLE, triple)
-    return None
+        raise AssertionError("no induced C4 or L4 beside unnested neighborhoods")
+    return _interval_certificate(g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,60 +741,34 @@ def parse_interval_model(text, distinct=False):
 def realize_intervals(g, distinct_endpoints=False):
     """An IntervalModel for g, or an ObstructionWitness if none exists.
 
-    Backtracks over interleavings of the 2n endpoints: at each slot the
-    next unplaced left endpoint or pending right endpoint is chosen, in
-    ascending vertex order.  Opening a vertex next to an active
-    non-neighbor, or closing one before all its neighbors were met,
-    prunes the branch.  Endpoints land on 0..2n-1, so the model is
-    normalized and all endpoints are pairwise distinct in either mode.
+    The witness is ``recognize``'s.  A member's model is read off the
+    ordered maximal cliques: at each clique in turn, the vertices whose
+    span starts there open, in ascending order, and then those whose
+    span ends there close.  Two vertices meet iff they share a clique
+    iff their spans meet iff one opens before the other closes.
+    Endpoints land on 0..2n-1, so the model is normalized and all
+    endpoints are pairwise distinct in either mode.
     """
+    spans, witness = _interval_certificate(g)
+    if witness is not None:
+        return witness
     n = g.n
-    if n == 0:
-        return IntervalModel(0, (), distinct_endpoints)
-    rows = g.rows
-    left = [None] * n
-    right = [None] * n
-    met = [0] * n
-
-    def rec(pos, active):
-        if pos == 2 * n:
-            return True
-        for v in range(n):
-            bit = 1 << v
-            if left[v] is None:
-                if active & ~rows[v]:
-                    continue
-                left[v] = pos
-                met[v] |= active
-                m = active
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    met[u] |= bit
-                    m &= m - 1
-                if rec(pos + 1, active | bit):
-                    return True
-                m = active
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    met[u] &= ~bit
-                    m &= m - 1
-                met[v] = 0
-                left[v] = None
-            elif right[v] is None and active & bit:
-                if met[v] != rows[v]:
-                    continue
-                right[v] = pos
-                if rec(pos + 1, active & ~bit):
-                    return True
-                right[v] = None
-        return False
-
-    if rec(0, 0):
-        return IntervalModel(n, [(left[v], right[v]) for v in range(n)],
-                             distinct_endpoints)
-    witness = recognize(INTERVAL, g)
-    assert witness is not None, "realization failed on an interval graph"
-    return witness
+    opens = [[] for _ in range(n)]
+    closes = [[] for _ in range(n)]
+    for v, (first, last) in enumerate(spans):
+        opens[first].append(v)
+        closes[last].append(v)
+    left = [0] * n
+    right = [0] * n
+    pos = 0
+    for p in range(n):
+        for v in opens[p]:
+            left[v] = pos
+            pos += 1
+        for v in closes[p]:
+            right[v] = pos
+            pos += 1
+    return IntervalModel(n, list(zip(left, right)), distinct_endpoints)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ shares) so that agreement is meaningful.
 
 from itertools import combinations, permutations
 
-from ugl.graphs import EDGES_ONLY, Graph, iter_embeddings, pair_order
-from ugl.shapes import recognize
+from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
+                        iter_embeddings, pair_order)
+from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
+                        IRREDUCIBLE_CYCLE, IntervalModel, ObstructionWitness,
+                        family_graph, find_asteroidal_triple, recognize)
 
 
 def brute_canonical_key(g):
@@ -217,3 +220,126 @@ def brute_constraints(shape, h):
                     used.append((u, v))
             out.add(frozenset(used))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def recursive_chordless_cycle(g, min_len=4):
+    """First chordless cycle of length >= min_len as a vertex list, or None.
+
+    The search grows induced paths whose start is their minimum vertex
+    and closes them when the tail sees the start and nothing else, so the
+    first hit is deterministic.
+    """
+    n = g.n
+    rows = g.rows
+
+    def grow(path, blocked):
+        tail = path[-1]
+        m = rows[tail] & ~blocked
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            back = rows[w]
+            inner = False
+            sees_start = len(path) >= 2 and bool(back >> path[0] & 1)
+            for p in path[1:-1]:
+                if back >> p & 1:
+                    inner = True
+                    break
+            if inner:
+                continue
+            if sees_start:
+                if len(path) + 1 >= min_len:
+                    return path + [w]
+                continue
+            got = grow(path + [w], blocked | (1 << w))
+            if got:
+                return got
+        return None
+
+    for v0 in range(n):
+        low = (1 << (v0 + 1)) - 1
+        got = grow([v0], low | (1 << v0))
+        if got:
+            return got
+    return None
+
+
+def search_recognize(shape, g):
+    """The recognizer before the polynomial tests: induced C4 and L4
+    searches for ``tree``; the recursive chordless-cycle search and then
+    the asteroidal-triple scan for ``interval``.  It shares
+    ``find_embedding`` and ``find_asteroidal_triple`` with the package."""
+    if shape == "tree":
+        for kind in ("C4", "L4"):
+            emb = find_embedding(family_graph(kind), g, INDUCED)
+            if emb is not None:
+                return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping,
+                                          (kind, None))
+        return None
+    cycle = recursive_chordless_cycle(g)
+    if cycle is not None:
+        return ObstructionWitness(IRREDUCIBLE_CYCLE, cycle)
+    triple = find_asteroidal_triple(g)
+    if triple is not None:
+        return ObstructionWitness(ASTEROIDAL_TRIPLE, triple)
+    return None
+
+
+def backtracking_realize_intervals(g, distinct_endpoints=False):
+    """An IntervalModel for g, or an ObstructionWitness if none exists.
+
+    Backtracks over interleavings of the 2n endpoints: at each slot the
+    next unplaced left endpoint or pending right endpoint is chosen, in
+    ascending vertex order.  Opening a vertex next to an active
+    non-neighbor, or closing one before all its neighbors were met,
+    prunes the branch.  Endpoints land on 0..2n-1, so the model is
+    normalized and all endpoints are pairwise distinct in either mode.
+    It shares ``recognize`` with the package for the witness.
+    """
+    n = g.n
+    if n == 0:
+        return IntervalModel(0, (), distinct_endpoints)
+    rows = g.rows
+    left = [None] * n
+    right = [None] * n
+    met = [0] * n
+
+    def rec(pos, active):
+        if pos == 2 * n:
+            return True
+        for v in range(n):
+            bit = 1 << v
+            if left[v] is None:
+                if active & ~rows[v]:
+                    continue
+                left[v] = pos
+                met[v] |= active
+                m = active
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    met[u] |= bit
+                    m &= m - 1
+                if rec(pos + 1, active | bit):
+                    return True
+                m = active
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    met[u] &= ~bit
+                    m &= m - 1
+                met[v] = 0
+                left[v] = None
+            elif right[v] is None and active & bit:
+                if met[v] != rows[v]:
+                    continue
+                right[v] = pos
+                if rec(pos + 1, active & ~bit):
+                    return True
+                right[v] = None
+        return False
+
+    if rec(0, 0):
+        return IntervalModel(n, [(left[v], right[v]) for v in range(n)],
+                             distinct_endpoints)
+    witness = recognize(INTERVAL, g)
+    assert witness is not None, "realization failed on an interval graph"
+    return witness

@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, certificate round trips."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -132,6 +133,54 @@ def test_realize_obstruction(tmp_path, capsys):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     code, out, _ = run(capsys, "realize", gf)
     assert code == 1 and out.startswith("w irreducible-cycle")
+
+
+# Large inputs on which an exponential or recursive recognizer crashes
+# or hangs: a long path overflows the recursion limit, and endpoint
+# backtracking blows up on the strip and on C4 beside isolated vertices.
+
+def test_long_path_recognize_and_realize(tmp_path, capsys):
+    n = 1500
+    text = format_graph(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    gf = write(tmp_path, "path.graph", text)
+    assert run(capsys, "recognize", "--shape", "interval", gf)[:2] == (0, "member\n")
+    code, out, _ = run(capsys, "realize", gf)
+    assert code == 0
+    assert parse_interval_model(out, distinct=True).checks(parse_graph(text))
+
+
+def test_strip_recognize_and_realize(tmp_path, capsys):
+    n = 60
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    text = format_graph(Graph(n, edges))
+    gf = write(tmp_path, "strip.graph", text)
+    assert run(capsys, "recognize", "--shape", "interval", gf)[:2] == (0, "member\n")
+    code, out, _ = run(capsys, "realize", gf)
+    assert code == 0 and parse_interval_model(out).checks(parse_graph(text))
+
+
+def test_realize_c4_beside_isolated_vertices(tmp_path, capsys):
+    gf = write(tmp_path, "c4.graph", format_graph(
+        Graph(14, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+    code, out, _ = run(capsys, "realize", gf)
+    assert (code, out) == (1, "w irreducible-cycle 0 1 2 3\n")
+
+
+def test_dense_forest_closure_is_tree_member(tmp_path, capsys):
+    # comparability graph of a random rooted tree whose parents are
+    # among the three previous vertices: 1000 vertices, dense
+    rng = random.Random(1)
+    n = 1000
+    parent = [-1] + [rng.randrange(max(0, v - 3), v) for v in range(1, n)]
+    edges = []
+    for v in range(n):
+        a = parent[v]
+        while a != -1:
+            edges.append((a, v))
+            a = parent[a]
+    assert len(edges) > 200000
+    gf = write(tmp_path, "forest.graph", format_graph(Graph(n, edges)))
+    assert run(capsys, "recognize", "--shape", "tree", gf)[:2] == (0, "member\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -9,14 +11,17 @@ from ugl.graphs import (Graph, enumerate_graphs, enumerate_maximal_cliques,
                         induced_subgraph, is_isomorphic)
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                         IRREDUCIBLE_CYCLE, TREE, IntervalModel,
-                        ObstructionWitness, diagonal_violation, family_graph,
+                        ObstructionWitness, _chordal_cliques, _clique_spans,
+                        diagonal_violation, family_graph,
                         family_str, find_asteroidal_triple,
                         find_chordless_cycle, forest_comparability_classes,
                         format_interval_model, format_witness, is_diagonal,
                         minimal_obstructions, parse_family,
                         parse_interval_model, parse_witness,
                         realize_intervals, recognize, shape_families)
-from oracles import brute_diagonal, brute_interval_graph
+from oracles import (backtracking_realize_intervals, brute_diagonal,
+                     brute_interval_graph, recursive_chordless_cycle,
+                     search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -237,6 +242,147 @@ def test_recognize_witnesses_check_out():
             w = recognize(shape, g)
             if w is not None:
                 assert w.checks(g), (shape, g)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the search oracles
+# ---------------------------------------------------------------------------
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_gnp(rng, n):
+    p = rng.uniform(0.05, 0.6)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def random_interval_graph(rng, n):
+    span = rng.choice([5, 20, 1000])
+    ivs = []
+    for _ in range(n):
+        a = rng.randrange(span)
+        ivs.append((a, a + rng.randint(1, max(1, span // rng.choice([2, 10])))))
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                     if max(ivs[u][0], ivs[v][0]) < min(ivs[u][1], ivs[v][1])])
+
+
+def random_subtree_graph(rng, n):
+    """Intersection graph of random subtrees of a random tree: chordal,
+    and often not an interval graph."""
+    size = rng.randint(1, 20)
+    adj = [[] for _ in range(size)]
+    for v in range(1, size):
+        u = rng.randrange(v)
+        adj[u].append(v)
+        adj[v].append(u)
+    subtrees = []
+    for _ in range(n):
+        nodes = [rng.randrange(size)]
+        for _ in range(rng.randrange(size // 2 + 1)):
+            step = rng.choice(adj[rng.choice(nodes)] or nodes)
+            if step not in nodes:
+                nodes.append(step)
+        subtrees.append(set(nodes))
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                     if subtrees[u] & subtrees[v]])
+
+
+def assert_same_as_oracles(g):
+    assert find_chordless_cycle(g) == recursive_chordless_cycle(g), g.edges()
+    for shape in (TREE, INTERVAL):
+        assert recognize(shape, g) == search_recognize(shape, g), (shape, g.edges())
+
+
+def test_search_agrees_with_oracles_up_to_seven():
+    for g in graphs_up_to(7):
+        for seed in range(3):
+            assert_same_as_oracles(relabeled(g, seed))
+
+
+def test_search_agrees_with_oracles_on_random_graphs():
+    rng = random.Random(2)
+    for _ in range(600):
+        assert_same_as_oracles(random_gnp(rng, rng.randint(8, 16)))
+
+
+def test_search_agrees_with_oracles_on_chordal_graphs():
+    rng = random.Random(3)
+    for _ in range(300):
+        assert_same_as_oracles(random_subtree_graph(rng, rng.randint(4, 24)))
+
+
+def test_realize_verdict_matches_backtracking_oracle():
+    cases = list(graphs_up_to(7))
+    cases += [relabeled(g, seed) for g in graphs_up_to(6) for seed in range(3)]
+    rng = random.Random(4)
+    cases += [random_gnp(rng, rng.randint(8, 10)) for _ in range(100)]
+    for g in cases:
+        got = realize_intervals(g)
+        old = backtracking_realize_intervals(g)
+        if isinstance(old, IntervalModel):
+            assert isinstance(got, IntervalModel) and got.checks(g), g.edges()
+        else:
+            assert got == old, g.edges()
+
+
+def test_realize_models_on_random_interval_graphs():
+    rng = random.Random(5)
+    for _ in range(300):
+        g = random_interval_graph(rng, rng.randint(1, 60))
+        assert recognize(INTERVAL, g) is None
+        m = realize_intervals(g, distinct_endpoints=True)
+        assert isinstance(m, IntervalModel) and m.checks(g)
+        ends = sorted(e for ab in m.intervals for e in ab)
+        assert ends == list(range(2 * g.n))
+
+
+def test_clique_spans_under_shuffled_clique_orders():
+    # a shuffled clique order rarely works as given, so this runs the
+    # overlap-component placement that search orders mostly skip
+    rng = random.Random(6)
+    for i in range(300):
+        if i % 2:
+            g = random_interval_graph(rng, rng.randint(1, 40))
+        else:
+            g = random_subtree_graph(rng, rng.randint(1, 24))
+        cliques = _chordal_cliques(g.rows)
+        member = find_asteroidal_triple(g) is None
+        for _ in range(3):
+            rng.shuffle(cliques)
+            spans = _clique_spans(g.rows, cliques)
+            assert (spans is not None) == member, g.edges()
+            if spans is None:
+                continue
+            for u, v in combinations(range(g.n), 2):
+                meet = max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1])
+                assert meet == g.has_edge(u, v), g.edges()
+
+
+def test_interval_path_does_not_recurse():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    path = Graph(1500, [(i, i + 1) for i in range(1499)])
+    hole = family_graph("III", 300)
+    spider = Graph(301, [(0, 1), (0, 2), (0, 3)]
+                   + [(i, i + 3) for i in range(1, 298)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        assert recognize(INTERVAL, path) is None
+        model = realize_intervals(path)
+        cycle = recognize(INTERVAL, hole)
+        triple = realize_intervals(spider)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert model.checks(path)
+    assert cycle == ObstructionWitness(IRREDUCIBLE_CYCLE, range(300))
+    assert triple.kind == ASTEROIDAL_TRIPLE and triple.checks(spider)
 
 
 # ---------------------------------------------------------------------------
