@@ -9,32 +9,46 @@ machine-parsable block on stdout; diagnostics go to stderr.
 Exit codes: 0 affirmative, 1 negative verdict with a witness, 2 input
 error, 3 capability bound exceeded, 4 internal error (a fault of the
 program, never a verdict).
+
+Importing this module registers the package modules in sys.modules
+without executing them; each executes when a subcommand first uses it,
+so a run compiles only what it needs.  recognize, realize and
+obstructions load graphs and shapes; necessary adds necessary;
+trace-refine and trace-condition --sop2 add distributions; trace-check
+and trace-condition --shape add distributions and necessary (for the
+catalog sets); ultragraph adds distributions and ultragraph.
 """
 
 import argparse
+import importlib.util
 import sys
 from itertools import combinations
 
-from . import distributions as dist
-from . import ultragraph as ug
 from .errors import CapabilityError, InputError
-from .graphs import format_graph, parse_graph
-from .necessary import (
-    format_necessary_set,
-    minimal_necessary_sets,
-    parse_necessary_set,
-    verify_claims,
-)
-from .shapes import (
-    INTERVAL,
-    TREE,
-    IntervalModel,
-    format_interval_model,
-    format_witness,
-    minimal_obstructions,
-    realize_intervals,
-    recognize,
-)
+
+
+def _lazy(name):
+    """Register ugl.<name> so that it executes on first attribute use.
+
+    A module already in sys.modules is returned as it is, so no class
+    is ever defined twice in one process."""
+    full = __package__ + "." + name
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+graphs = _lazy("graphs")
+shapes = _lazy("shapes")
+nec = _lazy("necessary")
+dist = _lazy("distributions")
+ug = _lazy("ultragraph")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +69,7 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="shape membership with certificate")
-    p.add_argument("--shape", choices=(TREE, INTERVAL), required=True)
+    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
     p.add_argument("graphfile")
 
     p = sub.add_parser("realize", help="interval model or obstruction")
@@ -63,11 +77,11 @@ def build_parser():
     p.add_argument("graphfile")
 
     p = sub.add_parser("obstructions", help="minimal non-members up to a size")
-    p.add_argument("--shape", choices=(TREE, INTERVAL), required=True)
+    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
     p.add_argument("--max-n", type=int, required=True)
 
     p = sub.add_parser("necessary", help="necessary edge sets of a host")
-    p.add_argument("--shape", choices=(TREE, INTERVAL), required=True)
+    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
     p.add_argument("graphfile")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--verify", metavar="SETFILE")
@@ -81,7 +95,7 @@ def build_parser():
 
     p = sub.add_parser("trace-condition", help="single trace conditions")
     p.add_argument("--sop2", action="store_true")
-    p.add_argument("--shape", choices=(TREE, INTERVAL))
+    p.add_argument("--shape", choices=shapes.SHAPES)
     p.add_argument("tracefile")
 
     p = sub.add_parser("ultragraph", help="reduced product report")
@@ -91,55 +105,55 @@ def build_parser():
 
 
 def _cmd_recognize(args, out):
-    g = parse_graph(_read(args.graphfile))
-    w = recognize(args.shape, g)
+    g = graphs.parse_graph(_read(args.graphfile))
+    w = shapes.recognize(args.shape, g)
     if w is None:
         out.write("member\n")
         return 0
-    out.write(format_witness(w))
+    out.write(shapes.format_witness(w))
     return 1
 
 
 def _cmd_realize(args, out):
-    g = parse_graph(_read(args.graphfile))
-    got = realize_intervals(g, args.distinct_endpoints)
-    if isinstance(got, IntervalModel):
-        out.write(format_interval_model(got))
+    g = graphs.parse_graph(_read(args.graphfile))
+    got = shapes.realize_intervals(g, args.distinct_endpoints)
+    if isinstance(got, shapes.IntervalModel):
+        out.write(shapes.format_interval_model(got))
         return 0
-    out.write(format_witness(got))
+    out.write(shapes.format_witness(got))
     return 1
 
 
 def _cmd_obstructions(args, out):
-    reps = minimal_obstructions(args.shape, args.max_n)
+    reps = shapes.minimal_obstructions(args.shape, args.max_n)
     for i, g in enumerate(reps):
         if i:
             out.write("\n")
-        out.write(format_graph(g))
+        out.write(graphs.format_graph(g))
     return 0
 
 
 def _cmd_necessary(args, out):
-    g = parse_graph(_read(args.graphfile))
+    g = graphs.parse_graph(_read(args.graphfile))
     if args.verify is not None:
-        ns = parse_necessary_set(_read(args.verify))
-        ok, verdicts, evidence = verify_claims(args.shape, g, ns)
+        ns = nec.parse_necessary_set(_read(args.verify))
+        ok, verdicts, evidence = nec.verify_claims(args.shape, g, ns)
         if ok:
-            out.write(format_necessary_set(ns))
+            out.write(nec.format_necessary_set(ns))
             return 0
         for flag in ("necessary", "submin", "mincard", "unique"):
             if verdicts.get(flag) is False:
                 out.write("flag %s fail\n" % flag)
                 _write_evidence(out, evidence.get(flag))
         return 1
-    sets = minimal_necessary_sets(args.shape, g)
+    sets = nec.minimal_necessary_sets(args.shape, g)
     if not sets:
         out.write("none\n")
         return 1
     for i, ns in enumerate(sets):
         if i:
             out.write("\n")
-        out.write(format_necessary_set(ns))
+        out.write(nec.format_necessary_set(ns))
     return 0
 
 
@@ -150,7 +164,7 @@ def _write_evidence(out, ev):
     if tag == "completion":
         _, g, psi = ev
         out.write("completion\n")
-        out.write(format_graph(g))
+        out.write(graphs.format_graph(g))
         out.write("psi " + " ".join(str(v) for v in psi) + "\n")
     elif tag == "redundant":
         out.write("redundant %d-%d\n" % ev[1])
@@ -184,7 +198,7 @@ def _cmd_trace_check(args, out):
     # error leaves stdout empty
     sop2 = dist.check_sop2_condition(t)
     necessary = [(shape, dist.check_necessary_conditions(t, shape))
-                 for shape in (TREE, INTERVAL)]
+                 for shape in shapes.SHAPES]
     bad_b, bad_p = dist.adequacy_report(t)
     ok = not bad_b and not bad_p
     out.write("adequate %s\n" % ("yes" if ok else "no"))

@@ -31,7 +31,6 @@ from itertools import combinations
 from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import (EDGES_ONLY, Graph, enumerate_maximal_cliques,
                      iter_embeddings)
-from .necessary import family_necessary_set
 from .shapes import check_shape, diagonal_violation, family_str, shape_families
 
 FORMULA_CAP = 12
@@ -728,6 +727,10 @@ def check_necessary_conditions(t, shape):
     if t.n_formulas > FORMULA_CAP:
         raise CapabilityError(
             "trace conditions bounded to %d formulas" % FORMULA_CAP)
+    # imported here, so that runs that check no catalog condition never
+    # execute the necessary module
+    from .necessary import family_necessary_set
+
     graphs = _index_graphs(t)
     for kind, param in shape_families(shape, t.n_formulas):
         _, host, ns = family_necessary_set(kind, param)

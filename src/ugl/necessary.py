@@ -19,18 +19,20 @@ Two independent decision routes are implemented.
   number of host non-edges, so capped, but it also yields the full
   constraint family, hence all subset-minimal necessary sets by a
   hitting-set sweep.
-* Search: for each self-bijection psi, look for a member between the
-  forced floor (host edges plus their psi-image) and the complement of
-  psi(B).  The psi that leave this sandwich nonempty come from one
-  bijective embedding search of (V, B) into the complement of H, not
-  from a sweep of all n! bijections.  The search branches only on
-  pairs that can destroy a concrete obstruction witness of the current
-  graph: a chord of a chordless cycle, a pair incident to an asteroidal
-  triple, or a missing diagonal of an induced 4-cycle or 4-path.
-  Adding any pair outside those sets leaves the witness intact, so the
-  branching is complete.  Distinct bijections often induce the same
-  sandwich, which is deduplicated, and recognition is memoized per
-  edge mask.
+* Search: a member g between the floor E(H) | psi(E(H)) and the
+  complement of psi(B), for any bijection psi, pulls back to psi^-1(g),
+  a member that contains E(H) and avoids B.  So B is necessary iff no
+  member lies between E(H) and the complement of B, and the same holds
+  for psi(B) when psi is an automorphism of H.  One completion search
+  decides it, from E(H) with the least psi(B) over the automorphisms:
+  that is the least (floor, banned) sandwich over all bijections, so
+  the witness is the one a sweep of every sandwich in order finds
+  first.  The search branches only on pairs that can destroy a concrete
+  obstruction witness of the current graph: a chord of a chordless
+  cycle, a pair incident to an asteroidal triple, or a missing diagonal
+  of an induced 4-cycle or 4-path.  Adding any pair outside those sets
+  leaves the witness intact, so the branching is complete.  Recognition
+  is memoized per edge mask.
 
 The flag vocabulary for a candidate set: ``necessary``, ``submin`` (no
 proper subset is necessary), ``mincard`` (no smaller necessary set
@@ -42,8 +44,7 @@ claim and is skipped by verification.
 from itertools import combinations
 
 from .errors import CapabilityError, InputError
-from .graphs import (EDGES_ONLY, Graph, edges_mask, graph_from_mask,
-                     iter_embeddings, pair_index, pair_order)
+from .graphs import automorphisms, edges_mask, graph_from_mask, pair_index
 from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                      IRREDUCIBLE_CYCLE, TREE, check_shape, family_graph,
                      recognize)
@@ -296,44 +297,15 @@ def _complete_to_member(shape, n, idx, floor, banned, memo):
     return search(floor)
 
 
-def _sandwiches(h, edges):
-    """Deduplicated (floor, banned) sandwiches over all self-bijections,
-    each with the first bijection inducing it.
-
-    A bijection psi gives a sandwich when no psi-image of a candidate
-    pair lies in the floor E(H) | psi(E(H)).  The candidate pairs are
-    non-edges and psi is a bijection, so psi(B) never meets psi(E(H));
-    the condition is that psi maps every candidate pair to a non-edge
-    of H.  Those psi are the bijective embeddings of (V, B) into the
-    complement of H, yielded in ascending order like permutations.
-    """
-    n = h.n
-    bit = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(pair_order(n)):
-        bit[u][v] = bit[v][u] = 1 << i
-    hedges = h.edges()
-    base = edges_mask(h)
-    out = {}
-    for psi in iter_embeddings(Graph(n, edges), h.complement(), EDGES_ONLY,
-                               bijective=True):
-        floor = base
-        for u, v in hedges:
-            floor |= bit[psi[u]][psi[v]]
-        banned = 0
-        for u, v in edges:
-            banned |= bit[psi[u]][psi[v]]
-        if (floor, banned) not in out:
-            out[floor, banned] = psi
-    return sorted(out.items())
-
-
 def necessity_counterexample(shape, h, edges):
     """None when the set is necessary, else a completion that avoids it.
 
     A counterexample is a pair (member graph, psi): the member contains
     every host edge and every psi-image of one, and none of the
-    psi-images of the candidate pairs.  Sandwiches are tried in order,
-    so the witness comes from the least sandwich that has a completion.
+    psi-images of the candidate pairs.  Here psi is the first
+    automorphism of H, in ascending order, with the least banned mask
+    psi(B), and the member is the completion found from E(H) below the
+    complement of psi(B).
     """
     check_shape(shape)
     _check_pairs(h, edges)
@@ -343,12 +315,18 @@ def necessity_counterexample(shape, h, edges):
             "necessity search bounded to hosts with <= %d vertices"
             % SEARCH_VERTEX_CAP)
     idx = pair_index(n)
-    memo = {}
-    for (floor, banned), psi in _sandwiches(h, edges):
-        got = _complete_to_member(shape, n, idx, floor, banned, memo)
-        if got is not None:
-            return graph_from_mask(n, got), psi
-    return None
+    banned = psi = None
+    for phi in automorphisms(h):
+        mask = 0
+        for u, v in edges:
+            a, b = phi[u], phi[v]
+            mask |= 1 << idx[(a, b) if a < b else (b, a)]
+        if banned is None or mask < banned:
+            banned, psi = mask, phi
+    got = _complete_to_member(shape, n, idx, edges_mask(h, idx), banned, {})
+    if got is None:
+        return None
+    return graph_from_mask(n, got), psi
 
 
 def is_necessary(shape, h, edges):

@@ -300,15 +300,27 @@ def _avoid_components(g, v):
 
 
 def find_asteroidal_triple(g):
-    """First asteroidal triple (a, b, c) in lexicographic order, or None."""
+    """First asteroidal triple (a, b, c) in lexicographic order, or None.
+
+    The avoid-components of a vertex are built when the scan first needs
+    them, so a triple among the first vertices costs a few searches, not
+    one per vertex."""
     n = g.n
-    comps = [_avoid_components(g, v) for v in range(n)]
+    rows = g.rows
+    comps = [None] * n
+
+    def comp(v):
+        if comps[v] is None:
+            comps[v] = _avoid_components(g, v)
+        return comps[v]
+
     for a, b, c in combinations(range(n), 3):
-        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+        if (rows[a] >> b | (rows[a] | rows[b]) >> c) & 1:
             continue
-        if (comps[c][a] == comps[c][b] != -1
-                and comps[b][a] == comps[b][c] != -1
-                and comps[a][b] == comps[a][c] != -1):
+        cc = comps[c] or comp(c)  # a built list is never empty
+        if (cc[a] == cc[b] != -1
+                and comp(b)[a] == comp(b)[c] != -1
+                and comp(a)[b] == comp(a)[c] != -1):
             return (a, b, c)
     return None
 

@@ -25,7 +25,7 @@ from itertools import combinations, product
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import Graph
-from .distributions import PRINCIPAL, Trace, find_multiplicative_refinement
+from .distributions import PRINCIPAL, Trace
 
 MATERIALIZE_CAP = 10 ** 6
 
@@ -442,10 +442,3 @@ def clique_transversal_trace(t, transversal):
     new = Trace(t.family, nb, l1, l2)
     theta = {alpha: {b: h[b][alpha] for b in l1[alpha]} for alpha in core}
     return new, theta
-
-
-def eta_matches_refinement(t):
-    """Whether the eta-extension verdict agrees with the refinement
-    search; the tested equivalence at finite scale."""
-    return (eta_extension(t) is not None) == \
-        (find_multiplicative_refinement(t) is not None)

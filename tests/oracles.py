@@ -9,10 +9,13 @@ shares) so that agreement is meaningful.
 from itertools import combinations, permutations
 
 from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
-                        iter_embeddings, pair_order)
+                        graph_from_mask, iter_embeddings, pair_index,
+                        pair_order)
+from ugl.necessary import _complete_to_member
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                         IRREDUCIBLE_CYCLE, IntervalModel, ObstructionWitness,
-                        family_graph, find_asteroidal_triple, recognize)
+                        _avoid_components, family_graph,
+                        find_asteroidal_triple, recognize)
 
 
 def brute_canonical_key(g):
@@ -197,6 +200,23 @@ def brute_sandwiches(h, edges):
     return sorted(out.items())
 
 
+def sandwich_counterexample(shape, h, edges):
+    """``necessity_counterexample`` as it was before it searched from one
+    sandwich: the completion search on every sandwich of
+    ``brute_sandwiches`` in order, returning the first completion with
+    the psi of its sandwich.  It shares ``_complete_to_member`` with the
+    package.
+    """
+    n = h.n
+    idx = pair_index(n)
+    memo = {}
+    for (floor, banned), psi in brute_sandwiches(h, edges):
+        got = _complete_to_member(shape, n, idx, floor, banned, memo)
+        if got is not None:
+            return graph_from_mask(n, got), psi
+    return None
+
+
 def brute_constraints(shape, h):
     """Used sets over every member supergraph g2 of h on V(h) and every
     edge-preserving bijection psi of h into g2, sorted by (size, pairs).
@@ -282,6 +302,22 @@ def search_recognize(shape, g):
     triple = find_asteroidal_triple(g)
     if triple is not None:
         return ObstructionWitness(ASTEROIDAL_TRIPLE, triple)
+    return None
+
+
+def eager_asteroidal_triple(g):
+    """``find_asteroidal_triple`` as it was when it built the
+    avoid-component map of every vertex before the scan.  It shares
+    ``_avoid_components`` with the package."""
+    n = g.n
+    comps = [_avoid_components(g, v) for v in range(n)]
+    for a, b, c in combinations(range(n), 3):
+        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+            continue
+        if (comps[c][a] == comps[c][b] != -1
+                and comps[b][a] == comps[b][c] != -1
+                and comps[a][b] == comps[a][c] != -1):
+            return (a, b, c)
     return None
 
 

@@ -1,6 +1,9 @@
 """Command line surface: outputs, exit codes, certificate round trips."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -458,3 +461,81 @@ def test_ultragraph_quorum_rejected(tmp_path, capsys):
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# module loading: each subcommand executes only the modules it uses
+# ---------------------------------------------------------------------------
+
+PACKAGE_MODULES = ("graphs", "shapes", "necessary", "distributions",
+                   "ultragraph")
+
+# Prints the exit code and the package modules still unexecuted (lazy
+# modules change their class to ModuleType when they execute).
+UNEXECUTED = """
+import sys, types
+from ugl.cli import main
+code = main(%r)
+print(code, *[m for m in %r
+              if type(sys.modules["ugl." + m]) is not types.ModuleType])
+"""
+
+
+def fresh_python(script):
+    """Last stdout line of a new interpreter that runs the script."""
+    import ugl.cli
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ugl.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    got = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    return got.stdout.splitlines()[-1]
+
+
+def unexecuted_after(*argv):
+    return fresh_python(UNEXECUTED % (list(argv), PACKAGE_MODULES))
+
+
+def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    left = "necessary distributions ultragraph"
+    assert unexecuted_after("recognize", "--shape", "tree", gf) == "1 " + left
+    assert unexecuted_after("realize", gf) == "1 " + left
+    assert unexecuted_after("obstructions", "--shape", "tree",
+                            "--max-n", "4") == "0 " + left
+
+
+def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    got = unexecuted_after("necessary", "--shape", "tree", gf)
+    assert got == "0 distributions ultragraph"
+
+
+def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
+    tf = write(tmp_path, "good.trace", GOOD_TRACE)
+    got = unexecuted_after("trace-refine", tf)
+    assert got == "0 necessary ultragraph"
+
+
+def test_import_registers_every_module_unexecuted():
+    got = fresh_python(
+        "import sys, types\n"
+        "import ugl.cli\n"
+        "print(*[m for m in ('cli',) + %r if 'ugl.' + m in sys.modules],\n"
+        "      sum(type(sys.modules['ugl.' + m]) is types.ModuleType\n"
+        "          for m in %r))" % (PACKAGE_MODULES, PACKAGE_MODULES))
+    assert got == "cli " + " ".join(PACKAGE_MODULES) + " 0"
+
+
+def test_cli_uses_a_module_imported_before_it():
+    got = fresh_python(
+        "import sys\n"
+        "import ugl.shapes as first\n"
+        "import ugl.cli\n"
+        "code = ugl.cli.main(['obstructions', '--shape', 'tree',\n"
+        "                     '--max-n', '99'])\n"
+        "print(ugl.cli.shapes is first is sys.modules['ugl.shapes'],\n"
+        "      code)")
+    assert got == "True 3"

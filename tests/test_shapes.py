@@ -19,9 +19,10 @@ from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                         minimal_obstructions, parse_family,
                         parse_interval_model, parse_witness,
                         realize_intervals, recognize, shape_families)
+from ugl import shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
-                     brute_interval_graph, recursive_chordless_cycle,
-                     search_recognize)
+                     brute_interval_graph, eager_asteroidal_triple,
+                     recursive_chordless_cycle, search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -292,6 +293,7 @@ def random_subtree_graph(rng, n):
 
 def assert_same_as_oracles(g):
     assert find_chordless_cycle(g) == recursive_chordless_cycle(g), g.edges()
+    assert find_asteroidal_triple(g) == eager_asteroidal_triple(g), g.edges()
     for shape in (TREE, INTERVAL):
         assert recognize(shape, g) == search_recognize(shape, g), (shape, g.edges())
 
@@ -312,6 +314,24 @@ def test_search_agrees_with_oracles_on_chordal_graphs():
     rng = random.Random(3)
     for _ in range(300):
         assert_same_as_oracles(random_subtree_graph(rng, rng.randint(4, 24)))
+
+
+def test_asteroidal_triple_scan_builds_components_on_demand(monkeypatch):
+    # a spider with three 200-vertex legs, numbered from the leg tips
+    # 0, 1, 2 inward: the first triple scanned is asteroidal, so only
+    # its own three vertices need their components
+    legs = [(0, 1), (0, 2), (0, 3)] + [(i, i + 3) for i in range(1, 598)]
+    spider = Graph(601, [(600 - u, 600 - v) for u, v in legs])
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return avoid(g, v)
+
+    avoid = shapes._avoid_components
+    monkeypatch.setattr(shapes, "_avoid_components", counted)
+    assert find_asteroidal_triple(spider) == (0, 1, 2)
+    assert calls == [2, 1, 0]
 
 
 def test_realize_verdict_matches_backtracking_oracle():
