@@ -34,6 +34,10 @@ from .graphs import (EDGES_ONLY, Graph, enumerate_maximal_cliques,
 from .shapes import check_shape, diagonal_violation, family_str, shape_families
 
 FORMULA_CAP = 12
+# Trace headers above these are refused when read; near them the fastest
+# trace commands already take about 30 s on an otherwise empty trace.
+TRACE_INDEX_CAP = 2900000
+TRACE_FORMULA_CAP = 15000
 
 QUORUM = "quorum"
 PRINCIPAL = "principal"
@@ -780,7 +784,11 @@ def _format_row(name, alpha, entry):
 
 
 def parse_trace(text):
-    """Parse the trace line format; structural violations are errors."""
+    """Parse the trace line format; structural violations are errors.
+
+    Headers above ``TRACE_INDEX_CAP`` or ``TRACE_FORMULA_CAP`` are
+    capability errors, raised before anything is allocated.
+    """
     n_indices = None
     n_formulas = None
     fam_decl = None
@@ -796,10 +804,16 @@ def parse_trace(text):
             if n_indices is not None or len(parts) != 2:
                 raise InputError("malformed indices line %r" % line)
             n_indices = _parse_int(parts[1], line)
+            if n_indices > TRACE_INDEX_CAP:
+                raise CapabilityError(
+                    "traces bounded to %d indices" % TRACE_INDEX_CAP)
         elif head == "formulas":
             if n_formulas is not None or len(parts) != 2:
                 raise InputError("malformed formulas line %r" % line)
             n_formulas = _parse_int(parts[1], line)
+            if n_formulas > TRACE_FORMULA_CAP:
+                raise CapabilityError(
+                    "traces bounded to %d formulas" % TRACE_FORMULA_CAP)
         elif head == "family":
             if fam_decl is not None or len(parts) < 2:
                 raise InputError("malformed family line %r" % line)

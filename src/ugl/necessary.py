@@ -10,15 +10,15 @@ re-placed and extended into a member, some pair from B gets glued.
 
 Two independent decision routes are implemented.
 
-* Enumeration: list every member supergraph of H on V(H), record the
-  host non-edges it adds, and test that B meets every such added set.
-  The used set of an edge-preserving bijection psi of H into a member
-  g2 is the added set of psi^-1(g2).  That graph is a member (it is
-  isomorphic to g2) and contains H (psi preserves edges), so the
-  identity placements already give every used set.  Exponential in the
-  number of host non-edges, so capped, but it also yields the full
-  constraint family, hence all subset-minimal necessary sets by a
-  hitting-set sweep.
+* Enumeration: list the minimal member supergraphs of H on V(H),
+  record the host non-edges each adds, and test that B meets every such
+  added set.  The used set of an edge-preserving bijection psi of H
+  into a member g2 is the added set of psi^-1(g2).  That graph is a
+  member (it is isomorphic to g2) and contains H (psi preserves edges),
+  so the identity placements already give every used set.  The sweep
+  branches on the witness pairs of the search route below, and the
+  subset-minimal necessary sets are the minimal hitting sets of what it
+  finds, both within one work budget (``WORK_BUDGET``).
 * Search: a member g between the floor E(H) | psi(E(H)) and the
   complement of psi(B), for any bijection psi, pulls back to psi^-1(g),
   a member that contains E(H) and avoids B.  So B is necessary iff no
@@ -41,17 +41,18 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
-from itertools import combinations
-
 from .errors import CapabilityError, InputError
 from .graphs import automorphisms, edges_mask, graph_from_mask, pair_index
-from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
-                     IRREDUCIBLE_CYCLE, TREE, check_shape, family_graph,
-                     recognize)
+from .shapes import (FORBIDDEN_FAMILY, INTERVAL, IRREDUCIBLE_CYCLE, TREE,
+                     check_shape, family_graph, recognize)
 
 SEARCH_VERTEX_CAP = 8
-ENUMERATION_NON_EDGE_CAP = 12
-MINIMAL_SET_CAP = 9
+# Work bound of the enumeration route: one unit per host non-edge, up
+# front (so a large sparse host is refused before any mask exists), then
+# one per distinct mask of the completion sweep and one per node of the
+# hitting-set branching.  Each is a distinct set of host non-edges, so k
+# non-edges cost at most k + 2 * 2^k: every host with at most 12 fits.
+WORK_BUDGET = 1 << 16
 
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
 
@@ -149,38 +150,69 @@ def _check_pairs(h, edges):
 # enumeration route
 # ---------------------------------------------------------------------------
 
-def necessity_constraints(shape, h):
-    """The family of used sets over all completions of the host.
+def _charge(spent):
+    """The work spent so far, refused once it exceeds ``WORK_BUDGET``."""
+    if spent > WORK_BUDGET:
+        raise CapabilityError(
+            "necessary-set enumeration bounded to %d units of work"
+            % WORK_BUDGET)
+    return spent
 
-    It is the family of added sets E(G) minus E(H) of the member
+
+def _minimal_completions(shape, h):
+    """Added-pair masks of the inclusion-minimal member supergraphs of h,
+    and the work spent on them.
+
+    A level-order sweep by the number of added pairs, from E(H).  A
+    member is recorded; a non-member branches on the ``_branch_bits``
+    of its witness, because every member above it fills one of them
+    (Cai 1996).  So each minimal completion S is reached through masks
+    below S, which are non-members by minimality.  A mask above a
+    recorded member is skipped, and in level order the recorded members
+    are exactly the minimal ones.
+    """
+    check_shape(shape)
+    n = h.n
+    spent = _charge(n * (n - 1) // 2 - h.edge_count())
+    idx = pair_index(n)
+    base = edges_mask(h, idx)
+    found, level = [], {base}
+    while level:
+        wider, members = set(), []
+        for mask in level:
+            if any(m & mask == m for m in found):
+                continue
+            w = recognize(shape, graph_from_mask(n, mask))
+            if w is None:
+                members.append(mask)
+                continue
+            wider.update(mask | 1 << p
+                         for p in _branch_bits(n, idx, mask, 0, w))
+            _charge(spent + len(wider))
+        spent += len(wider)
+        found += members
+        level = wider
+    return [m & ~base for m in found], spent
+
+
+def _sorted_pairs(n, masks):
+    """Pair masks as tuples of pairs, sorted by (size, pairs)."""
+    return sorted((tuple(graph_from_mask(n, m).edges()) for m in masks),
+                  key=lambda s: (len(s), s))
+
+
+def necessity_constraints(shape, h):
+    """The inclusion-minimal used sets over all completions of the host.
+
+    They are the added sets E(G) minus E(H) of the minimal member
     supergraphs G of H on V(H).  The used set of an edge-preserving
     bijection psi of H into a member g2 is the added set of psi^-1(g2).
     That graph is a member (it is isomorphic to g2) and contains H (psi
-    preserves edges), so no other placement contributes a new set.
-    Returned sorted by (size, pairs).
+    preserves edges), so every used set contains one of these.
+    Returned as frozensets sorted by (size, pairs).
     """
-    check_shape(shape)
-    ne = h.non_edges()
-    if len(ne) > ENUMERATION_NON_EDGE_CAP:
-        raise CapabilityError(
-            "constraint enumeration bounded to %d host non-edges"
-            % ENUMERATION_NON_EDGE_CAP)
-    out = []
-    for mask in range(1 << len(ne)):
-        added = [ne[i] for i in range(len(ne)) if mask >> i & 1]
-        if recognize(shape, h.with_edges(added)) is None:
-            out.append(frozenset(added))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def minimize_family(family):
-    """Inclusion-minimal members of a family of sets, sorted."""
-    fam = sorted({frozenset(s) for s in family}, key=lambda s: (len(s), sorted(s)))
-    keep = []
-    for s in fam:
-        if not any(t < s for t in keep):
-            keep.append(s)
-    return keep
+    found, _ = _minimal_completions(shape, h)
+    return [frozenset(s) for s in _sorted_pairs(h.n, found)]
 
 
 def necessary_by_enumeration(shape, h, edges):
@@ -191,23 +223,46 @@ def necessary_by_enumeration(shape, h, edges):
 
 
 def _minimal_hits(shape, h):
-    ne = h.non_edges()
-    if len(ne) > MINIMAL_SET_CAP:
-        raise CapabilityError(
-            "minimal necessary set search bounded to %d host non-edges"
-            % MINIMAL_SET_CAP)
-    fam = minimize_family(necessity_constraints(shape, h))
-    if any(not s for s in fam):
-        return []
+    """All minimal hitting sets of the minimal completions, sorted.
+
+    Minimal-transversal branching (Murakami & Uno 2014) on the pairs of
+    the first completion the current choice misses; the child taking the
+    i-th such pair may not take a later one, so each choice is visited
+    once.  A choice is pruned once one of its pairs has no private
+    completion (one the choice meets only there), as no wider choice is
+    then minimal.  Each choice carries the completions it misses or
+    meets once; one met twice is neither missed nor private again.
+    """
+    family, spent = _minimal_completions(shape, h)
     hits = []
-    for size in range(len(ne) + 1):
-        for combo in combinations(ne, size):
-            s = set(combo)
-            if any(set(prev) <= s for prev in hits):
-                continue
-            if all(s & f for f in fam):
-                hits.append(combo)
-    return hits
+    stack = [(0, -1, family)]
+    while stack:
+        chosen, allowed, live = stack.pop()
+        spent = _charge(spent + 1)
+        missed, private = None, {}
+        for f in live:
+            hit = f & chosen
+            if hit:
+                private[hit] = private.get(hit, f) & f
+            elif missed is None:
+                missed = f
+        if missed is None:
+            hits.append(chosen)
+            continue
+        # A pair in every private completion of a chosen pair would
+        # leave that pair with none.
+        blocked = 0
+        for common in private.values():
+            blocked |= common
+        rest, branch = allowed & ~missed, missed & allowed
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            if not bit & blocked:
+                stack.append((chosen | bit, rest,
+                              [f for f in live if not (f & chosen and f & bit)]))
+            rest |= bit
+    return _sorted_pairs(h.n, hits)
 
 
 def minimal_necessary_sets(shape, h):
@@ -245,36 +300,21 @@ def _branch_bits(n, idx, mask, banned, witness):
     pairs is filled.  So every member above ``mask`` avoiding ``banned``
     contains one of the returned pairs.
     """
-    cands = set()
+    def pos(a, b):
+        return idx[(a, b) if a < b else (b, a)]
+
+    vs = witness.vertices
     if witness.kind == FORBIDDEN_FAMILY:
-        m = witness.vertices
-        for u, v in _TREE_PATTERN_NON_EDGES[witness.family[0]]:
-            a, b = m[u], m[v]
-            cands.add(idx[(a, b) if a < b else (b, a)])
+        pattern = _TREE_PATTERN_NON_EDGES[witness.family[0]]
+        cands = {pos(vs[u], vs[v]) for u, v in pattern}
     elif witness.kind == IRREDUCIBLE_CYCLE:
-        vs = witness.vertices
         k = len(vs)
-        for i, j in combinations(range(k), 2):
-            if j - i == 1 or (i == 0 and j == k - 1):
-                continue
-            a, b = vs[i], vs[j]
-            cands.add(idx[(a, b) if a < b else (b, a)])
+        cands = {pos(vs[i], vs[j])
+                 for i in range(k) for j in range(i + 2, k - (i == 0))}
     else:
-        for x in witness.vertices:
-            for y in range(n):
-                if y == x:
-                    continue
-                cands.add(idx[(x, y) if x < y else (y, x)])
+        cands = {pos(x, y) for x in vs for y in range(n) if y != x}
     free = ~(mask | banned)
     return sorted(p for p in cands if free >> p & 1)
-
-
-def _recognize_mask(shape, n, mask, memo):
-    got = memo.get(mask, False)
-    if got is False:
-        got = recognize(shape, graph_from_mask(n, mask))
-        memo[mask] = got
-    return got
 
 
 def _complete_to_member(shape, n, idx, floor, banned, memo):
@@ -284,7 +324,9 @@ def _complete_to_member(shape, n, idx, floor, banned, memo):
     def search(mask):
         if mask in dead:
             return None
-        w = _recognize_mask(shape, n, mask, memo)
+        if mask not in memo:
+            memo[mask] = recognize(shape, graph_from_mask(n, mask))
+        w = memo[mask]
         if w is None:
             return mask
         for p in _branch_bits(n, idx, mask, banned, w):
@@ -361,45 +403,19 @@ def forced_edges(shape, h):
 
 
 def compute_flags(shape, h, edges):
-    """The full flag vector for a candidate set; None marks an unsettled flag.
+    """The full flag vector for a candidate set, read off the minimal sets.
 
-    Exact when the host has at most 9 non-edges.  Beyond that,
-    ``necessary`` and ``submin`` are still decided by search, and
-    ``mincard``/``unique`` fall back on forced-edge bounds: every
-    necessary set contains every forced edge, so the forced set F gives
-    a cardinality floor of |F| when F is necessary and |F| + 1
-    otherwise.  Flags the bounds cannot settle come back as None.
+    A set is necessary when it contains a minimal necessary set, and
+    subset-minimal when it is one.
     """
     _check_pairs(h, edges)
     b = tuple(sorted(edges))
-    exact = len(h.non_edges()) <= MINIMAL_SET_CAP
-    necessary = is_necessary(shape, h, b)
-    if exact:
-        mins = _minimal_hits(shape, h)
-        submin = b in mins
-        smallest = min((len(s) for s in mins), default=0)
-        mincard = necessary and len(b) == smallest
-        unique = mincard and sum(len(s) == smallest for s in mins) == 1
-        return {"necessary": necessary, "submin": submin,
-                "mincard": mincard, "unique": unique}
-    if not necessary:
-        return {"necessary": False, "submin": False,
-                "mincard": False, "unique": False}
-    submin = all(
-        not is_necessary(shape, h, b[:i] + b[i + 1:])
-        for i in range(len(b)))
-    forced = tuple(forced_edges(shape, h))
-    if b == forced:
-        return {"necessary": True, "submin": submin,
-                "mincard": True, "unique": True}
-    if is_necessary(shape, h, forced):
-        return {"necessary": True, "submin": submin,
-                "mincard": False, "unique": False}
-    if len(b) == len(forced) + 1:
-        return {"necessary": True, "submin": submin,
-                "mincard": True, "unique": None}
-    return {"necessary": True, "submin": submin,
-            "mincard": None, "unique": None}
+    mins = _minimal_hits(shape, h)
+    smallest = min((len(s) for s in mins), default=0)
+    mincard = b in mins and len(b) == smallest
+    return {"necessary": any(set(s) <= set(b) for s in mins),
+            "submin": b in mins, "mincard": mincard,
+            "unique": mincard and sum(len(s) == smallest for s in mins) == 1}
 
 
 def verify_claims(shape, h, ns):
@@ -408,26 +424,24 @@ def verify_claims(shape, h, ns):
     Returns (ok, verdicts, evidence): verdicts maps each claimed flag to
     a bool, evidence maps failed flags to a printable witness, one of
     ("completion", graph, psi), ("redundant", pair), or
-    ("smaller", pairs).  Raises CapabilityError when a claimed flag
-    cannot be settled within bounds.
+    ("smaller", pairs).  ``necessary`` and ``submin`` are decided by the
+    completion search, ``mincard`` and ``unique`` by the minimal
+    necessary sets.  Raises CapabilityError when a claimed flag needs
+    more work than its route allows.
     """
     _check_pairs(h, ns.edges)
     claimed = ns.claimed()
     b = ns.edges
-    verdicts = {}
-    evidence = {}
-    cex_memo = {}
+    verdicts, evidence, cex_memo = {}, {}, {}
 
     def cex(pairs):
-        key = frozenset(pairs)
-        if key not in cex_memo:
-            cex_memo[key] = necessity_counterexample(shape, h, pairs)
-        return cex_memo[key]
+        if pairs not in cex_memo:
+            cex_memo[pairs] = necessity_counterexample(shape, h, pairs)
+        return cex_memo[pairs]
 
-    exact = len(h.non_edges()) <= MINIMAL_SET_CAP
-    if exact and ("mincard" in claimed or "unique" in claimed):
+    if "mincard" in claimed or "unique" in claimed:
         mins = _minimal_hits(shape, h)
-        smallest = min((len(s) for s in mins), default=0)
+        same = [s for s in mins if len(s) == len(mins[0])]
     for flag in claimed:
         if flag == "necessary":
             got = cex(b)
@@ -435,56 +449,23 @@ def verify_claims(shape, h, ns):
             if got is not None:
                 evidence[flag] = ("completion",) + got
         elif flag == "submin":
-            ok = cex(b) is None
             culprit = None
-            if ok:
-                for i in range(len(b)):
-                    if cex(b[:i] + b[i + 1:]) is None:
-                        culprit = b[i]
-                        break
-            verdicts[flag] = ok and culprit is None
+            if cex(b) is None:
+                culprit = next((p for i, p in enumerate(b)
+                                if cex(b[:i] + b[i + 1:]) is None), None)
+            verdicts[flag] = cex(b) is None and culprit is None
             if culprit is not None:
                 evidence[flag] = ("redundant", culprit)
         elif flag == "mincard":
-            if exact:
-                ok = cex(b) is None and len(b) == smallest
-                verdicts[flag] = ok
-                if not ok and mins and smallest < len(b):
-                    evidence[flag] = ("smaller", mins[0])
-            else:
-                verdicts[flag] = _mincard_by_forced(shape, h, b, cex, evidence)
+            verdicts[flag] = b in same
+            if same and len(same[0]) < len(b):
+                evidence[flag] = ("smaller", same[0])
         else:
-            if exact:
-                same = [s for s in mins if len(s) == smallest]
-                ok = cex(b) is None and len(b) == smallest and same == [b]
-                verdicts[flag] = ok
-                if not ok:
-                    others = [s for s in same if s != b]
-                    if others:
-                        evidence[flag] = ("smaller", others[0])
-            else:
-                forced = tuple(forced_edges(shape, h))
-                if b == forced:
-                    verdicts[flag] = cex(b) is None
-                else:
-                    raise CapabilityError(
-                        "cannot settle uniqueness for this host")
-    ok = all(verdicts.values())
-    return ok, verdicts, evidence
-
-
-def _mincard_by_forced(shape, h, b, cex, evidence):
-    if cex(b) is not None:
-        return False
-    forced = tuple(forced_edges(shape, h))
-    if b == forced:
-        return True
-    if cex(forced) is None:
-        evidence["mincard"] = ("smaller", forced)
-        return False
-    if len(b) == len(forced) + 1:
-        return True
-    raise CapabilityError("cannot settle minimum cardinality for this host")
+            verdicts[flag] = same == [b]
+            others = [s for s in same if s != b]
+            if others:
+                evidence[flag] = ("smaller", others[0])
+    return all(verdicts.values()), verdicts, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +478,9 @@ def family_necessary_set(kind, param=None):
     Returns (shape, host, NecessarySet) with the flags the set is known
     to satisfy; flags left at 0 are simply not claimed.  The 4-cycle and
     4-path entries live in the tree shape, the rest in the interval
-    shape.  Hosts with few enough non-edges carry exact flags; for the
-    larger hosts the claims follow from forced-edge analysis, and the
-    first spider family claims only subset-minimality.
+    shape.  Not every flag that holds is claimed: the sets of I and
+    III(k) claim only necessity and subset-minimality, and those of II
+    and IV(k), k >= 3, leave uniqueness unclaimed.
     """
     host = family_graph(kind, param)
     all_flags = {"necessary": 1, "submin": 1, "mincard": 1, "unique": 1}

@@ -242,6 +242,51 @@ def brute_constraints(shape, h):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def minimize_family(family):
+    """Inclusion-minimal members of a family of sets, sorted by (size, pairs)."""
+    fam = sorted({frozenset(s) for s in family}, key=lambda s: (len(s), sorted(s)))
+    keep = []
+    for s in fam:
+        if not any(t < s for t in keep):
+            keep.append(s)
+    return keep
+
+
+def mask_loop_constraints(shape, h):
+    """Added sets of every member supergraph of h on V(h), sorted by
+    (size, pairs): ``necessity_constraints`` as it was before it listed
+    only the minimal ones, recognizing all 2^|non-edges| supergraphs.
+    It shares ``recognize`` with the package.
+    """
+    ne = h.non_edges()
+    out = []
+    for mask in range(1 << len(ne)):
+        added = [ne[i] for i in range(len(ne)) if mask >> i & 1]
+        if recognize(shape, h.with_edges(added)) is None:
+            out.append(frozenset(added))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def brute_minimal_hits(shape, h):
+    """All minimal necessary sets as sorted tuples, sorted by (size,
+    pairs): the subset sweep ``minimal_necessary_sets`` ran before it
+    branched, over the family of ``mask_loop_constraints``.
+    """
+    ne = h.non_edges()
+    fam = minimize_family(mask_loop_constraints(shape, h))
+    if any(not s for s in fam):
+        return []
+    hits = []
+    for size in range(len(ne) + 1):
+        for combo in combinations(ne, size):
+            s = set(combo)
+            if any(set(prev) <= s for prev in hits):
+                continue
+            if all(s & f for f in fam):
+                hits.append(combo)
+    return hits
+
+
 def recursive_chordless_cycle(g, min_len=4):
     """First chordless cycle of length >= min_len as a vertex list, or None.
 

@@ -115,7 +115,7 @@ def test_catalog_necessary_sets_verify_their_claimed_flags():
             assert ns.flags["necessary"] and ns.flags["submin"], (kind, param)
             ok, verdicts, evidence = verify_claims(shape, host, ns)
             assert ok, (kind, param, verdicts, evidence)
-        # hosts small enough for the exact sweep carry the strong flags
+        # the sets claimed as the unique minimum
         for kind, param in [("C4", None), ("L4", None),
                             ("IV", 2), ("V", 1), ("V", 2), ("V", 3)]:
             ns = family_necessary_set(kind, param)[2]

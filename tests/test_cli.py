@@ -297,6 +297,33 @@ def test_necessary_verify_nine_vertex_host_is_capability(tmp_path, capsys):
     assert code == 3 and out == "" and "capability" in err
 
 
+CATALOG = [("C4", None), ("L4", None), ("III", 4), ("III", 5), ("III", 6),
+           ("III", 7), ("I", None), ("II", None), ("IV", 2), ("IV", 3),
+           ("IV", 4), ("V", 1), ("V", 2), ("V", 3)]
+
+
+@pytest.mark.parametrize("kind,param", CATALOG)
+def test_necessary_all_minimal_lists_catalog_set(tmp_path, capsys, kind,
+                                                 param):
+    from ugl.necessary import family_necessary_set
+    shape, host, ns = family_necessary_set(kind, param)
+    gf = write(tmp_path, "host.graph", format_graph(host))
+    code, out, _ = run(capsys, "necessary", "--shape", shape, gf,
+                       "--all-minimal")
+    assert code == 0
+    assert "B" + "".join(" %d-%d" % e for e in ns.edges) in out.splitlines()
+
+
+def test_necessary_work_budget_is_capability(tmp_path, capsys):
+    n = 20
+    text = "graph %d\n" % n + "".join(
+        "e %d %d\n" % (i, (i + 1) % n) for i in range(n))
+    gf = write(tmp_path, "C20.graph", text)
+    code, out, err = run(capsys, "necessary", "--shape", "interval", gf,
+                         "--all-minimal")
+    assert code == 3 and out == "" and "capability" in err
+
+
 def test_jobs_flag_is_rejected(tmp_path, capsys):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     for argv in (("obstructions", "--shape", "tree", "--max-n", "4"),
@@ -364,6 +391,21 @@ def test_trace_check_thirteen_formulas_is_capability(tmp_path, capsys):
     code, out, err = run(capsys, "trace-condition", "--sop2", "--shape",
                          "tree", tf)
     assert code == 3 and out == "" and "capability" in err
+
+
+@pytest.mark.parametrize("command,header", [
+    ("trace-check", "indices 3000000\nformulas 2"),
+    ("trace-refine", "indices 3000000\nformulas 2"),
+    ("trace-check", "indices 1\nformulas 200000"),
+])
+def test_trace_header_above_cap_is_capability(tmp_path, command, header):
+    # Each of these ran for more than 30 s before the header caps.
+    tf = write(tmp_path, "big.trace", header + "\nfamily quorum 1\n")
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", command, tf],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=15)
+    assert got.returncode == 3 and got.stdout == ""
+    assert got.stderr.startswith("capability: traces bounded to")
 
 
 def test_trace_check_structure_error(tmp_path, capsys):
@@ -481,14 +523,19 @@ print(code, *[m for m in %r
 """
 
 
-def fresh_python(script):
-    """Last stdout line of a new interpreter that runs the script."""
+def package_env():
+    """The environment with this package's source first on PYTHONPATH."""
     import ugl.cli
     src = os.path.dirname(os.path.dirname(os.path.abspath(ugl.cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    got = subprocess.run([sys.executable, "-c", script], env=env,
+    return env
+
+
+def fresh_python(script):
+    """Last stdout line of a new interpreter that runs the script."""
+    got = subprocess.run([sys.executable, "-c", script], env=package_env(),
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     return got.stdout.splitlines()[-1]

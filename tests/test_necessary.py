@@ -10,14 +10,13 @@ from ugl.graphs import Graph, automorphisms, enumerate_graphs
 from ugl.necessary import (NecessarySet, compute_flags, counterexample_checks,
                            family_necessary_set, forced_edges,
                            format_necessary_set, is_necessary,
-                           minimal_necessary_sets, minimize_family,
-                           necessary_by_enumeration, necessity_constraints,
-                           necessity_counterexample, parse_necessary_set,
-                           verify_claims)
+                           minimal_necessary_sets, necessary_by_enumeration,
+                           necessity_constraints, necessity_counterexample,
+                           parse_necessary_set, verify_claims)
 from ugl.shapes import INTERVAL, TREE, family_graph, recognize
 
 import oracles
-from oracles import classwide_constraints
+from oracles import classwide_constraints, minimize_family
 
 C4 = family_graph("C4")
 L4 = family_graph("L4")
@@ -190,16 +189,30 @@ def test_sandwiches_match_sweep_on_small_nonmembers():
 
 
 # ---------------------------------------------------------------------------
-# constraints agree with the bijection sweep
+# constraints and minimal sets agree with the sweeps over every supergraph
 # ---------------------------------------------------------------------------
+
+def small_hosts(max_non_edges):
+    """Catalog hosts, then non-members with at most 6 vertices, each with
+    at most ``max_non_edges`` non-edges."""
+    out = []
+    for kind, param in CATALOG:
+        shape, host, _ = family_necessary_set(kind, param)
+        out.append((shape, host))
+    for shape in (TREE, INTERVAL):
+        for n in range(7):
+            out += [(shape, h) for h in nonmembers(shape, n)]
+    return [(shape, h) for shape, h in out
+            if len(h.non_edges()) <= max_non_edges]
+
 
 def test_constraints_match_sweep_on_catalog_hosts():
     for kind, param in CATALOG:
         shape, host, _ = family_necessary_set(kind, param)
-        if len(host.non_edges()) > necessary.ENUMERATION_NON_EDGE_CAP:
+        if len(host.non_edges()) > 12:
             continue
-        assert (necessity_constraints(shape, host)
-                == oracles.brute_constraints(shape, host)), (kind, param)
+        want = minimize_family(oracles.brute_constraints(shape, host))
+        assert necessity_constraints(shape, host) == want, (kind, param)
 
 
 @pytest.mark.parametrize("shape", [TREE, INTERVAL])
@@ -209,12 +222,18 @@ def test_constraints_match_sweep_on_small_nonmembers(shape):
     for n in range(7):
         for h in nonmembers(shape, n):
             if len(h.non_edges()) <= 8:
-                assert (necessity_constraints(shape, h)
-                        == oracles.brute_constraints(shape, h)), h
+                want = minimize_family(oracles.brute_constraints(shape, h))
+                assert necessity_constraints(shape, h) == want, h
 
 
-def test_constraints_recognize_each_supergraph_once(monkeypatch):
-    calls = {"recognize": 0, "automorphisms": 0}
+def test_minimal_sets_match_subset_sweep():
+    for shape, h in small_hosts(9):
+        got = [m.edges for m in minimal_necessary_sets(shape, h)]
+        assert got == oracles.brute_minimal_hits(shape, h), (shape, h)
+
+
+def counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(necessary, name)
@@ -224,12 +243,21 @@ def test_constraints_recognize_each_supergraph_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(necessary, name, counted(name))
-    shape, host, _ = family_necessary_set("III", 5)
-    necessity_constraints(shape, host)
-    assert calls == {"recognize": 1 << len(host.non_edges()),
-                     "automorphisms": 0}
+    return calls
+
+
+def test_constraints_branch_on_witness_pairs(monkeypatch):
+    # The 4-cycle's diagonals are the only branches; the four isolated
+    # vertices add 20 non-edges that are never tried.
+    calls = counting(monkeypatch, "recognize", "automorphisms")
+    host = Graph(8, C4.edges())
+    assert necessity_constraints(TREE, host) == [frozenset({(0, 2)}),
+                                                 frozenset({(1, 3)})]
+    assert calls["recognize"] <= 3 and calls["automorphisms"] == 0
+    assert [m.edges for m in minimal_necessary_sets(TREE, host)] == [
+        ((0, 2), (1, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +341,18 @@ def test_compute_flags_examples():
     shape, host, ns = family_necessary_set("II")
     fl = compute_flags(shape, host, ns.edges)
     assert fl == {"necessary": True, "submin": True,
-                  "mincard": True, "unique": None}
+                  "mincard": True, "unique": True}
 
 
-def test_compute_flags_unsettled_is_none():
+def test_compute_flags_exact_on_every_catalog_host():
     shape, host, ns = family_necessary_set("I")
-    fl = compute_flags(shape, host, ns.edges)
-    assert fl["necessary"] and fl["submin"]
-    assert fl["mincard"] is None and fl["unique"] is None
+    assert compute_flags(shape, host, ns.edges) == {
+        "necessary": True, "submin": True, "mincard": True, "unique": True}
+    for kind, param in CATALOG:
+        shape, host, ns = family_necessary_set(kind, param)
+        fl = compute_flags(shape, host, ns.edges)
+        assert None not in fl.values(), (kind, param)
+        assert fl["necessary"] and fl["submin"], (kind, param)
 
 
 def test_verify_claims_catalog_small():
@@ -357,24 +389,53 @@ def test_verify_claims_failure_evidence():
     assert is_necessary(shape6, host6, smaller)
 
 
-def test_verify_claims_capability():
+def test_verify_claims_settles_cardinality_on_large_hosts():
     shape, host, _ = family_necessary_set("I")
-    wishful = NecessarySet([(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (3, 5)],
-                           {"mincard": 1})
-    with pytest.raises(CapabilityError):
-        verify_claims(shape, host, wishful)
+    claim = NecessarySet([(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (3, 5)],
+                         {"mincard": 1, "unique": 1})
+    assert verify_claims(shape, host, claim) == (
+        True, {"mincard": True, "unique": True}, {})
+    shape, host, ns = family_necessary_set("II")
+    claim = NecessarySet(ns.edges, {"unique": 1})
+    assert verify_claims(shape, host, claim) == (True, {"unique": True}, {})
+    shape, host, ns = family_necessary_set("III", 7)
+    greedy = NecessarySet(ns.edges, {"mincard": 1, "unique": 1})
+    smaller = ("smaller", ((0, 3), (0, 4), (1, 5), (2, 6)))
+    assert verify_claims(shape, host, greedy) == (
+        False, {"mincard": False, "unique": False},
+        {"mincard": smaller, "unique": smaller})
 
 
 def test_capability_bounds():
-    shape, host, _ = family_necessary_set("I")
-    with pytest.raises(CapabilityError):
-        minimal_necessary_sets(shape, host)
+    shape, host, ns = family_necessary_set("I")
+    mins = minimal_necessary_sets(shape, host)
+    assert [len(m.edges) for m in mins] == [6, 7, 7, 7, 8, 8, 8, 9]
+    assert mins[0] == NecessarySet(ns.edges, {"necessary": 1, "submin": 1,
+                                              "mincard": 1, "unique": 1})
     big = Graph(9, [])
     with pytest.raises(CapabilityError):
         necessity_counterexample(INTERVAL, big, [(0, 1)])
     wide = Graph(7, [])
+    assert necessity_constraints(INTERVAL, wide) == [frozenset()]
+
+
+def test_work_budget(monkeypatch):
+    # A 20-cycle branches on 170 chords, and its chorded cycles branch
+    # again: the sweep runs out of budget after about 1,500 recognize
+    # calls.
+    calls = counting(monkeypatch, "recognize")
+    cycle = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
     with pytest.raises(CapabilityError):
-        necessity_constraints(INTERVAL, wide)
+        minimal_necessary_sets(INTERVAL, cycle)
+    assert 0 < calls["recognize"] < necessary.WORK_BUDGET
+    # Every mask has a bit per host non-edge, so a host with more
+    # non-edges than the budget is refused before the first recognize.
+    calls["recognize"] = 0
+    sparse = Graph(400, C4.edges())
+    assert 400 * 399 // 2 - 4 > necessary.WORK_BUDGET
+    with pytest.raises(CapabilityError):
+        necessity_constraints(TREE, sparse)
+    assert calls["recognize"] == 0
 
 
 def test_member_host_has_no_necessary_sets():
