@@ -12,11 +12,11 @@ program, never a verdict).
 
 Importing this module registers the package modules in sys.modules
 without executing them; each executes when a subcommand first uses it,
-so a run compiles only what it needs.  recognize, realize and
-obstructions load graphs and shapes; necessary adds necessary;
-trace-refine and trace-condition --sop2 add distributions; trace-check
-and trace-condition --shape add distributions and necessary (for the
-catalog sets); ultragraph adds distributions and ultragraph.
+so a run compiles only what it needs.  Every subcommand loads catalog
+(for the shape names).  recognize, realize and obstructions add graphs
+and shapes; necessary adds necessary too; trace-check, trace-refine and
+trace-condition add distributions and graphs; ultragraph adds
+distributions and ultragraph, and no graph code.
 """
 
 import argparse
@@ -44,6 +44,7 @@ def _lazy(name):
     return module
 
 
+catalog = _lazy("catalog")
 graphs = _lazy("graphs")
 shapes = _lazy("shapes")
 nec = _lazy("necessary")
@@ -69,7 +70,7 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="shape membership with certificate")
-    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
+    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
     p.add_argument("graphfile")
 
     p = sub.add_parser("realize", help="interval model or obstruction")
@@ -77,11 +78,11 @@ def build_parser():
     p.add_argument("graphfile")
 
     p = sub.add_parser("obstructions", help="minimal non-members up to a size")
-    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
+    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
     p.add_argument("--max-n", type=int, required=True)
 
     p = sub.add_parser("necessary", help="necessary edge sets of a host")
-    p.add_argument("--shape", choices=shapes.SHAPES, required=True)
+    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
     p.add_argument("graphfile")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--verify", metavar="SETFILE")
@@ -95,7 +96,7 @@ def build_parser():
 
     p = sub.add_parser("trace-condition", help="single trace conditions")
     p.add_argument("--sop2", action="store_true")
-    p.add_argument("--shape", choices=shapes.SHAPES)
+    p.add_argument("--shape", choices=catalog.SHAPES)
     p.add_argument("tracefile")
 
     p = sub.add_parser("ultragraph", help="reduced product report")
@@ -198,7 +199,7 @@ def _cmd_trace_check(args, out):
     # error leaves stdout empty
     sop2 = dist.check_sop2_condition(t)
     necessary = [(shape, dist.check_necessary_conditions(t, shape))
-                 for shape in shapes.SHAPES]
+                 for shape in catalog.SHAPES]
     bad_b, bad_p = dist.adequacy_report(t)
     ok = not bad_b and not bad_p
     out.write("adequate %s\n" % ("yes" if ok else "no"))

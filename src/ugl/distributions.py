@@ -26,12 +26,28 @@ are load errors; pair-adequacy is deliberately only reported, since a
 stored trace may be meaningful before any adequacy repair.
 """
 
+import importlib
 from itertools import combinations
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import (EDGES_ONLY, Graph, enumerate_maximal_cliques,
-                     iter_embeddings)
-from .shapes import check_shape, diagonal_violation, family_str, shape_families
+
+# Graph and catalog code is imported in the functions that use it, so a
+# library run on distributions alone compiles nothing else.  These names
+# of graphs and catalog are importable from here too, and load their
+# module only when asked for.
+_ELSEWHERE = {"EDGES_ONLY": "graphs", "Graph": "graphs",
+              "enumerate_maximal_cliques": "graphs",
+              "iter_embeddings": "graphs", "check_shape": "catalog",
+              "diagonal_violation": "catalog", "family_str": "catalog",
+              "shape_families": "catalog"}
+
+
+def __getattr__(name):
+    if name not in _ELSEWHERE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("." + _ELSEWHERE[name], __package__)
+    return getattr(module, name)
+
 
 FORMULA_CAP = 12
 # Trace headers above these are refused when read; near them the fastest
@@ -461,6 +477,27 @@ class PropertyReport:
                    self.pairwise_splitting, self.refines_los))
 
 
+def _is_multiplicative(f):
+    """Whether f(d | e) = f(d) & f(e) for all formula sets d and e.
+
+    That holds iff f(d) is the meet of f(∅) and the f({x}), x in d, for
+    every d.  Then f(d | e) is the meet over d | e, which is f(d) & f(e).
+    Conversely f(d) = f(d - {x}) & f({x}) for each x in d, and f({x}) =
+    f({x} | ∅) lies inside f(∅).  One intersection per formula set, from
+    the set without its least formula: O(2^n) in place of the 4^n pairs.
+    """
+    n = f.n_formulas
+    value = [f.map[frozenset(b for b in range(n) if mask >> b & 1)]
+             for mask in range(1 << n)]
+    meet = [value[0]] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        meet[mask] = meet[mask ^ low] & value[low]
+        if meet[mask] != value[mask]:
+            return False
+    return True
+
+
 def check_properties(f, instance=None):
     """Property verdicts for a full distribution.
 
@@ -497,15 +534,13 @@ def check_properties(f, instance=None):
             graph_like = False
             wit["graph_like"] = d
             break
-    multiplicative = True
-    for d in subs:
-        for e in subs:
-            if f.map[d | e] != f.map[d] & f.map[e]:
-                multiplicative = False
-                wit["multiplicative"] = (d, e)
-                break
-        if not multiplicative:
-            break
+    multiplicative = _is_multiplicative(f)
+    if not multiplicative:
+        # the least set where the meet test fails gives a witness with
+        # |d| <= 1, so this scans at most n + 1 values of d
+        wit["multiplicative"] = next(
+            (d, e) for d in subs for e in subs
+            if f.map[d | e] != f.map[d] & f.map[e])
     pairwise_splitting = True
     for u, v in combinations(range(f.n_formulas), 2):
         if (f.map[frozenset((u, v))]
@@ -534,6 +569,8 @@ def check_properties(f, instance=None):
 
 def graph_sequence(t):
     """Per-index (vertex set, Graph) pairs; edges are the g2 pairs."""
+    from .graphs import Graph
+
     out = []
     for a in range(t.n_indices):
         out.append((tuple(sorted(t.g1[a])),
@@ -622,6 +659,8 @@ def _clique_choices(t, alpha):
     are monotone in each K_alpha, so any witness assignment enlarges to
     one made of maximal cliques.
     """
+    from .graphs import Graph, enumerate_maximal_cliques
+
     vs = sorted(t.g1[alpha])
     pos = {v: i for i, v in enumerate(vs)}
     sub = Graph(len(vs), [(pos[u], pos[v]) for u, v in t.g2[alpha]])
@@ -636,8 +675,9 @@ def find_multiplicative_refinement(t):
     ascending order, so the first solution is the lexicographically
     least; after each choice every formula and pair is checked for a
     still-reachable family member (known support plus all undecided
-    indices).  None means the exhaustive search proved no assignment
-    covers everything.
+    indices).  The search keeps its own stack, so any number of indices
+    fits.  None means the exhaustive search proved no assignment covers
+    everything.
     """
     n = t.n_indices
     nb = t.n_formulas
@@ -660,18 +700,21 @@ def find_multiplicative_refinement(t):
                 return False
         return True
 
-    def search():
-        if len(assigned) == n:
-            return True
-        for clique in choices[len(assigned)]:
-            assigned.append(set(clique))
-            if feasible() and search():
-                return True
+    # tried[a]: how many cliques of index a the search has tried
+    tried = [0] * n
+    while len(assigned) < n:
+        a = len(assigned)
+        if tried[a] == len(choices[a]):
+            if not assigned:
+                return None
             assigned.pop()
-        return False
-
-    if not search():
-        return None
+            continue
+        assigned.append(set(choices[a][tried[a]]))
+        tried[a] += 1
+        if not feasible():
+            assigned.pop()
+        elif a + 1 < n:
+            tried[a + 1] = 0
     g1 = [frozenset(k) for k in assigned]
     g2 = [frozenset(_pair(u, v) for u, v in combinations(sorted(k), 2))
           for k in assigned]
@@ -687,6 +730,8 @@ def _index_graphs(source):
     when alpha lies in its g2 support (trace) or its value (full
     distribution)."""
     if isinstance(source, FullDistribution):
+        from .graphs import Graph
+
         edges = [[] for _ in range(source.n_indices)]
         for p in combinations(range(source.n_formulas), 2):
             for a in source.map[frozenset(p)]:
@@ -704,6 +749,8 @@ def check_sop2_condition(source):
     is searched once for its least chordless chain; the witness is the
     least quadruple over all indices, then the least index carrying it.
     """
+    from .catalog import diagonal_violation
+
     found = []
     for a, g in enumerate(_index_graphs(source)):
         q = diagonal_violation(g)
@@ -727,18 +774,18 @@ def check_necessary_conditions(t, shape):
     it is bounded to FORMULA_CAP formulas.  Accepts a trace or a full
     distribution.
     """
+    from .catalog import (catalog_necessary_set, check_shape, family_str,
+                          shape_families)
+    from .graphs import EDGES_ONLY, Graph, iter_embeddings
+
     check_shape(shape)
     if t.n_formulas > FORMULA_CAP:
         raise CapabilityError(
             "trace conditions bounded to %d formulas" % FORMULA_CAP)
-    # imported here, so that runs that check no catalog condition never
-    # execute the necessary module
-    from .necessary import family_necessary_set
-
     graphs = _index_graphs(t)
     for kind, param in shape_families(shape, t.n_formulas):
-        _, host, ns = family_necessary_set(kind, param)
-        avoid = Graph(host.n, ns.edges)
+        _, host, (pairs, _) = catalog_necessary_set(kind, param)
+        avoid = Graph(host.n, pairs)
         found = []
         for a, g in enumerate(graphs):
             x = next(iter_embeddings(host, g, EDGES_ONLY, avoid=avoid), None)

@@ -41,10 +41,12 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
+# INTERVAL, TREE and family_graph are re-exported from here
+from .catalog import (INTERVAL, TREE, catalog_necessary_set,  # noqa: F401
+                      check_shape, family_graph)
 from .errors import CapabilityError, InputError
 from .graphs import automorphisms, edges_mask, graph_from_mask, pair_index
-from .shapes import (FORBIDDEN_FAMILY, INTERVAL, IRREDUCIBLE_CYCLE, TREE,
-                     check_shape, family_graph, recognize)
+from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 
 SEARCH_VERTEX_CAP = 8
 # Work bound of the enumeration route: one unit per host non-edge, up
@@ -469,42 +471,11 @@ def verify_claims(shape, h, ns):
 
 
 # ---------------------------------------------------------------------------
-# curated sets for the catalog families
+# curated sets for the catalog families (the data lives in ``catalog``)
 # ---------------------------------------------------------------------------
 
 def family_necessary_set(kind, param=None):
-    """The curated necessary set for a catalog family.
-
-    Returns (shape, host, NecessarySet) with the flags the set is known
-    to satisfy; flags left at 0 are simply not claimed.  The 4-cycle and
-    4-path entries live in the tree shape, the rest in the interval
-    shape.  Not every flag that holds is claimed: the sets of I and
-    III(k) claim only necessity and subset-minimality, and those of II
-    and IV(k), k >= 3, leave uniqueness unclaimed.
-    """
-    host = family_graph(kind, param)
-    all_flags = {"necessary": 1, "submin": 1, "mincard": 1, "unique": 1}
-    if kind in ("C4", "L4"):
-        return TREE, host, NecessarySet([(0, 2), (1, 3)], all_flags)
-    if kind == "I":
-        b = [(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (3, 5)]
-        return INTERVAL, host, NecessarySet(b, {"necessary": 1, "submin": 1})
-    if kind == "II":
-        b = [(0, 6), (1, 3), (2, 4), (3, 5)]
-        return INTERVAL, host, NecessarySet(
-            b, {"necessary": 1, "submin": 1, "mincard": 1})
-    if kind == "III":
-        b = [(0, 2)] + [(1, j) for j in range(3, param)]
-        return INTERVAL, host, NecessarySet(b, {"necessary": 1, "submin": 1})
-    if kind == "IV":
-        if param == 2:
-            b = [(0, 4), (0, 5), (1, 2), (1, 3), (2, 5), (3, 4)]
-            return INTERVAL, host, NecessarySet(b, all_flags)
-        b = sorted([(4, param + 3), (1, 2), (1, 3)]
-                   + [(0, 3 + i) for i in range(1, param + 1)])
-        return INTERVAL, host, NecessarySet(
-            b, {"necessary": 1, "submin": 1, "mincard": 1})
-    if kind == "V":
-        b = sorted([(1, 2), (0, 4)] + [(3, 4 + i) for i in range(1, param + 1)])
-        return INTERVAL, host, NecessarySet(b, all_flags)
-    raise InputError("unknown family kind %r" % (kind,))
+    """The curated necessary set of a catalog family as (shape, host,
+    NecessarySet); the data and its flags are ``catalog_necessary_set``'s."""
+    shape, host, (pairs, flags) = catalog_necessary_set(kind, param)
+    return shape, host, NecessarySet(pairs, flags)

@@ -24,7 +24,6 @@ the componentwise reading of edges is not sound.
 from itertools import combinations, product
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import Graph
 from .distributions import PRINCIPAL, Trace
 
 MATERIALIZE_CAP = 10 ** 6
@@ -87,6 +86,10 @@ class ReducedProduct:
 
     def to_graph(self):
         """The materialized product as (Graph, vertex order); capped."""
+        # the only graph code here, so that the ultragraph command
+        # compiles none
+        from .graphs import Graph
+
         vs = self.vertices()
         pos = {v: i for i, v in enumerate(vs)}
         edges = []

@@ -8,6 +8,8 @@ shares) so that agreement is meaningful.
 
 from itertools import combinations, permutations
 
+from ugl.distributions import (PropertyReport, Trace, _clique_choices, _pair,
+                               all_subsets)
 from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
                         graph_from_mask, iter_embeddings, pair_index,
                         pair_order)
@@ -424,3 +426,125 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
     witness = recognize(INTERVAL, g)
     assert witness is not None, "realization failed on an interval graph"
     return witness
+
+
+def pairwise_check_properties(f, instance=None):
+    """``check_properties`` as it was, deciding multiplicativity over
+    every pair (d, e) of formula sets: 4^n unions.
+
+    Property verdicts for a full distribution.
+
+    monotone: growing the formula set shrinks the value.  graph_like:
+    sets of size >= 2 are pinned down by their pairs.  multiplicative:
+    values of unions are intersections of values.  pairwise_splitting:
+    pair values are intersections of singleton values.  refines_los
+    (only with an instance): every index in a value sees the formula
+    set as a clique of its instance graph.  The first witness of each
+    failure lands in the report's witnesses dict.
+    """
+    subs = all_subsets(f.n_formulas)
+    wit = {}
+    monotone = True
+    for d in subs:
+        for x in range(f.n_formulas):
+            if x in d:
+                continue
+            if not f.map[d | {x}] <= f.map[d]:
+                monotone = False
+                wit["monotone"] = (d, d | {x})
+                break
+        if not monotone:
+            break
+    graph_like = True
+    for d in subs:
+        if len(d) < 2:
+            continue
+        meet = None
+        for p in combinations(sorted(d), 2):
+            v = f.map[frozenset(p)]
+            meet = v if meet is None else meet & v
+        if f.map[d] != meet:
+            graph_like = False
+            wit["graph_like"] = d
+            break
+    multiplicative = True
+    for d in subs:
+        for e in subs:
+            if f.map[d | e] != f.map[d] & f.map[e]:
+                multiplicative = False
+                wit["multiplicative"] = (d, e)
+                break
+        if not multiplicative:
+            break
+    pairwise_splitting = True
+    for u, v in combinations(range(f.n_formulas), 2):
+        if (f.map[frozenset((u, v))]
+                != f.map[frozenset((u,))] & f.map[frozenset((v,))]):
+            pairwise_splitting = False
+            wit["pairwise_splitting"] = (u, v)
+            break
+    refines = None
+    if instance is not None:
+        refines = True
+        for d in subs:
+            for a in sorted(f.map[d]):
+                if not instance.is_clique(a, d):
+                    refines = False
+                    wit["refines_los"] = (d, a)
+                    break
+            if refines is False:
+                break
+    return PropertyReport(monotone, graph_like, multiplicative,
+                          pairwise_splitting, refines, wit)
+
+
+def recursive_multiplicative_refinement(t):
+    """``find_multiplicative_refinement`` as it was, recursing once per
+    index.
+
+    A per-index clique sub-trace covering all formulas and pairs, or None.
+
+    Backtracks over maximal-clique choices in index order, cliques in
+    ascending order, so the first solution is the lexicographically
+    least; after each choice every formula and pair is checked for a
+    still-reachable family member (known support plus all undecided
+    indices).  None means the exhaustive search proved no assignment
+    covers everything.
+    """
+    n = t.n_indices
+    nb = t.n_formulas
+    choices = [_clique_choices(t, a) for a in range(n)]
+    formulas = list(range(nb))
+    pairs = list(combinations(range(nb), 2))
+    fam = t.family
+    assigned = []
+
+    def feasible():
+        rest = frozenset(range(len(assigned), n))
+        for b in formulas:
+            support = frozenset(a for a, k in enumerate(assigned) if b in k)
+            if not fam.is_member(support | rest):
+                return False
+        for p in pairs:
+            support = frozenset(a for a, k in enumerate(assigned)
+                                if p[0] in k and p[1] in k)
+            if not fam.is_member(support | rest):
+                return False
+        return True
+
+    def search():
+        if len(assigned) == n:
+            return True
+        for clique in choices[len(assigned)]:
+            assigned.append(set(clique))
+            if feasible() and search():
+                return True
+            assigned.pop()
+        return False
+
+    if not search():
+        return None
+    g1 = [frozenset(k) for k in assigned]
+    g2 = [frozenset(_pair(u, v) for u, v in combinations(sorted(k), 2))
+          for k in assigned]
+    return Trace(t.family, nb, g1, g2, t.instance)

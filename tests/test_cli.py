@@ -421,6 +421,16 @@ def test_trace_refine_counterexample(tmp_path, capsys):
     assert code == 1 and out == "none\n"
 
 
+def test_trace_refine_answers_on_a_thousand_indices(tmp_path):
+    # deeper than the default recursion limit
+    tf = write(tmp_path, "deep.trace",
+               "indices 1000\nformulas 2\nfamily quorum 1\n")
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", "trace-refine", tf],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=15)
+    assert (got.returncode, got.stdout, got.stderr) == (1, "none\n", "")
+
+
 def test_trace_refine_emits_refinement(tmp_path, capsys):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     code, out, _ = run(capsys, "trace-refine", tf)
@@ -509,8 +519,8 @@ def test_unknown_subcommand(capsys):
 # module loading: each subcommand executes only the modules it uses
 # ---------------------------------------------------------------------------
 
-PACKAGE_MODULES = ("graphs", "shapes", "necessary", "distributions",
-                   "ultragraph")
+PACKAGE_MODULES = ("catalog", "graphs", "shapes", "necessary",
+                   "distributions", "ultragraph")
 
 # Prints the exit code and the package modules still unexecuted (lazy
 # modules change their class to ModuleType when they execute).
@@ -563,7 +573,66 @@ def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
 def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("trace-refine", tf)
-    assert got == "0 necessary ultragraph"
+    assert got == "0 shapes necessary ultragraph"
+
+
+# one index carrying the path 0-1-2-3: the chain condition and both
+# shapes' catalog inclusions are checked, and fail
+PATH_TRACE = """indices 1
+formulas 4
+family quorum 1
+g1 0 : 0 1 2 3
+g2 0 : 0-1 1-2 2-3
+"""
+
+
+def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
+        tmp_path):
+    tf = write(tmp_path, "path.trace", PATH_TRACE)
+    left = "shapes necessary ultragraph"
+    assert unexecuted_after("trace-check", tf) == "1 " + left
+    assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
+                            tf) == "1 " + left
+
+
+def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
+    tf = write(tmp_path, "good.trace", GOOD_TRACE)
+    got = unexecuted_after("ultragraph", "--extend-eta", tf)
+    assert got == "0 graphs shapes necessary"
+
+
+def test_library_property_check_loads_distributions_only():
+    got = fresh_python(
+        "import sys\n"
+        "import ugl.distributions as dist\n"
+        "t = dist.parse_trace(%r)\n"
+        "dist.check_properties(dist.extension_distribution(t))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('ugl.')))"
+        % GOOD_TRACE)
+    assert got == "ugl.distributions ugl.errors"
+
+
+def test_moved_names_stay_importable_where_they_were():
+    import ugl.catalog
+    import ugl.distributions
+    import ugl.graphs
+    import ugl.necessary
+    import ugl.shapes
+    for name in ("TREE", "INTERVAL", "SHAPES", "check_shape",
+                 "FIXED_FAMILIES", "PARAMETRIC_FAMILIES", "family_graph",
+                 "family_str", "parse_family", "shape_families",
+                 "diagonal_violation", "is_diagonal"):
+        assert getattr(ugl.shapes, name) is getattr(ugl.catalog, name)
+    for name in ("TREE", "INTERVAL", "check_shape", "family_graph"):
+        assert getattr(ugl.necessary, name) is getattr(ugl.catalog, name)
+    for name in ("check_shape", "diagonal_violation", "family_str",
+                 "shape_families"):
+        assert getattr(ugl.distributions, name) is getattr(ugl.catalog, name)
+    for name in ("EDGES_ONLY", "Graph", "enumerate_maximal_cliques",
+                 "iter_embeddings"):
+        assert getattr(ugl.distributions, name) is getattr(ugl.graphs, name)
+    with pytest.raises(AttributeError):
+        ugl.distributions.recognize
 
 
 def test_import_registers_every_module_unexecuted():

@@ -1,7 +1,9 @@
 """Covering families, traces, level maps, and the refinement search."""
 
+import importlib.util
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,8 @@ from ugl.graphs import Graph, enumerate_graphs
 from ugl.necessary import family_necessary_set
 from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
 
-from oracles import brute_pattern_violation
+from oracles import (brute_pattern_violation, pairwise_check_properties,
+                     recursive_multiplicative_refinement)
 
 
 def pairs_of(vs):
@@ -86,6 +89,30 @@ def random_monotone(rng, n_formulas, n_indices):
                 acc &= v[phi]
         mp[d] = acc
     return FullDistribution(n_formulas, n_indices, mp)
+
+
+def bench_traces(tmp_path_factory, seeds=range(1, 6)):
+    """(request kinds, trace) for every trace file of the traces rounds of
+    the given bench seeds, as ``bench/gen.py`` writes them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = []
+    for seed in seeds:
+        outdir = tmp_path_factory.mktemp("traces-%d" % seed)
+        kinds = {}
+        for req in gen.write_inputs("traces", seed, outdir):
+            kinds.setdefault(req["argv"][-1][1:], set()).add(req["argv"][0])
+        for name in sorted(kinds):
+            text = (outdir / name).read_text(encoding="utf-8")
+            out.append((kinds[name], parse_trace(text)))
+    return out
+
+
+def report_fields(rep):
+    return (rep.monotone, rep.graph_like, rep.multiplicative,
+            rep.pairwise_splitting, rep.refines_los, rep.witnesses)
 
 
 def induced_on_g1(t, alpha):
@@ -521,6 +548,55 @@ def test_multiplicative_iff_graph_like_and_splitting():
     assert checked >= 50
 
 
+def random_full(rng, n_formulas, n_indices):
+    """A full distribution that is multiplicative by construction, then,
+    most of the time, has one value (or every value) redrawn."""
+    def draw():
+        return frozenset(a for a in range(n_indices) if rng.random() < 0.7)
+
+    subs = all_subsets(n_formulas)
+    empty = draw()
+    single = {b: draw() & empty for b in range(n_formulas)}
+    mp = {}
+    for d in subs:
+        acc = empty
+        for b in d:
+            acc &= single[b]
+        mp[d] = acc
+    roll = rng.random()
+    if roll < 0.5:
+        mp[rng.choice(subs)] = draw()
+    elif roll < 0.7:
+        mp = {d: draw() for d in subs}
+    return FullDistribution(n_formulas, n_indices, mp)
+
+
+def test_properties_match_pairwise_oracle_on_random_distributions():
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(400):
+        f = random_full(rng, rng.randrange(0, 7), rng.randrange(1, 5))
+        rep = check_properties(f)
+        assert report_fields(rep) == report_fields(pairwise_check_properties(f))
+        verdicts.add(rep.multiplicative)
+        if not rep.multiplicative:
+            d, e = rep.witnesses["multiplicative"]
+            assert f.at(d | e) != f.at(d) & f.at(e) and len(d) <= 1
+    assert verdicts == {True, False}
+
+
+def test_properties_match_pairwise_oracle_on_bench_traces(tmp_path_factory):
+    lib = [t for kinds, t in bench_traces(tmp_path_factory) if "lib" in kinds]
+    assert len(lib) == 120
+    verdicts = set()
+    for t in lib:
+        f = extension_distribution(t)
+        rep = check_properties(f)
+        assert report_fields(rep) == report_fields(pairwise_check_properties(f))
+        verdicts.add(rep.multiplicative)
+    assert verdicts == {True, False}
+
+
 def test_refines_los_with_instance():
     fam = CoveringFamily.quorum(2, 1)
     inst = LosInstance(3, [{0, 1, 2}, {0, 1}], [pairs_of({0, 1, 2}), [(0, 1)]])
@@ -722,6 +798,31 @@ def test_refinement_matches_brute_oracle():
             assert is_multiplicative_trace(got)
             assert is_refinement(got, t)
     assert found >= 20 and missing >= 20
+
+
+def test_refinement_matches_recursive_oracle_on_bench_traces(
+        tmp_path_factory):
+    # every trace of the rounds: those the bench refines (principal,
+    # planted and the quorum counterexample) and the rest
+    traces = bench_traces(tmp_path_factory)
+    refined = [t for kinds, t in traces if "trace-refine" in kinds]
+    assert len(refined) >= 5 * (1 + 4)
+    found = 0
+    for _, t in traces:
+        got = find_multiplicative_refinement(t)
+        assert got == recursive_multiplicative_refinement(t)
+        found += got is not None
+    assert 0 < found < len(traces)
+
+
+def test_refinement_search_depth_is_not_bounded_by_recursion():
+    # deeper than the default recursion limit of 1000
+    n = 1200
+    fam = CoveringFamily.quorum(n, 1)
+    assert find_multiplicative_refinement(
+        Trace(fam, 2, [set()] * n, [[]] * n)) is None
+    t = Trace(fam, 2, [{0, 1}] * n, [[(0, 1)]] * n)
+    assert find_multiplicative_refinement(t) == t
 
 
 def test_refinement_result_is_lex_least():
