@@ -17,9 +17,16 @@ so a run compiles only what it needs.  Every subcommand loads catalog
 and shapes; necessary adds necessary too; trace-check, trace-refine and
 trace-condition add distributions and graphs; ultragraph adds
 distributions and ultragraph, and no graph code.
+
+``run()`` is the process entry of ``python -m ugl.cli`` and of the
+``ugl`` script: it returns ``main()``'s exit code after freezing the
+garbage collector, so interpreter shutdown does not walk every object
+of the request.  ``main()`` leaves the collector alone, for callers that
+run it in-process.
 """
 
 import argparse
+import gc
 import importlib.util
 import sys
 from itertools import combinations
@@ -299,5 +306,13 @@ def main(argv=None):
         return 4
 
 
+def run():
+    code = main()
+    # The collections at interpreter shutdown walk every tracked object only to
+    # free memory the OS reclaims at exit; frozen objects are left out of them.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -26,28 +26,12 @@ are load errors; pair-adequacy is deliberately only reported, since a
 stored trace may be meaningful before any adequacy repair.
 """
 
-import importlib
 from itertools import combinations
 
 from .errors import CapabilityError, ConsistencyError, InputError
 
 # Graph and catalog code is imported in the functions that use it, so a
-# library run on distributions alone compiles nothing else.  These names
-# of graphs and catalog are importable from here too, and load their
-# module only when asked for.
-_ELSEWHERE = {"EDGES_ONLY": "graphs", "Graph": "graphs",
-              "enumerate_maximal_cliques": "graphs",
-              "iter_embeddings": "graphs", "check_shape": "catalog",
-              "diagonal_violation": "catalog", "family_str": "catalog",
-              "shape_families": "catalog"}
-
-
-def __getattr__(name):
-    if name not in _ELSEWHERE:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    module = importlib.import_module("." + _ELSEWHERE[name], __package__)
-    return getattr(module, name)
-
+# library run on distributions alone compiles nothing else.
 
 FORMULA_CAP = 12
 # Trace headers above these are refused when read; near them the fastest
@@ -675,20 +659,25 @@ def find_multiplicative_refinement(t):
     ascending order, so the first solution is the lexicographically
     least; after each choice every formula and pair is checked for a
     still-reachable family member (known support plus all undecided
-    indices).  The search keeps its own stack, so any number of indices
-    fits.  None means the exhaustive search proved no assignment covers
-    everything.
+    indices).  Only the pairs of some g2 are listed: any other pair lies
+    in no clique, so its support stays empty and one check of the
+    undecided indices alone stands for all of them.  The search keeps
+    its own stack, so any number of indices fits.  None means the
+    exhaustive search proved no assignment covers everything.
     """
     n = t.n_indices
     nb = t.n_formulas
     choices = [_clique_choices(t, a) for a in range(n)]
     formulas = list(range(nb))
-    pairs = list(combinations(range(nb), 2))
+    pairs = sorted(set().union(*t.g2))
+    uncovered = len(pairs) < nb * (nb - 1) // 2
     fam = t.family
     assigned = []
 
     def feasible():
         rest = frozenset(range(len(assigned), n))
+        if uncovered and not fam.is_member(rest):
+            return False
         for b in formulas:
             support = frozenset(a for a, k in enumerate(assigned) if b in k)
             if not fam.is_member(support | rest):

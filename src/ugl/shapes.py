@@ -513,14 +513,16 @@ def recognize(shape, g):
     """None for members, otherwise a deterministic ObstructionWitness.
 
     ``tree``: members pass the nested-neighborhood test; a non-member
-    gets the first induced C4, else the first induced L4.  ``interval``:
-    see ``_interval_certificate``.
+    gets the first induced C4, else the first induced L4; a chordal
+    non-member has no induced C4 and goes straight to the L4 search.
+    ``interval``: see ``_interval_certificate``.
     """
     check_shape(shape)
     if shape == TREE:
         if _nested_neighborhoods(g):
             return None
-        for kind in ("C4", "L4"):
+        chordal = _chordal_cliques(g.rows) is not None
+        for kind in ("L4",) if chordal else ("C4", "L4"):
             emb = find_embedding(family_graph(kind), g, INDUCED)
             if emb is not None:
                 return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping, (kind, None))

@@ -333,8 +333,9 @@ def recursive_chordless_cycle(g, min_len=4):
 
 def search_recognize(shape, g):
     """The recognizer before the polynomial tests: induced C4 and L4
-    searches for ``tree``; the recursive chordless-cycle search and then
-    the asteroidal-triple scan for ``interval``.  It shares
+    searches for ``tree`` (the C4 search also runs on chordal graphs,
+    which the package skips); the recursive chordless-cycle search and
+    then the asteroidal-triple scan for ``interval``.  It shares
     ``find_embedding`` and ``find_asteroidal_triple`` with the package."""
     if shape == "tree":
         for kind in ("C4", "L4"):

@@ -1,10 +1,14 @@
 """Command line surface: outputs, exit codes, certificate round trips."""
 
+import gc
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -169,11 +173,10 @@ def test_realize_c4_beside_isolated_vertices(tmp_path, capsys):
     assert (code, out) == (1, "w irreducible-cycle 0 1 2 3\n")
 
 
-def test_dense_forest_closure_is_tree_member(tmp_path, capsys):
-    # comparability graph of a random rooted tree whose parents are
-    # among the three previous vertices: 1000 vertices, dense
+def forest_closure_edges(n):
+    """Comparability graph of a random rooted tree on n vertices whose
+    parents are among the three previous vertices; 0 is the root."""
     rng = random.Random(1)
-    n = 1000
     parent = [-1] + [rng.randrange(max(0, v - 3), v) for v in range(1, n)]
     edges = []
     for v in range(n):
@@ -181,9 +184,32 @@ def test_dense_forest_closure_is_tree_member(tmp_path, capsys):
         while a != -1:
             edges.append((a, v))
             a = parent[a]
+    return edges
+
+
+def test_dense_forest_closure_is_tree_member(tmp_path, capsys):
+    n = 1000
+    edges = forest_closure_edges(n)
     assert len(edges) > 200000
     gf = write(tmp_path, "forest.graph", format_graph(Graph(n, edges)))
     assert run(capsys, "recognize", "--shape", "tree", gf)[:2] == (0, "member\n")
+
+
+def test_dense_chordal_tree_non_member_answers_within_a_second(tmp_path):
+    # without the root-last edge the closure stays chordal, so it has no
+    # induced C4, and its exhaustive search took seconds
+    n = 400
+    edges = forest_closure_edges(n)
+    edges.remove((0, n - 1))
+    gf = write(tmp_path, "closure.graph", format_graph(Graph(n, edges)))
+    start = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", "recognize",
+                          "--shape", "tree", gf], env=package_env(),
+                         capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (got.returncode, got.stdout, got.stderr) == (
+        1, "w forbidden-family L4 2 0 1 399\n", "")
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +457,16 @@ def test_trace_refine_answers_on_a_thousand_indices(tmp_path):
     assert (got.returncode, got.stdout, got.stderr) == (1, "none\n", "")
 
 
+def test_trace_refine_lists_only_pairs_of_some_index_graph(tmp_path):
+    # C(10000, 2) pairs, none in any g2: listing them all ran out of memory
+    tf = write(tmp_path, "wide.trace",
+               "indices 1\nformulas 10000\nfamily quorum 1\n")
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", "trace-refine", tf],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=15, preexec_fn=limit_address_space)
+    assert (got.returncode, got.stdout, got.stderr) == (1, "none\n", "")
+
+
 def test_trace_refine_emits_refinement(tmp_path, capsys):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     code, out, _ = run(capsys, "trace-refine", tf)
@@ -543,6 +579,12 @@ def package_env():
     return env
 
 
+def limit_address_space():
+    """Cap a child's address space at 2 GB, so that a request that runs
+    out of memory fails alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 def fresh_python(script):
     """Last stdout line of a new interpreter that runs the script."""
     got = subprocess.run([sys.executable, "-c", script], env=package_env(),
@@ -615,7 +657,6 @@ def test_library_property_check_loads_distributions_only():
 def test_moved_names_stay_importable_where_they_were():
     import ugl.catalog
     import ugl.distributions
-    import ugl.graphs
     import ugl.necessary
     import ugl.shapes
     for name in ("TREE", "INTERVAL", "SHAPES", "check_shape",
@@ -625,12 +666,6 @@ def test_moved_names_stay_importable_where_they_were():
         assert getattr(ugl.shapes, name) is getattr(ugl.catalog, name)
     for name in ("TREE", "INTERVAL", "check_shape", "family_graph"):
         assert getattr(ugl.necessary, name) is getattr(ugl.catalog, name)
-    for name in ("check_shape", "diagonal_violation", "family_str",
-                 "shape_families"):
-        assert getattr(ugl.distributions, name) is getattr(ugl.catalog, name)
-    for name in ("EDGES_ONLY", "Graph", "enumerate_maximal_cliques",
-                 "iter_embeddings"):
-        assert getattr(ugl.distributions, name) is getattr(ugl.graphs, name)
     with pytest.raises(AttributeError):
         ugl.distributions.recognize
 
@@ -655,3 +690,43 @@ def test_cli_uses_a_module_imported_before_it():
         "print(ugl.cli.shapes is first is sys.modules['ugl.shapes'],\n"
         "      code)")
     assert got == "True 3"
+
+
+# ---------------------------------------------------------------------------
+# process entry: run() freezes the collector before exit, main() does not
+# ---------------------------------------------------------------------------
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path, capsys):
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    before = gc.get_freeze_count()
+    assert run(capsys, "recognize", "--shape", "tree", gf)[0] == 1
+    assert run(capsys, "trace-refine", write(tmp_path, "good.trace",
+                                             GOOD_TRACE))[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("request_kind", ["obstructions", "realize"])
+def test_process_entry_writes_what_main_writes(tmp_path, capsys,
+                                               request_kind):
+    # read through a block-buffered pipe, so output still buffered at
+    # exit must arrive
+    if request_kind == "obstructions":
+        argv = ["obstructions", "--shape", "interval", "--max-n", "6"]
+    else:
+        n = 1500
+        argv = ["realize", write(tmp_path, "path.graph", format_graph(
+            Graph(n, [(i, i + 1) for i in range(n - 1)])))]
+    expected = run(capsys, *argv)
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    got = subprocess.run([sys.executable, "-m", "ugl.cli"] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert expected[0] == 0 and expected[1]
+    assert (got.returncode, got.stdout, got.stderr) == expected
+
+
+def test_console_script_names_the_process_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    section = pyproject.read_text(encoding="utf-8").split(
+        "[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.split() == ["ugl", "=", '"ugl.cli:run"']

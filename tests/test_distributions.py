@@ -807,12 +807,16 @@ def test_refinement_matches_recursive_oracle_on_bench_traces(
     traces = bench_traces(tmp_path_factory)
     refined = [t for kinds, t in traces if "trace-refine" in kinds]
     assert len(refined) >= 5 * (1 + 4)
-    found = 0
+    found = uncovered = 0
     for _, t in traces:
         got = find_multiplicative_refinement(t)
         assert got == recursive_multiplicative_refinement(t)
         found += got is not None
+        # pairs in no g2, which the search checks all at once
+        nb = t.n_formulas
+        uncovered += len(set().union(*t.g2)) < nb * (nb - 1) // 2
     assert 0 < found < len(traces)
+    assert 0 < uncovered < len(traces)
 
 
 def test_refinement_search_depth_is_not_bounded_by_recursion():
