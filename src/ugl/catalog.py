@@ -1,5 +1,5 @@
 """The paper's fixed catalog: shape names, obstruction families, the
-diagonal condition and the curated necessary sets.
+curated necessary sets and the placement search they share.
 
 The minimal forbidden induced subgraphs of the interval shape form the
 classical catalog: the two fixed seven-vertex graphs (here families
@@ -10,8 +10,11 @@ families ``IV(m)`` (m >= 2; ``IV(2)`` is the net) and ``V(n)`` (n >= 1;
 labeling so that downstream edge data can refer to concrete vertices.
 
 The trace conditions need only this data, not the recognizers, so it
-lives apart from them.  Graph code is imported only where a graph is
-built.
+lives apart from them.  All of them ask one question of an index graph
+(``least_placement``): does a catalog host fit in, with its edges on
+edges and its curated pairs on non-edges?  Wolk's diagonal condition,
+hence the chain condition, is the ``L4`` entry.  Graph code is imported
+only where a graph is built.
 """
 
 from .errors import InputError
@@ -141,28 +144,37 @@ def shape_families(shape, max_vertices):
 
 
 # ---------------------------------------------------------------------------
-# the diagonal condition
+# placements: the diagonal condition and the catalog inclusions
 # ---------------------------------------------------------------------------
+
+def least_placement(kind, param, graphs):
+    """Least (placement, index) of a catalog host over ``graphs``, or None.
+
+    A placement sends the host's edges to edges and the pairs of its
+    ``catalog_necessary_set`` to non-edges.  ``iter_embeddings`` maps the
+    host vertices in index order and tries candidates in ascending order,
+    so its first result is the graph's least placement; the minimum over
+    the graphs is the least placement, then the least index carrying it.
+    """
+    from .graphs import EDGES_ONLY, Graph, iter_embeddings
+
+    _, host, (pairs, _) = catalog_necessary_set(kind, param)
+    avoid = Graph(host.n, pairs)
+    found = []
+    for a, g in enumerate(graphs):
+        x = next(iter_embeddings(host, g, EDGES_ONLY, avoid=avoid), None)
+        if x is not None:
+            found.append((x, a))
+    return min(found, default=None)
+
 
 def diagonal_violation(g):
     """First quadruple x0-x1-x2-x3 (a walk of three edges on distinct
-    vertices) with neither diagonal x0-x2 nor x1-x3, or None."""
-    n = g.n
-    for x0 in range(n):
-        for x1 in range(n):
-            if x1 == x0 or not g.has_edge(x0, x1):
-                continue
-            for x2 in range(n):
-                if x2 in (x0, x1) or not g.has_edge(x1, x2):
-                    continue
-                if g.has_edge(x0, x2):
-                    continue
-                for x3 in range(n):
-                    if x3 in (x0, x1, x2) or not g.has_edge(x2, x3):
-                        continue
-                    if not g.has_edge(x1, x3):
-                        return (x0, x1, x2, x3)
-    return None
+    vertices) with neither diagonal x0-x2 nor x1-x3, or None.  The ``L4``
+    host is the path 0-1-2-3 with curated pairs 0-2 and 1-3, so this is
+    its least placement."""
+    found = least_placement("L4", None, [g])
+    return None if found is None else found[0]
 
 
 def is_diagonal(g):

@@ -34,8 +34,12 @@ from .errors import CapabilityError, ConsistencyError, InputError
 # library run on distributions alone compiles nothing else.
 
 FORMULA_CAP = 12
-# Trace headers above these are refused when read; near them the fastest
-# trace commands already take about 30 s on an otherwise empty trace.
+# Trace headers above these are refused when read.  Near the index cap
+# the fastest trace commands take about 30 s on an otherwise empty trace.
+# At the formula cap every trace command answers (or exits 3) on the empty
+# one-index trace in about 0.1 s, but the work grows with indices times
+# formulas: 100 empty indices take 2.6 s in `trace-condition --sop2
+# --shape tree` and 12 s in `trace-refine`.
 TRACE_INDEX_CAP = 2900000
 TRACE_FORMULA_CAP = 15000
 
@@ -379,7 +383,10 @@ def distribution_from_conjugate(levels):
 
     The levels must be downward hereditary: a set present at level n
     needs all its size-m subsets present at level m.  The first
-    violation is reported as (index, set, m).
+    violation is reported as (index, set, m).  Levels are checked in
+    increasing order, so a set is hereditary iff every one-smaller
+    subset is present one level down; only a set failing that is
+    scanned in full, for the first missing subset to report.
     """
     if not levels or not levels[0]:
         raise InputError("levels must cover at least one index")
@@ -393,13 +400,17 @@ def distribution_from_conjugate(levels):
                 if len(d) != n:
                     raise InputError(
                         "level %d holds a size-%d set at index %d" % (n, len(d), a))
+                s = sorted(d)
+                if all(frozenset(s[:i] + s[i + 1:]) in levels[n - 1][a]
+                       for i in range(n)):
+                    continue
                 for m in range(n):
-                    for sub in combinations(sorted(d), m):
+                    for sub in combinations(s, m):
                         if frozenset(sub) not in levels[m][a]:
                             raise InputError(
                                 "levels not hereditary at index %d: %r present "
                                 "but %r missing at level %d"
-                                % (a, sorted(d), sorted(sub), m))
+                                % (a, s, sorted(sub), m))
     mapping = {}
     for d in all_subsets(n_formulas):
         mapping[d] = frozenset(
@@ -734,18 +745,15 @@ def check_sop2_condition(source):
 
     For distinct formulas x0..x3, every index carrying the three chain
     pairs {x0,x1}, {x1,x2}, {x2,x3} must carry a diagonal {x0,x2} or
-    {x1,x3}.  Accepts a full distribution or a trace.  Each index graph
-    is searched once for its least chordless chain; the witness is the
-    least quadruple over all indices, then the least index carrying it.
+    {x1,x3}.  Accepts a full distribution or a trace.  A violation at an
+    index is a placement of the catalog's ``L4`` host (the path 0-1-2-3,
+    curated pairs 0-2 and 1-3) into its index graph, so the witness is
+    the least ``L4`` placement: the least quadruple over all indices,
+    then the least index carrying it.
     """
-    from .catalog import diagonal_violation
+    from .catalog import least_placement
 
-    found = []
-    for a, g in enumerate(_index_graphs(source)):
-        q = diagonal_violation(g)
-        if q is not None:
-            found.append((q, a))
-    return min(found, default=None)
+    return least_placement("L4", None, _index_graphs(source))
 
 
 def check_necessary_conditions(t, shape):
@@ -756,33 +764,24 @@ def check_necessary_conditions(t, shape):
     formula set, the indices carrying all placed host edges must be
     covered by the placed necessary-set pairs.  A violation comes back
     as (family token, placement, index): the first family in catalog
-    order that has one, its least placement, then the least index at
-    that placement.  Each index graph is searched once per family for
-    its least edge-preserving placement that sends every necessary-set
-    pair to a non-edge.  The search is exponential in the host size, so
-    it is bounded to FORMULA_CAP formulas.  Accepts a trace or a full
-    distribution.
+    order that has one, then its ``least_placement`` over the index
+    graphs.  The ``interval`` hosts grow with the formula count and the
+    search is exponential in the host size, so that shape is bounded to
+    FORMULA_CAP formulas; the ``tree`` hosts have four vertices, a
+    polynomial search.  Accepts a trace or a full distribution.
     """
-    from .catalog import (catalog_necessary_set, check_shape, family_str,
+    from .catalog import (INTERVAL, check_shape, family_str, least_placement,
                           shape_families)
-    from .graphs import EDGES_ONLY, Graph, iter_embeddings
 
     check_shape(shape)
-    if t.n_formulas > FORMULA_CAP:
+    if shape == INTERVAL and t.n_formulas > FORMULA_CAP:
         raise CapabilityError(
             "trace conditions bounded to %d formulas" % FORMULA_CAP)
     graphs = _index_graphs(t)
     for kind, param in shape_families(shape, t.n_formulas):
-        _, host, (pairs, _) = catalog_necessary_set(kind, param)
-        avoid = Graph(host.n, pairs)
-        found = []
-        for a, g in enumerate(graphs):
-            x = next(iter_embeddings(host, g, EDGES_ONLY, avoid=avoid), None)
-            if x is not None:
-                found.append((x, a))
-        if found:
-            x, a = min(found)
-            return family_str(kind, param), x, a
+        found = least_placement(kind, param, graphs)
+        if found is not None:
+            return (family_str(kind, param),) + found
     return None
 
 

@@ -33,32 +33,17 @@ Kept children are deduplicated by a bijective embedding test within
 buckets of equal invariants, and the canonical form runs once per
 class, for its key.
 
-Enumeration is capped at n <= 8.  The environment variable ``UGL_MAX_N``
-may lower (never raise) that cap and the caps of the callers in
-:mod:`ugl.shapes`.
+Enumeration is capped at n <= 8.
 
 All objects here are immutable, and every operation is a pure function.
 """
 
-import os
 from itertools import combinations
 
 from .errors import CapabilityError, InputError
 
 ENUMERATION_CAP = 8
 GRAPH_VERTEX_CAP = 10000
-
-
-def effective_cap(default):
-    """Apply the UGL_MAX_N override to a documented bound (lower only)."""
-    raw = os.environ.get("UGL_MAX_N")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError("UGL_MAX_N must be an integer, got %r" % raw)
-    return min(default, value)
 
 
 class Graph:
@@ -616,13 +601,12 @@ def _vertex_invariants(g):
 
 def enumerate_graphs(n):
     """One representative per isomorphism class on n vertices, sorted by
-    canonical key.  Bounded to n <= 8 (UGL_MAX_N may lower the bound).
+    canonical key.  Bounded to n <= 8.
     """
-    cap = effective_cap(ENUMERATION_CAP)
     if n < 0:
         raise InputError("vertex count must be nonnegative")
-    if n > cap:
-        raise CapabilityError("enumeration bounded to n <= %d" % cap)
+    if n > ENUMERATION_CAP:
+        raise CapabilityError("enumeration bounded to n <= %d" % ENUMERATION_CAP)
     for k in range(1, n + 1):
         if k not in _ENUM_CACHE:
             _ENUM_CACHE[k] = tuple(sorted(_extend_keys(k, _ENUM_CACHE[k - 1])))

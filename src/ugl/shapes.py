@@ -35,7 +35,7 @@ from .catalog import (FIXED_FAMILIES, INTERVAL, PARAMETRIC_FAMILIES,  # noqa: F4
                       family_graph, family_str, is_diagonal, parse_family,
                       shape_families)
 from .errors import CapabilityError, InputError
-from .graphs import (INDUCED, Embedding, Graph, canonical_key, effective_cap,
+from .graphs import (INDUCED, Embedding, Graph, canonical_key,
                      enumerate_graphs, find_embedding,
                      graph_from_canonical_key, induced_subgraph)
 
@@ -646,9 +646,8 @@ def minimal_obstructions(shape, max_n):
     check_shape(shape)
     if max_n < 0:
         raise InputError("vertex count must be nonnegative")
-    cap = effective_cap(OBSTRUCTION_CAP)
-    if max_n > cap:
-        raise CapabilityError("minimal obstruction search bounded to n <= %d" % cap)
+    if max_n > OBSTRUCTION_CAP:
+        raise CapabilityError("minimal obstruction search bounded to n <= %d" % OBSTRUCTION_CAP)
     out = []
     for n in range(0, max_n + 1):
         for g in enumerate_graphs(n):
@@ -712,9 +711,8 @@ def _forest_graph(forest, sizes):
 def forest_comparability_classes(max_n):
     """Canonical forms of comparability graphs of all rooted forests with
     at most ``max_n`` nodes, sorted.  Bounded to max_n <= 7."""
-    cap = effective_cap(OBSTRUCTION_CAP)
-    if max_n > cap:
-        raise CapabilityError("forest enumeration bounded to n <= %d" % cap)
+    if max_n > OBSTRUCTION_CAP:
+        raise CapabilityError("forest enumeration bounded to n <= %d" % OBSTRUCTION_CAP)
     trees, sizes = _rooted_trees(max_n) if max_n >= 1 else ({}, {})
     pool = [t for s in range(1, max_n + 1) for t in trees[s]]
     forests = []

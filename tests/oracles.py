@@ -8,8 +8,9 @@ shares) so that agreement is meaningful.
 
 from itertools import combinations, permutations
 
-from ugl.distributions import (PropertyReport, Trace, _clique_choices, _pair,
-                               all_subsets)
+from ugl.distributions import (FullDistribution, PropertyReport, Trace,
+                               _clique_choices, _pair, all_subsets)
+from ugl.errors import InputError
 from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
                         graph_from_mask, iter_embeddings, pair_index,
                         pair_order)
@@ -123,6 +124,31 @@ def brute_diagonal(g):
             if not g.has_edge(x0, x2) and not g.has_edge(x1, x3):
                 return False
     return True
+
+
+def loop_diagonal_violation(g):
+    """First quadruple x0-x1-x2-x3 (a walk of three edges on distinct
+    vertices) with neither diagonal x0-x2 nor x1-x3, or None.
+
+    The package's former four nested loops, kept verbatim: ``x0`` to
+    ``x3`` ascend, so the first hit is the least quadruple.
+    """
+    n = g.n
+    for x0 in range(n):
+        for x1 in range(n):
+            if x1 == x0 or not g.has_edge(x0, x1):
+                continue
+            for x2 in range(n):
+                if x2 in (x0, x1) or not g.has_edge(x1, x2):
+                    continue
+                if g.has_edge(x0, x2):
+                    continue
+                for x3 in range(n):
+                    if x3 in (x0, x1, x2) or not g.has_edge(x2, x3):
+                        continue
+                    if not g.has_edge(x1, x3):
+                        return (x0, x1, x2, x3)
+    return None
 
 
 def brute_pattern_violation(t, host, b_edges):
@@ -427,6 +453,37 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
     witness = recognize(INTERVAL, g)
     assert witness is not None, "realization failed on an interval graph"
     return witness
+
+
+def all_subsets_from_conjugate(levels):
+    """The package's former ``distribution_from_conjugate``: every set
+    present at level n is checked against all its subsets at every
+    level below (3^n per index), and the first missing one is reported
+    as (index, set, m)."""
+    if not levels or not levels[0]:
+        raise InputError("levels must cover at least one index")
+    n_formulas = len(levels) - 1
+    n_indices = len(levels[0])
+    if any(len(lv) != n_indices for lv in levels):
+        raise InputError("levels must agree on the index count")
+    for n, lv in enumerate(levels):
+        for a in range(n_indices):
+            for d in lv[a]:
+                if len(d) != n:
+                    raise InputError(
+                        "level %d holds a size-%d set at index %d" % (n, len(d), a))
+                for m in range(n):
+                    for sub in combinations(sorted(d), m):
+                        if frozenset(sub) not in levels[m][a]:
+                            raise InputError(
+                                "levels not hereditary at index %d: %r present "
+                                "but %r missing at level %d"
+                                % (a, sorted(d), sorted(sub), m))
+    mapping = {}
+    for d in all_subsets(n_formulas):
+        mapping[d] = frozenset(
+            a for a in range(n_indices) if d in levels[len(d)][a])
+    return FullDistribution(n_formulas, n_indices, mapping)
 
 
 def pairwise_check_properties(f, instance=None):

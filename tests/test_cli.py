@@ -241,13 +241,6 @@ def test_obstructions_cap(capsys):
     assert code == 3 and "capability" in err
 
 
-def test_obstructions_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("UGL_MAX_N", "4")
-    code, _, err = run(capsys, "obstructions", "--shape", "tree",
-                       "--max-n", "5")
-    assert code == 3
-
-
 def test_obstructions_negative_max_n(capsys):
     code, out, err = run(capsys, "obstructions", "--shape", "tree",
                          "--max-n", "-3")
@@ -415,8 +408,39 @@ def test_trace_check_thirteen_formulas_is_capability(tmp_path, capsys):
     code, out, err = run(capsys, "trace-check", tf)
     assert code == 3 and out == "" and "capability" in err
     code, out, err = run(capsys, "trace-condition", "--sop2", "--shape",
-                         "tree", tf)
+                         "interval", tf)
     assert code == 3 and out == "" and "capability" in err
+
+
+def test_trace_condition_tree_answers_above_formula_cap(tmp_path, capsys):
+    # only the interval hosts grow with the formula count
+    tf = write(tmp_path, "k13.trace", complete_trace_text(13))
+    got = run(capsys, "trace-condition", "--sop2", "--shape", "tree", tf)
+    assert got == (0, "sop2 holds\nnecessary tree holds\n", "")
+
+
+@pytest.mark.parametrize("text,argv,code,out,err", [
+    (lambda: "indices 1\nformulas 12000\nfamily quorum 1\n",
+     ["trace-condition", "--sop2"], 0, "sop2 holds\n", ""),
+    (lambda: complete_trace_text(400),
+     ["trace-condition", "--sop2"], 0, "sop2 holds\n", ""),
+    (lambda: "indices 1\nformulas 15000\nfamily quorum 1\n",
+     ["trace-check"], 3, "",
+     "capability: trace conditions bounded to 12 formulas\n"),
+], ids=["sop2-empty-12000", "sop2-complete-400", "check-empty-15000"])
+def test_large_trace_conditions_answer_within_two_seconds(
+        tmp_path, text, argv, code, out, err):
+    # the chain condition places a 4-vertex host, a search that stays
+    # fast at the trace cap; trace-check decides it before the interval
+    # bound refuses the request
+    tf = write(tmp_path, "large.trace", text())
+    start = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "ugl.cli"] + argv + [tf],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (got.returncode, got.stdout, got.stderr) == (code, out, err)
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("command,header", [

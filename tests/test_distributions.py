@@ -40,7 +40,8 @@ from ugl.graphs import Graph, enumerate_graphs
 from ugl.necessary import family_necessary_set
 from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
 
-from oracles import (brute_pattern_violation, pairwise_check_properties,
+from oracles import (all_subsets_from_conjugate, brute_pattern_violation,
+                     pairwise_check_properties,
                      recursive_multiplicative_refinement)
 
 
@@ -434,6 +435,35 @@ def test_from_conjugate_reports_hereditary_violation():
         distribution_from_conjugate(levels)
     msg = str(err.value)
     assert "index 0" in msg and "level 1" in msg and "[0, 1]" in msg
+
+
+def conjugate_report(rebuild, levels):
+    try:
+        return rebuild(levels)
+    except InputError as err:
+        return str(err)
+
+
+def test_from_conjugate_reports_like_the_all_subsets_scan():
+    # toggling random sets in and out of the levels breaks heredity (and
+    # sometimes a level's set size); the one-smaller check must rebuild
+    # or report exactly what the scan over all subsets did
+    rng = random.Random(83)
+    broken = 0
+    for _ in range(400):
+        nb = rng.randrange(1, 6)
+        f = random_monotone(rng, nb, rng.randrange(1, 4))
+        levels = [list(lv) for lv in conjugate(f)]
+        for _ in range(rng.randrange(1, 4)):
+            d = frozenset(rng.sample(range(nb), rng.randrange(nb + 1)))
+            n = len(d) if rng.random() < 0.9 else rng.randrange(nb + 1)
+            a = rng.randrange(f.n_indices)
+            levels[n][a] = levels[n][a] ^ {d}
+        levels = [tuple(lv) for lv in levels]
+        got = conjugate_report(distribution_from_conjugate, levels)
+        assert got == conjugate_report(all_subsets_from_conjugate, levels)
+        broken += isinstance(got, str)
+    assert 100 < broken < 400
 
 
 def test_from_conjugate_rejects_wrong_level_size():
@@ -1023,4 +1053,13 @@ def test_conditions_match_oracle_on_full_distributions():
 def test_necessary_conditions_bounded_to_formula_cap():
     t = trace_of_graph(Graph(D.FORMULA_CAP + 1))
     with pytest.raises(CapabilityError):
-        check_necessary_conditions(t, TREE)
+        check_necessary_conditions(t, INTERVAL)
+
+
+def test_tree_conditions_answer_above_formula_cap():
+    # the tree hosts have four vertices whatever the formula count, so
+    # only the interval search is bounded
+    nb = D.FORMULA_CAP + 1
+    t = trace_of_graph(Graph(nb, [(i, i + 1) for i in range(nb - 1)]))
+    got = check_necessary_conditions(t, TREE)
+    assert got == oracle_necessary(t, TREE) == ("L4", (0, 1, 2, 3), 0)

@@ -234,19 +234,6 @@ def test_enumeration_cap():
         enumerate_graphs(9)
 
 
-def test_enumeration_env_lowering(monkeypatch):
-    monkeypatch.setenv("UGL_MAX_N", "3")
-    with pytest.raises(CapabilityError):
-        enumerate_graphs(4)
-    assert len(enumerate_graphs(3)) == 4
-    monkeypatch.setenv("UGL_MAX_N", "99")
-    with pytest.raises(CapabilityError):
-        enumerate_graphs(9)
-    monkeypatch.setenv("UGL_MAX_N", "bogus")
-    with pytest.raises(InputError):
-        enumerate_graphs(2)
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------

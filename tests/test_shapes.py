@@ -22,7 +22,8 @@ from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
 from ugl import shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,
-                     recursive_chordless_cycle, search_recognize)
+                     loop_diagonal_violation, recursive_chordless_cycle,
+                     search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -128,6 +129,21 @@ def test_diagonal_examples():
     assert not is_diagonal(family_graph("L4"))
     assert is_diagonal(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     assert is_diagonal(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+
+
+def test_diagonal_violation_matches_the_former_loops():
+    # the least L4 placement is the least quadruple of the nested loops,
+    # on every class up to seven vertices and on labeled random graphs
+    for g in graphs_up_to(7):
+        assert diagonal_violation(g) == loop_diagonal_violation(g), g
+    rng = random.Random(113)
+    hits = 0
+    for _ in range(600):
+        g = random_gnp(rng, rng.randint(4, 20))
+        q = diagonal_violation(g)
+        assert q == loop_diagonal_violation(g), g
+        hits += q is not None
+    assert 100 < hits < 600
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +507,6 @@ def test_minimal_obstructions_cap():
         minimal_obstructions(INTERVAL, 8)
     with pytest.raises(CapabilityError):
         forest_comparability_classes(8)
-
-
-def test_minimal_obstructions_cap_env(monkeypatch):
-    monkeypatch.setenv("UGL_MAX_N", "5")
-    with pytest.raises(CapabilityError):
-        minimal_obstructions(TREE, 6)
-    assert len(minimal_obstructions(TREE, 5)) == 2
 
 
 # ---------------------------------------------------------------------------
