@@ -10,12 +10,21 @@ Exit codes: 0 affirmative, 1 negative verdict with a witness, 2 input
 error, 3 capability bound exceeded, 4 internal error (a fault of the
 program, never a verdict).
 
+Argv is read from one table, ``COMMANDS``: per subcommand its options
+with their value kinds, the required ones and its positional.  A
+malformed argv prints ``error: ...`` naming the offending token on
+stderr and exits 2 with nothing on stdout; ``-h``/``--help`` prints the
+usage built from the same table on stdout and exits 0.  No argparse.
+
 Importing this module registers the package modules in sys.modules
 without executing them; each executes when a subcommand first uses it,
-so a run compiles only what it needs.  Every subcommand loads catalog
-(for the shape names).  recognize, realize and obstructions add graphs
-and shapes; necessary adds necessary too; trace-check, trace-refine and
-trace-condition add distributions and graphs; ultragraph adds
+so a run compiles only what it needs.  The cold halves of graphs,
+shapes and distributions live in modules of their own, which their old
+homes serve on first use.  recognize executes catalog, graphs and
+shapes; realize adds intervals; obstructions adds isomorphism and
+obstructions; necessary adds isomorphism and necessary; trace-check and
+trace-condition execute catalog, graphs and distributions; trace-refine
+executes graphs, distributions and refinement; ultragraph executes
 distributions and ultragraph, and no graph code.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
@@ -25,11 +34,11 @@ of the request.  ``main()`` leaves the collector alone, for callers that
 run it in-process.
 """
 
-import argparse
 import gc
 import importlib.util
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 from .errors import CapabilityError, InputError
 
@@ -59,11 +68,6 @@ dist = _lazy("distributions")
 ug = _lazy("ultragraph")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
-
-
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,44 +76,105 @@ def _read(path):
         raise InputError("cannot read %s: %s" % (path, err))
 
 
-def build_parser():
-    top = _Parser(prog="ugl", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
+# Value kinds of the options: a store-true flag, a shape name, or a
+# nonnegative integer; any other kind is the metavar of a file path.
+FLAG, SHAPE, COUNT = None, "SHAPE", "N"
 
-    p = sub.add_parser("recognize", help="shape membership with certificate")
-    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
-    p.add_argument("graphfile")
+# Per subcommand: its help line, its options with their value kinds, the
+# options it requires, and its one positional (obstructions has none).
+COMMANDS = {
+    "recognize": ("shape membership with certificate",
+                  {"--shape": SHAPE}, ("--shape",), "graphfile"),
+    "realize": ("interval model or obstruction",
+                {"--distinct-endpoints": FLAG}, (), "graphfile"),
+    "obstructions": ("minimal non-members up to a size",
+                     {"--shape": SHAPE, "--max-n": COUNT},
+                     ("--shape", "--max-n"), None),
+    "necessary": ("necessary edge sets of a host",
+                  {"--shape": SHAPE, "--verify": "SETFILE",
+                   "--all-minimal": FLAG}, ("--shape",), "graphfile"),
+    "trace-check": ("trace property report", {}, (), "tracefile"),
+    "trace-refine": ("multiplicative refinement search", {}, (), "tracefile"),
+    "trace-condition": ("single trace conditions",
+                        {"--sop2": FLAG, "--shape": SHAPE}, (), "tracefile"),
+    "ultragraph": ("reduced product report",
+                   {"--extend-eta": FLAG}, (), "tracefile"),
+}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("realize", help="interval model or obstruction")
-    p.add_argument("--distinct-endpoints", action="store_true")
-    p.add_argument("graphfile")
 
-    p = sub.add_parser("obstructions", help="minimal non-members up to a size")
-    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+def parse_args(argv):
+    """The namespace of one argv: ``command``, ``help``, the positional,
+    and each option with its dashes as underscores (False or None when
+    absent).  ``-h`` or ``--help`` sets ``help`` and ends the parse.
 
-    p = sub.add_parser("necessary", help="necessary edge sets of a host")
-    p.add_argument("--shape", choices=catalog.SHAPES, required=True)
-    p.add_argument("graphfile")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--verify", metavar="SETFILE")
-    group.add_argument("--all-minimal", action="store_true")
+    Options come in any order, as ``--opt value`` or ``--opt=value``, and
+    are matched whole.  Malformed argv raises InputError naming the
+    offending token."""
+    if not argv:
+        raise InputError("the following arguments are required: command")
+    command = argv[0]
+    if command in HELP:
+        return SimpleNamespace(command=None, help=True)
+    _check_choice("command", command, COMMANDS)
+    _, options, required, positional = COMMANDS[command]
+    got = {opt: None if kind else False for opt, kind in options.items()}
+    extra = []
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        kind = options.get(name)
+        if tok in HELP:
+            return SimpleNamespace(command=command, help=True)
+        if tok[:1] != "-" and positional and positional not in got:
+            got[positional] = tok
+        elif name not in options or eq and kind is FLAG:
+            extra.append(tok)
+        elif kind is FLAG:
+            got[name] = True
+        else:
+            if not eq:
+                value = next(tokens, "-")
+                if value[:1] == "-" and not value[1:].isdecimal():
+                    raise InputError("argument %s: expected one argument" % name)
+            if kind == SHAPE:
+                _check_choice(name, value, catalog.SHAPES)
+            elif kind == COUNT:
+                if not value.isdecimal():
+                    raise InputError("argument %s: expected a nonnegative "
+                                     "integer, got %r" % (name, value))
+                value = int(value)
+            got[name] = value
+    if extra:
+        raise InputError("unrecognized arguments: %s" % " ".join(extra))
+    missing = [a for a in required + (positional,) if a and got.get(a) is None]
+    if missing:
+        raise InputError("the following arguments are required: %s"
+                         % ", ".join(missing))
+    return SimpleNamespace(command=command, help=False, **{
+        key.lstrip("-").replace("-", "_"): value for key, value in got.items()})
 
-    p = sub.add_parser("trace-check", help="trace property report")
-    p.add_argument("tracefile")
 
-    p = sub.add_parser("trace-refine", help="multiplicative refinement search")
-    p.add_argument("tracefile")
+def _check_choice(name, value, choices):
+    if value not in choices:
+        raise InputError("argument %s: invalid choice: %r (choose from %s)"
+                         % (name, value, ", ".join(map(repr, choices))))
 
-    p = sub.add_parser("trace-condition", help="single trace conditions")
-    p.add_argument("--sop2", action="store_true")
-    p.add_argument("--shape", choices=catalog.SHAPES)
-    p.add_argument("tracefile")
 
-    p = sub.add_parser("ultragraph", help="reduced product report")
-    p.add_argument("--extend-eta", action="store_true")
-    p.add_argument("tracefile")
-    return top
+def usage(command=None):
+    """The usage lines of every subcommand, or of one, from COMMANDS."""
+    lines = ["usage:"]
+    for name in [command] if command else COMMANDS:
+        text, options, required, positional = COMMANDS[name]
+        words = ["ugl", name]
+        for opt, kind in options.items():
+            if kind is not FLAG:
+                opt += " " + ("{%s}" % ",".join(catalog.SHAPES)
+                              if kind == SHAPE else kind)
+            words.append(opt if opt.split()[0] in required else "[%s]" % opt)
+        lines += ["  " + " ".join(words + [positional or ""]).rstrip(),
+                  "      " + text]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_recognize(args, out):
@@ -142,6 +207,9 @@ def _cmd_obstructions(args, out):
 
 
 def _cmd_necessary(args, out):
+    if args.verify is not None and args.all_minimal:
+        raise InputError("argument --all-minimal: not allowed with argument "
+                         "--verify")
     g = graphs.parse_graph(_read(args.graphfile))
     if args.verify is not None:
         ns = nec.parse_necessary_set(_read(args.verify))
@@ -290,9 +358,11 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            sys.stdout.write(usage(args.command))
+            return 0
         return _HANDLERS[args.command](args, sys.stdout)
     except CapabilityError as err:
         print("capability: %s" % err, file=sys.stderr)

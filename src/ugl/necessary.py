@@ -45,15 +45,18 @@ claim and is skipped by verification.
 from .catalog import (INTERVAL, TREE, catalog_necessary_set,  # noqa: F401
                       check_shape, family_graph)
 from .errors import CapabilityError, InputError
-from .graphs import automorphisms, edges_mask, graph_from_mask, pair_index
+from .isomorphism import automorphisms, edges_mask, graph_from_mask, pair_index
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 
 SEARCH_VERTEX_CAP = 8
 # Work bound of the enumeration route: one unit per host non-edge, up
 # front (so a large sparse host is refused before any mask exists), then
-# one per distinct mask of the completion sweep and one per node of the
-# hitting-set branching.  Each is a distinct set of host non-edges, so k
-# non-edges cost at most k + 2 * 2^k: every host with at most 12 fits.
+# one per distinct mask of the completion sweep, and for each node of the
+# hitting-set branching one per completion it carries, which is what the
+# node scans.  Every class with at most 7 vertices costs at most 6,698
+# units and every catalog host at most 7,337 (III(7)).  In the tree
+# shape, 8 disjoint 4-cycles answer and 9 or more are refused: k of them
+# have 2^k minimal completions, all carried by the root.
 WORK_BUDGET = 1 << 16
 
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
@@ -233,14 +236,15 @@ def _minimal_hits(shape, h):
     once.  A choice is pruned once one of its pairs has no private
     completion (one the choice meets only there), as no wider choice is
     then minimal.  Each choice carries the completions it misses or
-    meets once; one met twice is neither missed nor private again.
+    meets once; one met twice is neither missed nor private again.  Each
+    node is charged the completions it carries against ``WORK_BUDGET``.
     """
     family, spent = _minimal_completions(shape, h)
     hits = []
     stack = [(0, -1, family)]
     while stack:
         chosen, allowed, live = stack.pop()
-        spent = _charge(spent + 1)
+        spent = _charge(spent + len(live))
         missed, private = None, {}
         for f in live:
             hit = f & chosen

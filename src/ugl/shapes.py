@@ -1,5 +1,4 @@
-"""Graph shapes: recognizers, certificates, interval models and minimal
-obstructions.
+"""Graph shapes: recognizers and their certificates.
 
 Two hereditary graph classes ("shapes") are supported:
 
@@ -23,8 +22,13 @@ cliques, and the witness searches only on non-members.  Witnesses do not
 depend on how membership was decided: each is the first one in the
 fixed order of its search.
 
-The shape names, the obstruction families and the diagonal condition
-live in ``catalog``; they are importable from here too.
+The interval models and realization live in ``intervals``; the minimal
+obstructions, the rooted forests and the witness parser in
+``obstructions``.  No recognition request runs either, so each executes
+only when one of its names is first used here.  The shape names, the
+obstruction families and the diagonal condition live in ``catalog``;
+they are importable from here too, as are the graph names this module
+imported before the split.
 """
 
 from itertools import combinations
@@ -34,12 +38,30 @@ from .catalog import (FIXED_FAMILIES, INTERVAL, PARAMETRIC_FAMILIES,  # noqa: F4
                       SHAPES, TREE, check_shape, diagonal_violation,
                       family_graph, family_str, is_diagonal, parse_family,
                       shape_families)
-from .errors import CapabilityError, InputError
-from .graphs import (INDUCED, Embedding, Graph, canonical_key,
-                     enumerate_graphs, find_embedding,
-                     graph_from_canonical_key, induced_subgraph)
+# CapabilityError, Embedding and Graph are kept importable from here
+from .errors import CapabilityError, InputError  # noqa: F401
+from .graphs import INDUCED, Embedding, Graph, find_embedding  # noqa: F401
 
-OBSTRUCTION_CAP = 7
+_MOVED = {
+    **dict.fromkeys(("IntervalModel", "format_interval_model",
+                     "parse_interval_model", "realize_intervals"),
+                    "intervals"),
+    **dict.fromkeys(("OBSTRUCTION_CAP", "parse_witness",
+                     "minimal_obstructions", "_rooted_trees", "_forest_graph",
+                     "forest_comparability_classes"), "obstructions"),
+    **dict.fromkeys(("canonical_key", "enumerate_graphs",
+                     "graph_from_canonical_key", "induced_subgraph"),
+                    "isomorphism"),
+}
+
+
+def __getattr__(name):
+    """A name that moved to a module of its own, executing it on first use."""
+    home = _MOVED.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # the call form of ``from .<home> import <name>``
+    return getattr(__import__(home, globals(), None, (name,), 1), name)
 
 
 # ---------------------------------------------------------------------------
@@ -219,33 +241,11 @@ class ObstructionWitness:
         return "ObstructionWitness(%r, %r, %r)" % (self.kind, self.vertices, self.family)
 
     def checks(self, g):
-        """Re-verify this certificate against g from scratch."""
-        vs = self.vertices
-        if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
-            return False
-        if self.kind == IRREDUCIBLE_CYCLE:
-            k = len(vs)
-            if k < 4:
-                return False
-            for i, j in combinations(range(k), 2):
-                adjacent = g.has_edge(vs[i], vs[j])
-                consecutive = j - i == 1 or (i == 0 and j == k - 1)
-                if adjacent != consecutive:
-                    return False
-            return True
-        if self.kind == ASTEROIDAL_TRIPLE:
-            if len(vs) != 3:
-                return False
-            a, b, c = vs
-            if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-                return False
-            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-                comp = _avoid_components(g, z)
-                if comp[x] == -1 or comp[x] != comp[y]:
-                    return False
-            return True
-        fg = family_graph(*self.family)
-        return Embedding(vs, INDUCED).checks(fg, g)
+        """Re-verify this certificate against g from scratch.  No request
+        runs this, so the check lives in ``obstructions``."""
+        from .obstructions import witness_checks
+
+        return witness_checks(self, g)
 
 
 def format_witness(w):
@@ -254,27 +254,6 @@ def format_witness(w):
         parts.append(family_str(*w.family))
     parts.extend(str(v) for v in w.vertices)
     return " ".join(parts) + "\n"
-
-
-def parse_witness(text):
-    parts = text.split()
-    if len(parts) < 2 or parts[0] != "w":
-        raise InputError("malformed witness line %r" % text)
-    kind = parts[1]
-    if kind not in WITNESS_KINDS:
-        raise InputError("unknown witness kind %r" % kind)
-    rest = parts[2:]
-    family = None
-    if kind == FORBIDDEN_FAMILY:
-        if not rest:
-            raise InputError("forbidden-family witness needs a family token")
-        family = parse_family(rest[0])
-        rest = rest[1:]
-    try:
-        vertices = [int(t) for t in rest]
-    except ValueError:
-        raise InputError("malformed witness vertices in %r" % text)
-    return ObstructionWitness(kind, vertices, family)
 
 
 # ---------------------------------------------------------------------------
@@ -528,202 +507,3 @@ def recognize(shape, g):
                 return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping, (kind, None))
         raise AssertionError("no induced C4 or L4 beside unnested neighborhoods")
     return _interval_certificate(g)[1]
-
-
-# ---------------------------------------------------------------------------
-# interval models
-# ---------------------------------------------------------------------------
-
-class IntervalModel:
-    """Open intervals (a_v, b_v) with integer endpoints, one per vertex."""
-
-    __slots__ = ("n", "intervals", "distinct")
-
-    def __init__(self, n, intervals, distinct=False):
-        intervals = tuple((int(a), int(b)) for a, b in intervals)
-        if len(intervals) != n:
-            raise InputError("expected %d intervals, got %d" % (n, len(intervals)))
-        for a, b in intervals:
-            if a >= b:
-                raise InputError("empty interval (%d, %d)" % (a, b))
-        if distinct:
-            ends = [e for ab in intervals for e in ab]
-            if len(set(ends)) != len(ends):
-                raise InputError("distinct-endpoint model has a repeated endpoint")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "distinct", distinct)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalModel is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, IntervalModel)
-                and (self.n, self.intervals, self.distinct)
-                == (other.n, other.intervals, other.distinct))
-
-    def __repr__(self):
-        return "IntervalModel(%d, %r)" % (self.n, self.intervals)
-
-    def checks(self, g):
-        """True iff intersection of the open intervals matches adjacency."""
-        if self.n != g.n:
-            return False
-        iv = self.intervals
-        for u, v in combinations(range(g.n), 2):
-            meets = max(iv[u][0], iv[v][0]) < min(iv[u][1], iv[v][1])
-            if meets != g.has_edge(u, v):
-                return False
-        return True
-
-
-def format_interval_model(m):
-    return "".join("i %d %d %d\n" % (v, *m.intervals[v]) for v in range(m.n))
-
-
-def parse_interval_model(text, distinct=False):
-    rows = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "i" or len(parts) != 4:
-            raise InputError("malformed interval line %r" % line)
-        try:
-            v, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise InputError("malformed interval line %r" % line)
-        if v in rows:
-            raise InputError("duplicate interval for vertex %d" % v)
-        rows[v] = (a, b)
-    n = len(rows)
-    if set(rows) != set(range(n)):
-        raise InputError("interval model must cover vertices 0..n-1")
-    return IntervalModel(n, [rows[v] for v in range(n)], distinct)
-
-
-def realize_intervals(g, distinct_endpoints=False):
-    """An IntervalModel for g, or an ObstructionWitness if none exists.
-
-    The witness is ``recognize``'s.  A member's model is read off the
-    ordered maximal cliques: at each clique in turn, the vertices whose
-    span starts there open, in ascending order, and then those whose
-    span ends there close.  Two vertices meet iff they share a clique
-    iff their spans meet iff one opens before the other closes.
-    Endpoints land on 0..2n-1, so the model is normalized and all
-    endpoints are pairwise distinct in either mode.
-    """
-    spans, witness = _interval_certificate(g)
-    if witness is not None:
-        return witness
-    n = g.n
-    opens = [[] for _ in range(n)]
-    closes = [[] for _ in range(n)]
-    for v, (first, last) in enumerate(spans):
-        opens[first].append(v)
-        closes[last].append(v)
-    left = [0] * n
-    right = [0] * n
-    pos = 0
-    for p in range(n):
-        for v in opens[p]:
-            left[v] = pos
-            pos += 1
-        for v in closes[p]:
-            right[v] = pos
-            pos += 1
-    return IntervalModel(n, list(zip(left, right)), distinct_endpoints)
-
-
-# ---------------------------------------------------------------------------
-# minimal obstructions
-# ---------------------------------------------------------------------------
-
-def minimal_obstructions(shape, max_n):
-    """Canonical representatives of every minimal non-member with at most
-    ``max_n`` vertices, in enumeration order.  Bounded to max_n <= 7."""
-    check_shape(shape)
-    if max_n < 0:
-        raise InputError("vertex count must be nonnegative")
-    if max_n > OBSTRUCTION_CAP:
-        raise CapabilityError("minimal obstruction search bounded to n <= %d" % OBSTRUCTION_CAP)
-    out = []
-    for n in range(0, max_n + 1):
-        for g in enumerate_graphs(n):
-            if recognize(shape, g) is None:
-                continue
-            subs = (induced_subgraph(g, [u for u in range(n) if u != v])
-                    for v in range(n))
-            if all(recognize(shape, sub) is None for sub in subs):
-                out.append(g)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rooted forests and their comparability graphs
-# ---------------------------------------------------------------------------
-
-def _rooted_trees(max_size):
-    """Rooted trees as canonical nested tuples, per size; a tree is the
-    sorted tuple of its child subtrees."""
-    trees = {1: [()]}
-    sizes = {(): 1}
-    for s in range(2, max_size + 1):
-        found = set()
-
-        def fill(remaining, pool_index, chosen, pool):
-            if remaining == 0:
-                found.add(tuple(sorted(chosen)))
-                return
-            for i in range(pool_index, len(pool)):
-                t = pool[i]
-                if sizes[t] <= remaining:
-                    fill(remaining - sizes[t], i, chosen + [t], pool)
-
-        pool = [t for size in range(1, s) for t in trees[size]]
-        fill(s - 1, 0, [], pool)
-        trees[s] = sorted(found)
-        for t in trees[s]:
-            sizes[t] = s
-    return trees, sizes
-
-
-def _forest_graph(forest, sizes):
-    """Comparability graph of a forest (ancestor pairs are edges)."""
-    total = sum(sizes[t] for t in forest)
-    edges = []
-    next_id = 0
-
-    def walk(tree, ancestors):
-        nonlocal next_id
-        me = next_id
-        next_id += 1
-        edges.extend((a, me) for a in ancestors)
-        for child in tree:
-            walk(child, ancestors + [me])
-
-    for tree in forest:
-        walk(tree, [])
-    return Graph(total, edges)
-
-
-def forest_comparability_classes(max_n):
-    """Canonical forms of comparability graphs of all rooted forests with
-    at most ``max_n`` nodes, sorted.  Bounded to max_n <= 7."""
-    if max_n > OBSTRUCTION_CAP:
-        raise CapabilityError("forest enumeration bounded to n <= %d" % OBSTRUCTION_CAP)
-    trees, sizes = _rooted_trees(max_n) if max_n >= 1 else ({}, {})
-    pool = [t for s in range(1, max_n + 1) for t in trees[s]]
-    forests = []
-
-    def fill(remaining, pool_index, chosen):
-        forests.append(list(chosen))
-        for i in range(pool_index, len(pool)):
-            t = pool[i]
-            if sizes[t] <= remaining:
-                fill(remaining - sizes[t], i, chosen + [t])
-
-    fill(max_n, 0, [])
-    keys = {canonical_key(_forest_graph(f, sizes)) for f in forests}
-    return [graph_from_canonical_key(n, key) for n, key in sorted(keys)]

@@ -68,6 +68,50 @@ def brute_embeddings(h, g, mode, bijective=False):
     return out
 
 
+def degree_scan_iter_embeddings(h, g, mode, bijective=False, avoid=None):
+    """``graphs.iter_embeddings`` as it was before its set-up bucketed the
+    vertices by degree: one ``degree`` call per vertex of g and one scan
+    of every vertex per host vertex.  Shares the Graph type only."""
+    if bijective and h.n != g.n:
+        return
+    if h.n > g.n:
+        return
+    if h.n == 0:
+        yield ()
+        return
+    hrows, grows = h.rows, g.rows
+    forbid = h.complement().rows if mode == INDUCED else (0,) * h.n
+    if avoid is not None:
+        forbid = [f | a for f, a in zip(forbid, avoid.rows)]
+    gdeg = [g.degree(v) for v in range(g.n)]
+    allowed = []
+    for v in range(h.n):
+        need_in, need_out = h.degree(v), bin(forbid[v]).count("1")
+        allowed.append(sum(1 << c for c in range(g.n) if gdeg[c] >= need_in
+                           and g.n - 1 - gdeg[c] >= need_out))
+    adj_before = [[i for i in range(k) if hrows[k] >> i & 1] for k in range(h.n)]
+    forbid_before = [[i for i in range(k) if forbid[k] >> i & 1]
+                     for k in range(h.n)]
+    mapping = [0] * h.n
+
+    def rec(k, used):
+        if k == h.n:
+            yield tuple(mapping)
+            return
+        cands = allowed[k] & ~used
+        for i in adj_before[k]:
+            cands &= grows[mapping[i]]
+        for i in forbid_before[k]:
+            cands &= ~grows[mapping[i]]
+        while cands:
+            low = cands & -cands
+            mapping[k] = low.bit_length() - 1
+            yield from rec(k + 1, used | low)
+            cands ^= low
+
+    yield from rec(0, 0)
+
+
 def brute_maximal_cliques(g):
     """Maximal cliques by scanning all vertex subsets."""
     cliques = []

@@ -576,20 +576,159 @@ def test_unknown_subcommand(capsys):
 
 
 # ---------------------------------------------------------------------------
+# usage: argv is read from one table of the subcommands
+# ---------------------------------------------------------------------------
+
+# Malformed argv and the token its error must name.  G, S and T stand for
+# a graph, a necessary-set and a trace file.
+MALFORMED = [
+    ([], "command"),
+    (["frobnicate", "G"], "frobnicate"),
+    (["--shape", "tree", "recognize", "G"], "--shape"),
+    (["recognize", "G"], "--shape"),
+    (["recognize", "--shape", "forest", "G"], "forest"),
+    (["recognize", "--shape", "tree", "G", "--jobs", "2"], "--jobs"),
+    (["recognize", "--shape", "tree", "G", "G2"], "G2"),
+    (["recognize", "--shape", "tree"], "graphfile"),
+    (["recognize", "--shape"], "--shape"),
+    (["recognize", "--sha", "tree", "G"], "--sha"),
+    (["realize", "G", "--jobs", "2"], "--jobs"),
+    (["realize", "G", "G2"], "G2"),
+    (["realize", "--distinct-endpoints=yes", "G"], "--distinct-endpoints"),
+    (["realize"], "graphfile"),
+    (["obstructions", "--max-n", "4"], "--shape"),
+    (["obstructions", "--shape", "forest", "--max-n", "4"], "forest"),
+    (["obstructions", "--shape", "tree", "--max-n", "4", "--jobs", "2"],
+     "--jobs"),
+    (["obstructions", "--shape", "tree", "--max-n", "4", "G"], "G"),
+    (["obstructions", "--shape", "tree"], "--max-n"),
+    (["obstructions", "--shape", "tree", "--max-n", "x"], "'x'"),
+    (["obstructions", "--shape", "tree", "--max-n", "-3"], "'-3'"),
+    (["obstructions", "--shape", "tree", "--max-n=-3"], "'-3'"),
+    (["obstructions", "--shape", "tree", "--max-n", "\u00b2"], "'\u00b2'"),
+    (["necessary", "G"], "--shape"),
+    (["necessary", "--shape", "forest", "G"], "forest"),
+    (["necessary", "--shape", "tree", "G", "--jobs", "2"], "--jobs"),
+    (["necessary", "--shape", "tree", "G", "G2"], "G2"),
+    (["necessary", "--shape", "tree", "G", "--verify", "S", "--all-minimal"],
+     "--all-minimal"),
+    (["necessary", "--all-minimal", "--shape", "tree", "--verify", "S", "G"],
+     "--all-minimal"),
+    (["necessary", "--shape", "tree", "G", "--verify"], "--verify"),
+    (["trace-check", "T", "--jobs", "2"], "--jobs"),
+    (["trace-check", "T", "T2"], "T2"),
+    (["trace-check"], "tracefile"),
+    (["trace-refine", "T", "--jobs", "2"], "--jobs"),
+    (["trace-refine", "T", "T2"], "T2"),
+    (["trace-condition", "--shape", "forest", "T"], "forest"),
+    (["trace-condition", "--sop2", "T", "--jobs", "2"], "--jobs"),
+    (["trace-condition", "--sop2", "T", "T2"], "T2"),
+    (["trace-condition", "T"], "--sop2"),
+    (["ultragraph", "T", "--jobs", "2"], "--jobs"),
+    (["ultragraph", "T", "T2"], "T2"),
+    (["ultragraph", "--extend-eta=1", "T"], "--extend-eta"),
+]
+
+
+def files(tmp_path):
+    """The stand-ins of MALFORMED mapped to real input files."""
+    return {"G": write(tmp_path, "C4.graph", C4_TEXT),
+            "S": write(tmp_path, "A.set", "B 0-2 1-3\nflags necessary=1 "
+                                          "submin=0 mincard=0 unique=0\n"),
+            "T": write(tmp_path, "good.trace", GOOD_TRACE)}
+
+
+@pytest.mark.parametrize("argv,token", MALFORMED,
+                         ids=[" ".join(a) or "empty" for a, _ in MALFORMED])
+def test_malformed_argv_is_a_usage_error(tmp_path, capsys, argv, token):
+    real = files(tmp_path)
+    code, out, err = run(capsys, *[real.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and real.get(token, token) in err, err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["recognize", "-h"],
+                                  ["necessary", "--shape", "tree", "--help"],
+                                  ["obstructions", "--max-n", "4", "-h",
+                                   "--jobs"]])
+def test_help_prints_usage_from_the_command_table(capsys, argv):
+    from ugl.cli import COMMANDS
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage:\n")
+    named = [c for c in COMMANDS if "  ugl %s " % c in out]
+    shown = argv[0] if argv[0] in COMMANDS else None
+    assert named == ([shown] if shown else list(COMMANDS))
+    if shown == "necessary":
+        assert ("ugl necessary --shape {tree,interval} [--verify SETFILE] "
+                "[--all-minimal] graphfile") in out
+
+
+def test_help_exits_zero_from_a_process():
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", "recognize",
+                          "--help"], env=package_env(), capture_output=True,
+                         text=True, timeout=60)
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == ("usage:\n  ugl recognize --shape {tree,interval} "
+                          "graphfile\n      shape membership with "
+                          "certificate\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--shape", "interval", "G"],
+    ["recognize", "--shape", "tree", "G"],
+    ["obstructions", "--shape", "tree", "--max-n", "4"],
+    ["necessary", "--shape", "interval", "G", "--verify", "S"],
+    ["trace-condition", "--shape", "tree", "T"],
+])
+def test_equals_form_answers_like_the_spaced_form(tmp_path, capsys, argv):
+    real = files(tmp_path)
+    argv = [real.get(a, a) for a in argv]
+    joined = []
+    for a in argv:
+        if joined and joined[-1] in ("--shape", "--max-n", "--verify"):
+            joined[-1] += "=" + a
+        else:
+            joined.append(a)
+    assert len(joined) < len(argv)
+    assert run(capsys, *joined) == run(capsys, *argv)
+
+
+def test_options_and_positional_come_in_any_order(tmp_path, capsys):
+    from itertools import permutations
+    real = files(tmp_path)
+    units = [["--shape", "interval"], [real["G"]], ["--verify", real["S"]]]
+    expected = run(capsys, "necessary", *sum(units, []))
+    assert expected[0] == 0 and expected[1]
+    for order in permutations(units):
+        assert run(capsys, "necessary", *sum(order, [])) == expected
+    units = [["--sop2"], ["--shape=tree"], [real["T"]]]
+    expected = run(capsys, "trace-condition", *sum(units, []))
+    for order in permutations(units):
+        assert run(capsys, "trace-condition", *sum(order, [])) == expected
+
+
+# ---------------------------------------------------------------------------
 # module loading: each subcommand executes only the modules it uses
 # ---------------------------------------------------------------------------
 
 PACKAGE_MODULES = ("catalog", "graphs", "shapes", "necessary",
-                   "distributions", "ultragraph")
+                   "distributions", "ultragraph", "isomorphism",
+                   "obstructions", "intervals", "refinement", "fulldist")
+# the modules split off from graphs, shapes and distributions: served by
+# their old homes, never registered by the CLI
+SPLIT_OFF = PACKAGE_MODULES[6:]
 
 # Prints the exit code and the package modules still unexecuted (lazy
-# modules change their class to ModuleType when they execute).
+# modules change their class to ModuleType when they execute), after
+# checking that the request imported no argparse or gettext.
 UNEXECUTED = """
 import sys, types
 from ugl.cli import main
 code = main(%r)
+assert not {"argparse", "gettext"} & set(sys.modules), "argparse imported"
 print(code, *[m for m in %r
-              if type(sys.modules["ugl." + m]) is not types.ModuleType])
+              if type(sys.modules.get("ugl." + m)) is not types.ModuleType])
 """
 
 
@@ -623,23 +762,30 @@ def unexecuted_after(*argv):
 
 def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
-    left = "necessary distributions ultragraph"
-    assert unexecuted_after("recognize", "--shape", "tree", gf) == "1 " + left
-    assert unexecuted_after("realize", gf) == "1 " + left
+    left = ("necessary distributions ultragraph isomorphism obstructions "
+            "intervals refinement fulldist")
+    for shape in ("tree", "interval"):
+        assert (unexecuted_after("recognize", "--shape", shape, gf)
+                == "1 " + left)
+    assert unexecuted_after("realize", gf) == "1 " + left.replace(
+        " intervals", "")
     assert unexecuted_after("obstructions", "--shape", "tree",
-                            "--max-n", "4") == "0 " + left
+                            "--max-n", "4") == (
+        "0 necessary distributions ultragraph intervals refinement fulldist")
 
 
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     got = unexecuted_after("necessary", "--shape", "tree", gf)
-    assert got == "0 distributions ultragraph"
+    assert got == ("0 distributions ultragraph obstructions intervals "
+                   "refinement fulldist")
 
 
 def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("trace-refine", tf)
-    assert got == "0 shapes necessary ultragraph"
+    assert got == ("0 catalog shapes necessary ultragraph isomorphism "
+                   "obstructions intervals fulldist")
 
 
 # one index carrying the path 0-1-2-3: the chain condition and both
@@ -655,7 +801,8 @@ g2 0 : 0-1 1-2 2-3
 def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
         tmp_path):
     tf = write(tmp_path, "path.trace", PATH_TRACE)
-    left = "shapes necessary ultragraph"
+    left = ("shapes necessary ultragraph isomorphism obstructions intervals "
+            "refinement fulldist")
     assert unexecuted_after("trace-check", tf) == "1 " + left
     assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
                             tf) == "1 " + left
@@ -664,7 +811,8 @@ def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
 def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("ultragraph", "--extend-eta", tf)
-    assert got == "0 graphs shapes necessary"
+    assert got == ("0 catalog graphs shapes necessary isomorphism "
+                   "obstructions intervals refinement fulldist")
 
 
 def test_library_property_check_loads_distributions_only():
@@ -675,7 +823,7 @@ def test_library_property_check_loads_distributions_only():
         "dist.check_properties(dist.extension_distribution(t))\n"
         "print(*sorted(m for m in sys.modules if m.startswith('ugl.')))"
         % GOOD_TRACE)
-    assert got == "ugl.distributions ugl.errors"
+    assert got == "ugl.distributions ugl.errors ugl.fulldist"
 
 
 def test_moved_names_stay_importable_where_they_were():
@@ -692,6 +840,95 @@ def test_moved_names_stay_importable_where_they_were():
         assert getattr(ugl.necessary, name) is getattr(ugl.catalog, name)
     with pytest.raises(AttributeError):
         ugl.distributions.recognize
+    for module in (ugl.graphs, ugl.shapes):
+        with pytest.raises(AttributeError):
+            module.recognize_everything
+
+
+# Every name (dunders aside) that these modules had before their cold
+# halves moved out; each must stay importable from the same module.
+FORMER_NAMES = {
+    "graphs": """CapabilityError EDGES_ONLY ENUMERATION_CAP Embedding
+        GRAPH_VERTEX_CAP Graph INDUCED InputError _ENUM_CACHE _PAIR_ORDER
+        _extend_keys _stabilizer_orbits _vertex_invariants automorphisms
+        canonical_form canonical_graph canonical_key combinations edges_mask
+        enumerate_graphs enumerate_maximal_cliques find_embedding
+        format_graph graph_from_canonical_key graph_from_mask
+        induced_subgraph is_isomorphic iter_embeddings pair_index pair_order
+        parse_graph""",
+    "shapes": """ASTEROIDAL_TRIPLE CapabilityError Embedding FIXED_FAMILIES
+        FORBIDDEN_FAMILY Graph INDUCED INTERVAL IRREDUCIBLE_CYCLE InputError
+        IntervalModel OBSTRUCTION_CAP ObstructionWitness PARAMETRIC_FAMILIES
+        SHAPES TREE WITNESS_KINDS _avoid_components _bits _chordal_cliques
+        _clique_spans _forest_graph _interval_certificate
+        _nested_neighborhoods _reaches _rooted_trees canonical_key
+        check_shape combinations diagonal_violation enumerate_graphs
+        family_graph family_str find_asteroidal_triple find_chordless_cycle
+        find_embedding forest_comparability_classes format_interval_model
+        format_witness graph_from_canonical_key induced_subgraph is_diagonal
+        minimal_obstructions parse_family parse_interval_model parse_witness
+        realize_intervals recognize shape_families""",
+    "distributions": """CapabilityError ConsistencyError CoveringFamily
+        EXPLICIT FORMULA_CAP FullDistribution InputError LosInstance
+        PRINCIPAL PropertyReport QUORUM TRACE_FORMULA_CAP TRACE_INDEX_CAP
+        Trace _build_family _check_indices _clique_choices _collect_rows
+        _format_row _index_graphs _is_multiplicative _norm_pairs _pair
+        _parse_int adequacy_report all_subsets check_necessary_conditions
+        check_properties check_sop2_condition combinations conjugate
+        distribution_from_conjugate essential_range extension_distribution
+        find_multiplicative_refinement format_trace from_graph_sequence
+        graph_sequence graphlike_extension is_multiplicative_trace
+        is_pair_adequate is_refinement pair_support parse_trace restrict
+        singleton_support""",
+    "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY INTERVAL
+        IRREDUCIBLE_CYCLE InputError NecessarySet SEARCH_VERTEX_CAP TREE
+        WORK_BUDGET _TREE_PATTERN_NON_EDGES _branch_bits _charge
+        _check_pairs _complete_to_member _minimal_completions _minimal_hits
+        _sorted_pairs automorphisms catalog_necessary_set check_shape
+        compute_flags counterexample_checks edges_mask family_graph
+        family_necessary_set forced_edges format_necessary_set
+        graph_from_mask is_necessary minimal_necessary_sets
+        necessary_by_enumeration necessity_constraints
+        necessity_counterexample pair_index parse_necessary_set recognize
+        verify_claims""",
+    "ultragraph": """CapabilityError ConsistencyError InputError InternalSet
+        LiftedMap MATERIALIZE_CAP PRINCIPAL ReducedProduct Trace
+        _grow_clique build clique_transversal_trace combinations eta
+        eta_clique_witness eta_extension extend_to_internal_clique
+        format_internal_set format_product_vertex lift_map
+        parse_internal_set product""",
+}
+
+
+def bench_traced_names():
+    """The ``TRACED`` table of the benchmark's request child."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.TRACED
+
+
+def test_former_names_resolve_from_their_old_homes():
+    import importlib
+    split_off = {m: importlib.import_module("ugl." + m) for m in SPLIT_OFF}
+    moved = set()
+    for home, names in FORMER_NAMES.items():
+        module = importlib.import_module("ugl." + home)
+        for name in names.split():
+            value = getattr(module, name)
+            # a name its old home no longer binds is served from the
+            # split-off module that does, as that very object
+            for new_home in split_off.values():
+                if name not in vars(module) and name in vars(new_home):
+                    assert value is vars(new_home)[name], (home, name)
+                    moved.add((home, name))
+    assert len(moved) == 51
+    for home, names in bench_traced_names().items():
+        for name in names:
+            assert callable(getattr(importlib.import_module("ugl." + home),
+                                    name)), (home, name)
 
 
 def test_import_registers_every_module_unexecuted():
@@ -700,8 +937,11 @@ def test_import_registers_every_module_unexecuted():
         "import ugl.cli\n"
         "print(*[m for m in ('cli',) + %r if 'ugl.' + m in sys.modules],\n"
         "      sum(type(sys.modules['ugl.' + m]) is types.ModuleType\n"
-        "          for m in %r))" % (PACKAGE_MODULES, PACKAGE_MODULES))
-    assert got == "cli " + " ".join(PACKAGE_MODULES) + " 0"
+        "          for m in %r if 'ugl.' + m in sys.modules),\n"
+        "      *[m for m in ('argparse', 'gettext') if m in sys.modules])"
+        % (PACKAGE_MODULES, PACKAGE_MODULES))
+    registered = [m for m in PACKAGE_MODULES if m not in SPLIT_OFF]
+    assert got == "cli " + " ".join(registered) + " 0"
 
 
 def test_cli_uses_a_module_imported_before_it():

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugl import graphs
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Embedding,
                         Graph, automorphisms, canonical_form, canonical_graph,
@@ -202,16 +201,20 @@ def test_enumeration_keys_pinned_through_seven_vertices():
 
 
 def test_enumeration_computes_one_canonical_form_per_class(monkeypatch):
+    # enumeration lives in the isomorphism module, which binds the names
+    # it calls
+    from ugl import isomorphism
     calls = {}
-    plain = graphs.canonical_form
+    plain = isomorphism.canonical_form
 
     def counted(g):
         calls[g.n] = calls.get(g.n, 0) + 1
         return plain(g)
 
-    monkeypatch.setattr(graphs, "_ENUM_CACHE", {0: (0,)})
-    monkeypatch.setattr(graphs, "canonical_form", counted)
+    monkeypatch.setattr(isomorphism, "_ENUM_CACHE", {0: (0,)})
+    monkeypatch.setattr(isomorphism, "canonical_form", counted)
     enumerate_graphs(7)
+    assert calls[7] == 1044
     for n, count in enumerate([1, 1, 2, 4, 11, 34, 156, 1044]):
         assert calls.get(n, 0) <= count, n
 
@@ -279,6 +282,49 @@ def test_iter_embeddings_avoid_matches_brute_force():
             want = [m for m in oracles.brute_embeddings(h, g, mode)
                     if not any(g.has_edge(m[u], m[v]) for u, v in avoid.edges())]
             assert list(iter_embeddings(h, g, mode, avoid=avoid)) == want
+
+
+CATALOG_HOSTS = [("C4", None), ("L4", None), ("III", 4), ("III", 5),
+                 ("III", 6), ("III", 7), ("I", None), ("II", None),
+                 ("IV", 2), ("IV", 3), ("IV", 4), ("V", 1), ("V", 2),
+                 ("V", 3)]
+
+
+def test_iter_embeddings_yields_like_the_degree_scan():
+    # the catalog hosts as patterns into every class with <= 6 vertices,
+    # and the other way round (first 50 yields), in both modes, plain and
+    # with the curated pairs to avoid: the same yields in the same order
+    from itertools import islice
+    from ugl.catalog import catalog_necessary_set
+    classes = [g for n in range(7) for g in enumerate_graphs(n)]
+    compared = 0
+    for kind, param in CATALOG_HOSTS:
+        _, host, (pairs, _) = catalog_necessary_set(kind, param)
+        for mode in (EDGES_ONLY, INDUCED):
+            for g in classes:
+                for h, g2, avoid in ((host, g, None),
+                                     (host, g, Graph(host.n, pairs)),
+                                     (g, host, None)):
+                    got = list(islice(iter_embeddings(h, g2, mode,
+                                                      avoid=avoid), 50))
+                    want = list(islice(oracles.degree_scan_iter_embeddings(
+                        h, g2, mode, avoid=avoid), 50))
+                    assert got == want, (kind, param, mode, g)
+                    compared += bool(want)
+    assert compared > 1000
+
+
+def test_iter_embeddings_on_an_edgeless_graph_skips_its_vertices():
+    # 300 placements into 15,000 isolated vertices: the degree scan took
+    # about 2 s here
+    import time
+    g = Graph(15000)
+    start = time.perf_counter()
+    for _ in range(300):
+        assert next(iter_embeddings(L4, g, EDGES_ONLY), None) is None
+    assert time.perf_counter() - start < 0.5
+    assert list(iter_embeddings(Graph(1), Graph(3), INDUCED)) == [
+        (0,), (1,), (2,)]
 
 
 def test_iter_embeddings_avoid_rejects_other_vertex_sets():

@@ -438,6 +438,24 @@ def test_work_budget(monkeypatch):
     assert calls["recognize"] == 0
 
 
+def disjoint_c4s(k):
+    return Graph(4 * k, [(4 * i + a, 4 * i + (a + 1) % 4)
+                         for i in range(k) for a in range(4)])
+
+
+def test_hitting_set_nodes_are_charged_by_their_completions():
+    # k disjoint 4-cycles have 2^k minimal completions, all carried by
+    # the root of the hitting-set branching: 8 of them fit the budget,
+    # and 9, which the sweep alone allows, are refused
+    sets = minimal_necessary_sets(TREE, disjoint_c4s(8))
+    assert [ns.edges for ns in sets] == [
+        ((4 * i, 4 * i + 2), (4 * i + 1, 4 * i + 3)) for i in range(8)]
+    family, spent = necessary._minimal_completions(TREE, disjoint_c4s(9))
+    assert len(family) == 512 and spent + len(family) < necessary.WORK_BUDGET
+    with pytest.raises(CapabilityError):
+        minimal_necessary_sets(TREE, disjoint_c4s(9))
+
+
 def test_member_host_has_no_necessary_sets():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert minimal_necessary_sets(INTERVAL, path) == []
