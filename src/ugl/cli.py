@@ -8,7 +8,8 @@ machine-parsable block on stdout; diagnostics go to stderr.
 
 Exit codes: 0 affirmative, 1 negative verdict with a witness, 2 input
 error, 3 capability bound exceeded, 4 internal error (a fault of the
-program, never a verdict).
+program, never a verdict), 141 stdout closed by its reader (128 +
+SIGPIPE; nothing is written to stderr).
 
 Argv is read from one table, ``COMMANDS``: per subcommand its options
 with their value kinds, the required ones and its positional.  A
@@ -22,7 +23,7 @@ so a run compiles only what it needs.  The cold halves of graphs,
 shapes and distributions live in modules of their own, which their old
 homes serve on first use.  recognize executes catalog, graphs and
 shapes; realize adds intervals; obstructions adds isomorphism and
-obstructions; necessary adds isomorphism and necessary; trace-check and
+obstructions; necessary adds necessary; trace-check and
 trace-condition execute catalog, graphs and distributions; trace-refine
 executes graphs, distributions and refinement; ultragraph executes
 distributions and ultragraph, and no graph code.
@@ -36,6 +37,7 @@ run it in-process.
 
 import gc
 import importlib.util
+import os
 import sys
 from itertools import combinations
 from types import SimpleNamespace
@@ -361,15 +363,23 @@ def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.help:
+            code = 0
             sys.stdout.write(usage(args.command))
-            return 0
-        return _HANDLERS[args.command](args, sys.stdout)
+        else:
+            code = _HANDLERS[args.command](args, sys.stdout)
+        # a reader that has gone away shows here, not in the exit flush
+        sys.stdout.flush()
+        return code
     except CapabilityError as err:
         print("capability: %s" % err, file=sys.stderr)
         return 3
     except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the unread rest goes to /dev/null, so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as err:
         sys.excepthook(type(err), err, err.__traceback__)
         print("internal: %s: %s" % (type(err).__name__, err), file=sys.stderr)

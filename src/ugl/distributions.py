@@ -332,7 +332,7 @@ def _index_graphs(source):
 
     edges = [[] for _ in range(source.n_indices)]
     for p in combinations(range(source.n_formulas), 2):
-        for a in source.map[frozenset(p)]:
+        for a in source.at(p):
             edges[a].append(p)
     return [Graph(source.n_formulas, e) for e in edges]
 

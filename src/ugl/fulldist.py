@@ -1,34 +1,72 @@
 """Full distributions, their level maps, and the property checks.
 
 A *full distribution* maps every subset of the formula set to a set of
-indices, shrinking as the subset grows.  Level n of a distribution sends
-alpha to the size-n subsets whose value contains alpha, and a trace
-extends to levels by collecting the subsets of g1(alpha) all of whose
-pairs lie in g2(alpha).  Distributions built that way are exactly the
-graph-like ones (determined by singletons and pairs).  Every object
-here is exponential in the formula count, so it is bounded to
-``FORMULA_CAP`` formulas.  No CLI request runs this module;
-``distributions`` serves its names, executing it on first use.
+indices, shrinking as the subset grows; it keeps one index bitmask per
+formula bitmask (``masks``, 2^n ints).  Level n sends alpha to the
+size-n subsets whose value contains alpha.  A trace extends to the
+subsets of g1(alpha) all of whose pairs lie in g2(alpha), and the
+distributions built that way are exactly the graph-like ones.  The
+checks walk formula masks in ``all_subsets`` order, so each first
+witness is the one a scan over frozensets finds; frozensets are built
+only for witnesses, ``at``, ``map``, mappings and level maps.  All of
+it is bounded to ``FORMULA_CAP`` formulas.  No CLI request runs this
+module; ``distributions`` serves its names, executing it on first use.
 """
 
 from itertools import combinations
 
-from .distributions import FORMULA_CAP, _check_indices, _pair
+from .distributions import FORMULA_CAP, _check_indices
 from .errors import CapabilityError, InputError
 
 
 def all_subsets(n):
     """Every subset of range(n) as frozensets, by (size, elements)."""
-    out = []
-    for size in range(n + 1):
-        out.extend(frozenset(c) for c in combinations(range(n), size))
-    return out
+    return [frozenset(c) for size in range(n + 1)
+            for c in combinations(range(n), size)]
+
+
+def _by_size(n):
+    """Every formula mask over n formulas, in ``all_subsets`` order."""
+    return [sum(c) for size in range(n + 1)
+            for c in combinations([1 << x for x in range(n)], size)]
+
+
+def _set(mask):
+    """The positions of the set bits of mask, as a frozenset."""
+    return frozenset(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+
+
+def _pair_meets(masks):
+    """Set each entry of three or more formulas to the meet of its pairs'
+    entries, in place.  The pairs of d are those of d without its least
+    formula, those of d without its second least, and those two."""
+    for d in range(len(masks)):
+        low = d & -d
+        rest = d ^ low
+        second = rest & -rest
+        if rest != second:
+            masks[d] = masks[rest] & masks[d ^ second] & masks[low | second]
+    return masks
+
+
+def _clique_masks(n_formulas, n_indices, vertices, edges):
+    """Per formula mask, the indices where the set is a clique: its
+    formulas lie in vertices[alpha] and its pairs in edges[alpha]."""
+    masks = [0] * (1 << n_formulas)
+    masks[0] = (1 << n_indices) - 1
+    for a in range(n_indices):
+        for x in vertices[a]:
+            masks[1 << x] |= 1 << a
+        for u, v in edges[a]:
+            masks[1 << u | 1 << v] |= 1 << a
+    return _pair_meets(masks)
 
 
 class FullDistribution:
-    """A value in 2^I for every subset of the formula set."""
+    """A value in 2^I for every subset of the formula set; entry d of
+    ``masks`` is the index mask of the formula set with mask d."""
 
-    __slots__ = ("n_formulas", "n_indices", "map")
+    __slots__ = ("n_formulas", "n_indices", "masks")
 
     def __init__(self, n_formulas, n_indices, mapping):
         if n_formulas > FORMULA_CAP:
@@ -36,56 +74,59 @@ class FullDistribution:
                 "full distributions bounded to %d formulas" % FORMULA_CAP)
         mapping = {frozenset(k): _check_indices(v, n_indices, "value")
                    for k, v in mapping.items()}
-        want = set(all_subsets(n_formulas))
-        if set(mapping) != want:
+        if set(mapping) != set(all_subsets(n_formulas)):
             raise InputError("distribution must assign every subset of the "
                              "formula set exactly once")
-        for k in mapping:
-            _check_indices(k, n_formulas, "formula set")
-        object.__setattr__(self, "n_formulas", n_formulas)
-        object.__setattr__(self, "n_indices", n_indices)
-        object.__setattr__(self, "map", mapping)
+        _freeze(self, n_formulas, n_indices, tuple(
+            sum(1 << a for a in mapping[_set(d)]) for d in range(1 << n_formulas)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FullDistribution is immutable")
 
     def at(self, delta):
-        return self.map[frozenset(delta)]
+        return _set(self.masks[sum(1 << x for x in frozenset(delta))])
+
+    @property
+    def map(self):
+        """Every formula set's value, as frozensets (built on each use)."""
+        return {_set(d): _set(v) for d, v in enumerate(self.masks)}
 
     def __eq__(self, other):
         return (isinstance(other, FullDistribution)
-                and (self.n_formulas, self.n_indices, self.map)
-                == (other.n_formulas, other.n_indices, other.map))
+                and (self.n_formulas, self.n_indices, self.masks)
+                == (other.n_formulas, other.n_indices, other.masks))
 
     def __repr__(self):
         return "FullDistribution(%d formulas, %d indices)" % (
             self.n_formulas, self.n_indices)
 
 
-def conjugate(f):
-    """Level maps of a full distribution.
+def _freeze(obj, *values):
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
-    Level n sends each index to the size-n formula sets whose value
-    contains it; levels run 0..n_formulas.
-    """
-    levels = []
-    for n in range(f.n_formulas + 1):
-        deltas = [d for d in all_subsets(f.n_formulas) if len(d) == n]
-        levels.append(tuple(
-            frozenset(d for d in deltas if a in f.map[d])
-            for a in range(f.n_indices)))
-    return levels
+
+def conjugate(f):
+    """Level maps of a full distribution: level n sends each index to
+    the size-n formula sets whose value contains it, n = 0..n_formulas."""
+    levels = [[[] for _ in range(f.n_indices)]
+              for _ in range(f.n_formulas + 1)]
+    for d in _by_size(f.n_formulas):
+        members = _set(d)
+        for a in _set(f.masks[d]):
+            levels[len(members)][a].append(members)
+    return [tuple(map(frozenset, lv)) for lv in levels]
 
 
 def distribution_from_conjugate(levels):
     """Rebuild the full distribution determined by level maps.
 
     The levels must be downward hereditary: a set present at level n
-    needs all its size-m subsets present at level m.  The first
-    violation is reported as (index, set, m).  Levels are checked in
-    increasing order, so a set is hereditary iff every one-smaller
-    subset is present one level down; only a set failing that is
-    scanned in full, for the first missing subset to report.
+    needs all its size-m subsets present at level m; the first violation
+    is reported as (index, set, m).  Checked level by level, a set is
+    hereditary iff its one-smaller subsets are present one level down;
+    only a set failing that is scanned in full, for the report.
     """
     if not levels or not levels[0]:
         raise InputError("levels must cover at least one index")
@@ -103,18 +144,15 @@ def distribution_from_conjugate(levels):
                 if all(frozenset(s[:i] + s[i + 1:]) in levels[n - 1][a]
                        for i in range(n)):
                     continue
-                for m in range(n):
-                    for sub in combinations(s, m):
-                        if frozenset(sub) not in levels[m][a]:
-                            raise InputError(
-                                "levels not hereditary at index %d: %r present "
-                                "but %r missing at level %d"
-                                % (a, s, sorted(sub), m))
-    mapping = {}
-    for d in all_subsets(n_formulas):
-        mapping[d] = frozenset(
-            a for a in range(n_indices) if d in levels[len(d)][a])
-    return FullDistribution(n_formulas, n_indices, mapping)
+                m, sub = next((m, sub) for m in range(n)
+                              for sub in combinations(s, m)
+                              if frozenset(sub) not in levels[m][a])
+                raise InputError(
+                    "levels not hereditary at index %d: %r present but %r "
+                    "missing at level %d" % (a, s, list(sub), m))
+    return FullDistribution(n_formulas, n_indices, {
+        s: [a for a, present in enumerate(levels[len(s)]) if s in present]
+        for s in all_subsets(n_formulas)})
 
 
 def graphlike_extension(t):
@@ -124,26 +162,18 @@ def graphlike_extension(t):
     pairs are g2(alpha) edges; levels 1 and 2 reproduce g1 and g2, and
     the empty set is present everywhere at level 0.
     """
-    if t.n_formulas > FORMULA_CAP:
-        raise CapabilityError(
-            "extension bounded to %d formulas" % FORMULA_CAP)
-    levels = []
-    for n in range(t.n_formulas + 1):
-        per = []
-        for a in range(t.n_indices):
-            good = []
-            for c in combinations(sorted(t.g1[a]), n):
-                if all(_pair(u, v) in t.g2[a] for u, v in combinations(c, 2)):
-                    good.append(frozenset(c))
-            per.append(frozenset(good))
-        levels.append(tuple(per))
-    return levels
+    return conjugate(extension_distribution(t))
 
 
 def extension_distribution(t):
     """The full distribution a trace generates: all formulas of the set
     present and pairwise joined at the index."""
-    return distribution_from_conjugate(graphlike_extension(t))
+    if t.n_formulas > FORMULA_CAP:
+        raise CapabilityError(
+            "extension bounded to %d formulas" % FORMULA_CAP)
+    masks = _clique_masks(t.n_formulas, t.n_indices, t.g1, t.g2)
+    return _freeze(object.__new__(FullDistribution), t.n_formulas,
+                   t.n_indices, tuple(masks))
 
 
 class PropertyReport:
@@ -154,21 +184,15 @@ class PropertyReport:
 
     def __init__(self, monotone, graph_like, multiplicative,
                  pairwise_splitting, refines_los, witnesses):
-        object.__setattr__(self, "monotone", monotone)
-        object.__setattr__(self, "graph_like", graph_like)
-        object.__setattr__(self, "multiplicative", multiplicative)
-        object.__setattr__(self, "pairwise_splitting", pairwise_splitting)
-        object.__setattr__(self, "refines_los", refines_los)
-        object.__setattr__(self, "witnesses", witnesses)
+        _freeze(self, monotone, graph_like, multiplicative,
+                pairwise_splitting, refines_los, witnesses)
 
     def __setattr__(self, name, value):
         raise AttributeError("PropertyReport is immutable")
 
     def __repr__(self):
-        return ("PropertyReport(monotone=%r, graph_like=%r, multiplicative=%r,"
-                " pairwise_splitting=%r, refines_los=%r)"
-                % (self.monotone, self.graph_like, self.multiplicative,
-                   self.pairwise_splitting, self.refines_los))
+        return "PropertyReport(%s)" % ", ".join(
+            "%s=%r" % (k, getattr(self, k)) for k in self.__slots__[:5])
 
 
 def _is_multiplicative(f):
@@ -180,16 +204,8 @@ def _is_multiplicative(f):
     f({x} | ∅) lies inside f(∅).  One intersection per formula set, from
     the set without its least formula: O(2^n) in place of the 4^n pairs.
     """
-    n = f.n_formulas
-    value = [f.map[frozenset(b for b in range(n) if mask >> b & 1)]
-             for mask in range(1 << n)]
-    meet = [value[0]] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        meet[mask] = meet[mask ^ low] & value[low]
-        if meet[mask] != value[mask]:
-            return False
-    return True
+    m = f.masks
+    return all(m[d] == m[d & d - 1] & m[d & -d] for d in range(1, len(m)))
 
 
 def check_properties(f, instance=None):
@@ -199,59 +215,43 @@ def check_properties(f, instance=None):
     sets of size >= 2 are pinned down by their pairs.  multiplicative:
     values of unions are intersections of values.  pairwise_splitting:
     pair values are intersections of singleton values.  refines_los
-    (only with an instance): every index in a value sees the formula
-    set as a clique of its instance graph.  The first witness of each
-    failure lands in the report's witnesses dict.
+    (only with an instance of the same dimensions): every index in a
+    value sees the formula set as a clique of its instance graph.  The
+    first witness of each failure lands in the report's witnesses dict.
     """
-    subs = all_subsets(f.n_formulas)
+    n, m = f.n_formulas, f.masks
+    order = _by_size(n)
     wit = {}
-    monotone = True
-    for d in subs:
-        for x in range(f.n_formulas):
-            if x in d:
-                continue
-            if not f.map[d | {x}] <= f.map[d]:
-                monotone = False
-                wit["monotone"] = (d, d | {x})
-                break
-        if not monotone:
+    for d in order:
+        x = next((x for x in range(n)
+                  if not d >> x & 1 and m[d | 1 << x] & ~m[d]), None)
+        if x is not None:
+            wit["monotone"] = (_set(d), _set(d | 1 << x))
             break
-    graph_like = True
-    for d in subs:
-        if len(d) < 2:
-            continue
-        meet = None
-        for p in combinations(sorted(d), 2):
-            v = f.map[frozenset(p)]
-            meet = v if meet is None else meet & v
-        if f.map[d] != meet:
-            graph_like = False
-            wit["graph_like"] = d
-            break
+    meets = _pair_meets(list(m))
+    d = next((d for d in order if meets[d] != m[d]), None)
+    if d is not None:
+        wit["graph_like"] = _set(d)
     multiplicative = _is_multiplicative(f)
     if not multiplicative:
         # the least set where the meet test fails gives a witness with
         # |d| <= 1, so this scans at most n + 1 values of d
         wit["multiplicative"] = next(
-            (d, e) for d in subs for e in subs
-            if f.map[d | e] != f.map[d] & f.map[e])
-    pairwise_splitting = True
-    for u, v in combinations(range(f.n_formulas), 2):
-        if (f.map[frozenset((u, v))]
-                != f.map[frozenset((u,))] & f.map[frozenset((v,))]):
-            pairwise_splitting = False
+            (_set(d), _set(e)) for d in order for e in order
+            if m[d | e] != m[d] & m[e])
+    for u, v in combinations(range(n), 2):
+        if m[1 << u | 1 << v] != m[1 << u] & m[1 << v]:
             wit["pairwise_splitting"] = (u, v)
             break
     refines = None
     if instance is not None:
-        refines = True
-        for d in subs:
-            for a in sorted(f.map[d]):
-                if not instance.is_clique(a, d):
-                    refines = False
-                    wit["refines_los"] = (d, a)
-                    break
-            if refines is False:
-                break
-    return PropertyReport(monotone, graph_like, multiplicative,
-                          pairwise_splitting, refines, wit)
+        if (instance.n_formulas, instance.n_indices) != (n, f.n_indices):
+            raise InputError("instance dimensions do not match the distribution")
+        cliques = _clique_masks(n, f.n_indices, instance.k1, instance.k2)
+        d = next((d for d in order if m[d] & ~cliques[d]), None)
+        refines = d is None
+        if d is not None:
+            wit["refines_los"] = (_set(d), min(_set(m[d] & ~cliques[d])))
+    return PropertyReport("monotone" not in wit, "graph_like" not in wit,
+                          multiplicative, "pairwise_splitting" not in wit,
+                          refines, wit)

@@ -9,11 +9,11 @@ per-vertex adjacency bitmasks.  This module owns:
   pairs that must map to non-edges) with deterministic, lexicographically
   least witnesses.
 
-Induced subgraphs, pair masks, canonical forms, isomorphism tests and
-one-per-class enumeration live in ``isomorphism``, which only the
-catalog side runs, and maximal clique enumeration in ``refinement``,
-its one user.  Their names stay importable from here and execute their
-module on first use.
+Induced subgraphs, canonical forms, isomorphism tests and one-per-class
+enumeration live in ``isomorphism``, which only the obstruction catalog
+runs; pair masks live in ``necessary`` and maximal clique enumeration
+in ``refinement``, their one users.  Their names stay importable from
+here and execute their module on first use.
 
 All objects here are immutable, and every operation is a pure function.
 """
@@ -25,12 +25,14 @@ from .errors import CapabilityError, InputError
 GRAPH_VERTEX_CAP = 10000
 
 _MOVED = {**dict.fromkeys((
-    "ENUMERATION_CAP", "induced_subgraph", "pair_order", "pair_index",
-    "edges_mask", "graph_from_mask", "canonical_form", "_stabilizer_orbits",
-    "canonical_key", "canonical_graph", "graph_from_canonical_key",
-    "is_isomorphic", "automorphisms", "_ENUM_CACHE", "_PAIR_ORDER",
-    "_extend_keys", "_vertex_invariants", "enumerate_graphs"),
-    "isomorphism"), "enumerate_maximal_cliques": "refinement"}
+    "ENUMERATION_CAP", "induced_subgraph", "canonical_form",
+    "_stabilizer_orbits", "canonical_key", "canonical_graph",
+    "graph_from_canonical_key", "is_isomorphic", "automorphisms",
+    "_ENUM_CACHE", "_extend_keys", "_vertex_invariants", "enumerate_graphs"),
+    "isomorphism"), **dict.fromkeys((
+        "pair_order", "pair_index", "edges_mask", "graph_from_mask",
+        "_PAIR_ORDER"), "necessary"),
+    "enumerate_maximal_cliques": "refinement"}
 
 
 def __getattr__(name):

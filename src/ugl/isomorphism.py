@@ -21,9 +21,9 @@ Kept children are deduplicated by a bijective embedding test within
 buckets of equal invariants, and the canonical form runs once per
 class, for its key.
 
-Enumeration is capped at n <= 8.  Only the catalog side (obstruction
-enumeration, necessary sets) runs this module; ``graphs`` serves its
-names, so they stay importable from there.
+Enumeration is capped at n <= 8.  Only ``obstructions`` runs this
+module, for canonical keys; ``graphs`` serves its names, so they stay
+importable from there.
 """
 
 from itertools import combinations
@@ -49,44 +49,6 @@ def induced_subgraph(g, vertices):
     edges = [(pos[u], pos[v]) for u, v in combinations(vs, 2) if g.has_edge(u, v)]
     return Graph(len(vs), edges)
 
-
-
-# ---------------------------------------------------------------------------
-# pair indexing (shared by canonical forms and the necessity machinery)
-# ---------------------------------------------------------------------------
-
-_PAIR_ORDER = {}
-
-
-def pair_order(n):
-    """Pairs (i, j), i < j, in column order: (0,1),(0,2),(1,2),(0,3),..."""
-    if n not in _PAIR_ORDER:
-        _PAIR_ORDER[n] = [(i, j) for j in range(n) for i in range(j)]
-    return _PAIR_ORDER[n]
-
-
-def pair_index(n):
-    """Map pair -> position in pair_order(n)."""
-    return {p: i for i, p in enumerate(pair_order(n))}
-
-
-def edges_mask(g, index=None):
-    """Edge set of g as a bitmask over pair_order positions."""
-    index = index or pair_index(g.n)
-    m = 0
-    for e in g.edges():
-        m |= 1 << index[e]
-    return m
-
-
-def graph_from_mask(n, mask):
-    order = pair_order(n)
-    edges = []
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        edges.append(order[i])
-        mask &= mask - 1
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +161,10 @@ def canonical_graph(g):
 
 
 def graph_from_canonical_key(n, key):
-    total = n * (n - 1) // 2
-    edges = []
-    for idx, (i, j) in enumerate(pair_order(n)):
-        if key >> (total - 1 - idx) & 1:
-            edges.append((i, j))
-    return Graph(n, edges)
+    """The graph whose adjacency bit string, read column by column
+    ((0,1), (0,2), (1,2), (0,3), ...), is ``key``."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return Graph(n, [p for k, p in enumerate(reversed(pairs)) if key >> k & 1])
 
 
 # ---------------------------------------------------------------------------

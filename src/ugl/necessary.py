@@ -45,7 +45,7 @@ claim and is skipped by verification.
 from .catalog import (INTERVAL, TREE, catalog_necessary_set,  # noqa: F401
                       check_shape, family_graph)
 from .errors import CapabilityError, InputError
-from .isomorphism import automorphisms, edges_mask, graph_from_mask, pair_index
+from .graphs import INDUCED, Graph, iter_embeddings
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 
 SEARCH_VERTEX_CAP = 8
@@ -60,6 +60,14 @@ SEARCH_VERTEX_CAP = 8
 WORK_BUDGET = 1 << 16
 
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
+
+
+def __getattr__(name):
+    """``automorphisms``, a name this module once imported, from its home."""
+    if name != "automorphisms":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .isomorphism import automorphisms
+    return automorphisms
 
 
 class NecessarySet:
@@ -149,6 +157,44 @@ def _check_pairs(h, edges):
             raise InputError("pair (%d, %d) out of range" % (u, v))
         if h.has_edge(u, v):
             raise InputError("pair (%d, %d) is an edge of the host" % (u, v))
+
+
+# ---------------------------------------------------------------------------
+# pair masks: edge sets as bits over the pairs in column order
+# ---------------------------------------------------------------------------
+
+_PAIR_ORDER = {}
+
+
+def pair_order(n):
+    """Pairs (i, j), i < j, in column order: (0,1),(0,2),(1,2),(0,3),..."""
+    if n not in _PAIR_ORDER:
+        _PAIR_ORDER[n] = [(i, j) for j in range(n) for i in range(j)]
+    return _PAIR_ORDER[n]
+
+
+def pair_index(n):
+    """Map pair -> position in pair_order(n)."""
+    return {p: i for i, p in enumerate(pair_order(n))}
+
+
+def edges_mask(g, index=None):
+    """Edge set of g as a bitmask over pair_order positions."""
+    index = index or pair_index(g.n)
+    m = 0
+    for e in g.edges():
+        m |= 1 << index[e]
+    return m
+
+
+def graph_from_mask(n, mask):
+    order = pair_order(n)
+    edges = []
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        edges.append(order[i])
+        mask &= mask - 1
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +410,7 @@ def necessity_counterexample(shape, h, edges):
             % SEARCH_VERTEX_CAP)
     idx = pair_index(n)
     banned = psi = None
-    for phi in automorphisms(h):
+    for phi in iter_embeddings(h, h, INDUCED, bijective=True):
         mask = 0
         for u, v in edges:
             a, b = phi[u], phi[v]

@@ -2,25 +2,26 @@
 re-verification.
 
 ``minimal_obstructions`` lists every minimal non-member of a shape up
-to a size by enumerating graph classes (``isomorphism``), and
-``forest_comparability_classes`` lists the classes of the tree shape
-from rooted forests, an independent route to its members.  Witnesses
-read back from text are parsed and re-verified here.  No request but
-``obstructions`` runs this module, so it lives apart from the
-recognizers; ``shapes`` serves its names.
+to a size from the paper's catalog, which is complete: the minimal
+non-interval graphs are those of Lekkerkerker & Boland (1962), and the
+minimal non-members of the tree shape are C4 and L4.  One canonical
+form per family gives the classes in enumeration order, with no graph
+enumerated.  ``forest_comparability_classes`` lists the classes of the
+tree shape from rooted forests, an independent route to its members.
+Witnesses read back from text are parsed and re-verified here.  No
+request but ``obstructions`` runs this module, so it lives apart from
+the recognizers; ``shapes`` serves its names.
 """
 
 from itertools import combinations
 
-from .catalog import check_shape, parse_family
+from .catalog import check_shape, parse_family, shape_families
 from .errors import CapabilityError, InputError
 from .graphs import Graph
-from .isomorphism import (canonical_key, enumerate_graphs,
-                          graph_from_canonical_key, induced_subgraph)
+from .isomorphism import canonical_key, graph_from_canonical_key
 from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INDUCED,
                      IRREDUCIBLE_CYCLE, WITNESS_KINDS, Embedding,
-                     ObstructionWitness, _avoid_components, family_graph,
-                     recognize)
+                     ObstructionWitness, _avoid_components, family_graph)
 
 OBSTRUCTION_CAP = 7
 
@@ -84,22 +85,17 @@ def witness_checks(w, g):
 
 def minimal_obstructions(shape, max_n):
     """Canonical representatives of every minimal non-member with at most
-    ``max_n`` vertices, in enumeration order.  Bounded to max_n <= 7."""
+    ``max_n`` vertices, in enumeration order (by vertex count, then
+    canonical key): the catalog families of the shape.  Bounded to
+    max_n <= 7."""
     check_shape(shape)
     if max_n < 0:
         raise InputError("vertex count must be nonnegative")
     if max_n > OBSTRUCTION_CAP:
         raise CapabilityError("minimal obstruction search bounded to n <= %d" % OBSTRUCTION_CAP)
-    out = []
-    for n in range(0, max_n + 1):
-        for g in enumerate_graphs(n):
-            if recognize(shape, g) is None:
-                continue
-            subs = (induced_subgraph(g, [u for u in range(n) if u != v])
-                    for v in range(n))
-            if all(recognize(shape, sub) is None for sub in subs):
-                out.append(g)
-    return out
+    keys = {canonical_key(family_graph(*f))
+            for f in shape_families(shape, max_n)}
+    return [graph_from_canonical_key(n, key) for n, key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

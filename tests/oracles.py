@@ -11,9 +11,9 @@ from itertools import combinations, permutations
 from ugl.distributions import (FullDistribution, PropertyReport, Trace,
                                _clique_choices, _pair, all_subsets)
 from ugl.errors import InputError
-from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
-                        graph_from_mask, iter_embeddings, pair_index,
-                        pair_order)
+from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, enumerate_graphs,
+                        find_embedding, graph_from_mask, induced_subgraph,
+                        iter_embeddings, pair_index, pair_order)
 from ugl.necessary import _complete_to_member
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
                         IRREDUCIBLE_CYCLE, IntervalModel, ObstructionWitness,
@@ -206,8 +206,8 @@ def brute_pattern_violation(t, host, b_edges):
     """
     support = {}
     for u, v in combinations(range(t.n_formulas), 2):
-        if hasattr(t, "map"):
-            indices = t.map[frozenset((u, v))]
+        if hasattr(t, "masks"):
+            indices = t.at((u, v))
         else:
             indices = [a for a in range(t.n_indices) if (u, v) in t.g2[a]]
         support[u, v] = support[v, u] = sum(1 << a for a in indices)
@@ -357,6 +357,22 @@ def brute_minimal_hits(shape, h):
             if all(s & f for f in fam):
                 hits.append(combo)
     return hits
+
+
+def enumerated_minimal_obstructions(shape, max_n):
+    """The package's former ``minimal_obstructions``: every class with at
+    most ``max_n`` vertices, in enumeration order, that the shape rejects
+    while accepting each of its one-vertex-deleted subgraphs."""
+    out = []
+    for n in range(0, max_n + 1):
+        for g in enumerate_graphs(n):
+            if recognize(shape, g) is None:
+                continue
+            subs = (induced_subgraph(g, [u for u in range(n) if u != v])
+                    for v in range(n))
+            if all(recognize(shape, sub) is None for sub in subs):
+                out.append(g)
+    return out
 
 
 def recursive_chordless_cycle(g, min_len=4):
@@ -530,11 +546,32 @@ def all_subsets_from_conjugate(levels):
     return FullDistribution(n_formulas, n_indices, mapping)
 
 
-def pairwise_check_properties(f, instance=None):
-    """``check_properties`` as it was, deciding multiplicativity over
-    every pair (d, e) of formula sets: 4^n unions.
+def frozenset_extension(t):
+    """The package's former ``extension_distribution``, on frozensets: the
+    level maps of the trace built set by set (``graphlike_extension`` as
+    it was), then each formula set's value read off its level, as a dict
+    from formula frozensets to index frozensets."""
+    levels = []
+    for n in range(t.n_formulas + 1):
+        per = []
+        for a in range(t.n_indices):
+            good = []
+            for c in combinations(sorted(t.g1[a]), n):
+                if all(_pair(u, v) in t.g2[a] for u, v in combinations(c, 2)):
+                    good.append(frozenset(c))
+            per.append(frozenset(good))
+        levels.append(tuple(per))
+    return {d: frozenset(a for a in range(t.n_indices)
+                         if d in levels[len(d)][a])
+            for d in all_subsets(t.n_formulas)}
 
-    Property verdicts for a full distribution.
+
+def frozenset_check_properties(f, instance=None, pairwise=False):
+    """``check_properties`` as it was, on frozensets: formula sets and
+    values are frozensets, read from ``f.map`` or from ``f`` itself when
+    it is such a dict.  Multiplicativity is decided by one meet per
+    formula set, from the set without its least formula, or, with
+    ``pairwise``, over every pair (d, e) of formula sets: 4^n unions.
 
     monotone: growing the formula set shrinks the value.  graph_like:
     sets of size >= 2 are pinned down by their pairs.  multiplicative:
@@ -544,14 +581,16 @@ def pairwise_check_properties(f, instance=None):
     set as a clique of its instance graph.  The first witness of each
     failure lands in the report's witnesses dict.
     """
-    subs = all_subsets(f.n_formulas)
+    fmap = f if isinstance(f, dict) else f.map
+    n_formulas = len(fmap).bit_length() - 1
+    subs = all_subsets(n_formulas)
     wit = {}
     monotone = True
     for d in subs:
-        for x in range(f.n_formulas):
+        for x in range(n_formulas):
             if x in d:
                 continue
-            if not f.map[d | {x}] <= f.map[d]:
+            if not fmap[d | {x}] <= fmap[d]:
                 monotone = False
                 wit["monotone"] = (d, d | {x})
                 break
@@ -563,25 +602,34 @@ def pairwise_check_properties(f, instance=None):
             continue
         meet = None
         for p in combinations(sorted(d), 2):
-            v = f.map[frozenset(p)]
+            v = fmap[frozenset(p)]
             meet = v if meet is None else meet & v
-        if f.map[d] != meet:
+        if fmap[d] != meet:
             graph_like = False
             wit["graph_like"] = d
             break
-    multiplicative = True
-    for d in subs:
-        for e in subs:
-            if f.map[d | e] != f.map[d] & f.map[e]:
+    if pairwise:
+        multiplicative = all(fmap[d | e] == fmap[d] & fmap[e]
+                             for d in subs for e in subs)
+    else:
+        value = [fmap[frozenset(b for b in range(n_formulas) if mask >> b & 1)]
+                 for mask in range(1 << n_formulas)]
+        meet = [value[0]] * (1 << n_formulas)
+        multiplicative = True
+        for mask in range(1, 1 << n_formulas):
+            low = mask & -mask
+            meet[mask] = meet[mask ^ low] & value[low]
+            if meet[mask] != value[mask]:
                 multiplicative = False
-                wit["multiplicative"] = (d, e)
                 break
-        if not multiplicative:
-            break
+    if not multiplicative:
+        wit["multiplicative"] = next(
+            (d, e) for d in subs for e in subs
+            if fmap[d | e] != fmap[d] & fmap[e])
     pairwise_splitting = True
-    for u, v in combinations(range(f.n_formulas), 2):
-        if (f.map[frozenset((u, v))]
-                != f.map[frozenset((u,))] & f.map[frozenset((v,))]):
+    for u, v in combinations(range(n_formulas), 2):
+        if (fmap[frozenset((u, v))]
+                != fmap[frozenset((u,))] & fmap[frozenset((v,))]):
             pairwise_splitting = False
             wit["pairwise_splitting"] = (u, v)
             break
@@ -589,7 +637,7 @@ def pairwise_check_properties(f, instance=None):
     if instance is not None:
         refines = True
         for d in subs:
-            for a in sorted(f.map[d]):
+            for a in sorted(fmap[d]):
                 if not instance.is_clique(a, d):
                     refines = False
                     wit["refines_los"] = (d, a)
@@ -598,6 +646,13 @@ def pairwise_check_properties(f, instance=None):
                 break
     return PropertyReport(monotone, graph_like, multiplicative,
                           pairwise_splitting, refines, wit)
+
+
+def pairwise_check_properties(f, instance=None):
+    """``check_properties`` as it was before its multiplicative verdict
+    took one meet per formula set: every pair (d, e) of formula sets is
+    tried, 4^n unions."""
+    return frozenset_check_properties(f, instance, pairwise=True)
 
 
 def recursive_multiplicative_refinement(t):

@@ -777,8 +777,8 @@ def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     got = unexecuted_after("necessary", "--shape", "tree", gf)
-    assert got == ("0 distributions ultragraph obstructions intervals "
-                   "refinement fulldist")
+    assert got == ("0 distributions ultragraph isomorphism obstructions "
+                   "intervals refinement fulldist")
 
 
 def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
@@ -824,6 +824,26 @@ def test_library_property_check_loads_distributions_only():
         "print(*sorted(m for m in sys.modules if m.startswith('ugl.')))"
         % GOOD_TRACE)
     assert got == "ugl.distributions ugl.errors ugl.fulldist"
+
+
+def test_complete_twelve_formula_property_check_is_fast():
+    # 12 formulas, 8 indices, every index graph complete: 4,096 formula
+    # sets, each present at every index
+    got = fresh_python(
+        "from itertools import combinations\n"
+        "from time import perf_counter\n"
+        "import ugl.distributions as dist\n"
+        "pairs = list(combinations(range(12), 2))\n"
+        "t = dist.Trace(dist.CoveringFamily.quorum(8, 1), 12,\n"
+        "               [range(12)] * 8, [pairs] * 8)\n"
+        "start = perf_counter()\n"
+        "rep = dist.check_properties(dist.extension_distribution(t))\n"
+        "print(perf_counter() - start, rep)")
+    elapsed, rep = got.split(" ", 1)
+    assert rep == ("PropertyReport(monotone=True, graph_like=True, "
+                   "multiplicative=True, pairwise_splitting=True, "
+                   "refines_los=None)")
+    assert float(elapsed) < 0.3
 
 
 def test_moved_names_stay_importable_where_they_were():
@@ -912,7 +932,9 @@ def bench_traced_names():
 
 def test_former_names_resolve_from_their_old_homes():
     import importlib
-    split_off = {m: importlib.import_module("ugl." + m) for m in SPLIT_OFF}
+    # the pair-mask helpers of graphs live in necessary, their one user
+    split_off = {m: importlib.import_module("ugl." + m)
+                 for m in SPLIT_OFF + ("necessary",)}
     moved = set()
     for home, names in FORMER_NAMES.items():
         module = importlib.import_module("ugl." + home)
@@ -924,7 +946,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 51
+    assert len(moved) == 52
     for home, names in bench_traced_names().items():
         for name in names:
             assert callable(getattr(importlib.import_module("ugl." + home),
@@ -987,6 +1009,28 @@ def test_process_entry_writes_what_main_writes(tmp_path, capsys,
                          capture_output=True, text=True, timeout=120)
     assert expected[0] == 0 and expected[1]
     assert (got.returncode, got.stdout, got.stderr) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_with_empty_stderr(tmp_path, unbuffered):
+    # a reader that has gone away is no internal error, whether the write
+    # or only the flush at the end meets the closed pipe
+    gf = write(tmp_path, "C4.graph", C4_TEXT)
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["obstructions", "--shape", "interval", "--max-n", "6"],
+                 ["recognize", "--shape", "tree", gf], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            got = subprocess.run([sys.executable, "-m", "ugl.cli"] + argv,
+                                 env=env, stdout=write_end,
+                                 stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (got.returncode, got.stderr) == (141, b""), argv
 
 
 def test_console_script_names_the_process_entry():

@@ -41,6 +41,7 @@ from ugl.necessary import family_necessary_set
 from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
 
 from oracles import (all_subsets_from_conjugate, brute_pattern_violation,
+                     frozenset_check_properties, frozenset_extension,
                      pairwise_check_properties,
                      recursive_multiplicative_refinement)
 
@@ -646,6 +647,71 @@ def test_refines_los_with_instance():
 def test_refines_los_absent_without_instance():
     f = random_monotone(random.Random(1), 3, 2)
     assert check_properties(f).refines_los is None
+
+
+def random_instance(rng, n_indices, n_formulas):
+    k1 = [{b for b in range(n_formulas) if rng.random() < 0.8}
+          for _ in range(n_indices)]
+    k2 = [[p for p in pairs_of(vs) if rng.random() < 0.8] for vs in k1]
+    return LosInstance(n_formulas, k1, k2)
+
+
+def random_dominated_trace(rng, n_indices, n_formulas):
+    """A trace under a random family kind with an instance above it."""
+    inst = random_instance(rng, n_indices, n_formulas)
+    g1 = [{b for b in k if rng.random() < 0.8} for k in inst.k1]
+    g2 = [[p for p in k if set(p) <= vs and rng.random() < 0.7]
+          for k, vs in zip(inst.k2, g1)]
+    return Trace(random_family(rng, n_indices), n_formulas, g1, g2, inst)
+
+
+def test_extension_and_properties_match_the_frozenset_oracles():
+    rng = random.Random(1507)
+    kinds = set()
+    for i in range(240):
+        nb = i % 10
+        t = random_dominated_trace(rng, rng.randrange(1, 6), nb)
+        kinds.add(t.family.kind)
+        f = extension_distribution(t)
+        want = frozenset_extension(t)
+        assert f.map == want
+        for d in all_subsets(nb):
+            assert f.at(d) == want[d]
+        instance = t.instance if i % 2 else None
+        assert (report_fields(check_properties(f, instance))
+                == report_fields(frozenset_check_properties(want, instance)))
+    assert kinds == {"quorum", "principal", "explicit"}
+
+
+def test_properties_match_the_frozenset_oracle_on_broken_distributions():
+    # random distributions, most of them monotone or multiplicative with
+    # one value redrawn, under random instances: every property fails
+    # somewhere, so every witness kind is compared
+    rng = random.Random(1508)
+    hit = set()
+    for i in range(600):
+        nb, ni = rng.randrange(0, 7), rng.randrange(1, 5)
+        if i % 3 == 0:
+            f = random_monotone(rng, nb, ni)
+        else:
+            f = random_full(rng, nb, ni)
+        if i % 5 == 0:
+            mp = f.map
+            mp[rng.choice(all_subsets(nb))] = frozenset(range(ni))
+            f = FullDistribution(nb, ni, mp)
+        instance = random_instance(rng, ni, nb) if i % 2 else None
+        rep = check_properties(f, instance)
+        assert (report_fields(rep)
+                == report_fields(frozenset_check_properties(f, instance)))
+        hit.update(rep.witnesses)
+    assert hit == {"monotone", "graph_like", "multiplicative",
+                   "pairwise_splitting", "refines_los"}
+
+
+def test_refines_los_needs_an_instance_of_the_same_dimensions():
+    f = random_monotone(random.Random(2), 3, 2)
+    with pytest.raises(InputError):
+        check_properties(f, random_instance(random.Random(3), 3, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -251,11 +251,13 @@ def counting(monkeypatch, *names):
 def test_constraints_branch_on_witness_pairs(monkeypatch):
     # The 4-cycle's diagonals are the only branches; the four isolated
     # vertices add 20 non-edges that are never tried.
-    calls = counting(monkeypatch, "recognize", "automorphisms")
+    calls = counting(monkeypatch, "recognize", "automorphisms",
+                     "iter_embeddings")
     host = Graph(8, C4.edges())
     assert necessity_constraints(TREE, host) == [frozenset({(0, 2)}),
                                                  frozenset({(1, 3)})]
     assert calls["recognize"] <= 3 and calls["automorphisms"] == 0
+    assert calls["iter_embeddings"] == 0
     assert [m.edges for m in minimal_necessary_sets(TREE, host)] == [
         ((0, 2), (1, 3))]
 

@@ -22,8 +22,8 @@ from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
 from ugl import shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,
-                     loop_diagonal_violation, recursive_chordless_cycle,
-                     search_recognize)
+                     enumerated_minimal_obstructions, loop_diagonal_violation,
+                     recursive_chordless_cycle, search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -500,6 +500,15 @@ def test_minimal_obstructions_interval_six():
     for kind, param in expected:
         fam = family_graph(kind, param)
         assert sum(is_isomorphic(g, fam) for g in got) == 1, (kind, param)
+
+
+@pytest.mark.parametrize("shape", [TREE, INTERVAL])
+def test_minimal_obstructions_equal_the_enumeration_route(shape):
+    # the catalog lists the same graphs, in the same order, as a sweep of
+    # every class for minimal non-members
+    for max_n in range(8):
+        assert (minimal_obstructions(shape, max_n)
+                == enumerated_minimal_obstructions(shape, max_n)), max_n
 
 
 def test_minimal_obstructions_cap():
