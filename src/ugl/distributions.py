@@ -6,9 +6,12 @@ and a formula set B = {0..nB-1}.  A *covering family* is an upward
 closed collection of nonempty subsets of I (quorum, principal, or an
 explicit list of minimal members).  A *trace* assigns to each index a
 graph on formula vertices: g1(alpha) is the vertex set, g2(alpha) the
-edge set.  A trace is multiplicative precisely when every nonempty
-per-index graph is complete.  The chain condition and the catalog
-inclusions are placement searches on the per-index graphs.
+edge set.  Every consumer reads them in one representation, a vertex
+mask and n_formulas adjacency rows (``Graph.rows``) per index, which the
+parser fills directly; ``g1`` and ``g2`` build frozensets on each use.
+A trace is multiplicative precisely when every nonempty per-index graph
+is complete.  The chain condition and the catalog inclusions are
+placement searches on the per-index graphs.
 
 Traces serialize to a line format (``indices``, ``formulas``,
 ``family``, ``g1``, ``g2``, optional ``k1``/``k2``).  Structural
@@ -30,6 +33,8 @@ from .errors import CapabilityError, ConsistencyError, InputError
 # Graph and catalog code is imported in the functions that use it, so a
 # library run on distributions alone compiles nothing else.
 
+# Kept for bench/check.py (is_refinement), bench/child.py TRACED and the
+# tests, and for trace-refine, whose calls through here the spans see.
 _MOVED = {
     **dict.fromkeys(("LosInstance", "from_graph_sequence", "is_refinement",
                      "essential_range", "restrict", "_clique_choices",
@@ -52,12 +57,10 @@ def __getattr__(name):
 
 
 FORMULA_CAP = 12
-# Trace headers above these are refused when read.  Near the index cap
-# the fastest trace commands take about 30 s on an otherwise empty trace.
-# At the formula cap every trace command answers (or exits 3) on the empty
-# one-index trace in about 0.1 s, but the work grows with indices times
-# formulas: 100 empty indices take 0.2 s in `trace-condition --sop2
-# --shape tree` and 12 s in `trace-refine`.
+# Trace headers above these are refused when read.  On an otherwise empty
+# trace at the index cap `trace-condition --sop2 --shape tree` takes about
+# 19 s; at the formula cap the work grows with indices times formulas: 100
+# empty indices take 0.3 s there and 13 s in `trace-refine`.
 TRACE_INDEX_CAP = 2900000
 TRACE_FORMULA_CAP = 15000
 
@@ -104,9 +107,7 @@ class CoveringFamily:
             param = tuple(sorted(members, key=sorted))
         else:
             raise InputError("unknown family kind %r" % kind)
-        object.__setattr__(self, "index_count", index_count)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
+        _freeze(self, index_count, kind, param)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoveringFamily is immutable")
@@ -187,45 +188,88 @@ class CoveringFamily:
         return CoveringFamily.explicit(len(order), keep)
 
 
-def _pair(u, v):
-    return (u, v) if u < v else (v, u)
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _norm_pairs(pairs, bound, what):
-    out = set()
-    for p in pairs:
-        u, v = p
-        if u == v:
-            raise InputError("%s pair (%r, %r) is degenerate" % (what, u, v))
-        if not (0 <= u < bound and 0 <= v < bound):
-            raise InputError("%s pair (%r, %r) out of range" % (what, u, v))
-        out.add(_pair(u, v))
-    return out
+def _edges(rows):
+    """The pairs (u, v), u < v, of adjacency rows, ascending."""
+    return [(u, u + 1 + i) for u, r in enumerate(rows) for i in _bits(r >> u + 1)]
+
+
+def _has(mask, x):
+    """Whether x is a vertex of the vertex mask; vertices are ints."""
+    return isinstance(x, int) and x >= 0 and bool(mask >> x & 1)
+
+
+def _freeze(obj, *values):
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Rows(tuple):
+    """Per-index adjacency rows (``Graph.rows`` format) already checked,
+    which ``_graphs`` takes as they are; a trace stores its g2 so."""
+
+    __slots__ = ()
+
+
+def _graphs(n_formulas, vertex_sets, pair_lists, v, p):
+    """Per index, the vertex mask of a vertex iterable and the adjacency
+    rows of a pair list (``v`` and ``p`` name them in errors); rows given
+    as ``_Rows`` pass through.  Every pair must lie inside the vertex set
+    of its index."""
+    if n_formulas < 0:
+        raise InputError("formula count must be nonnegative")
+    masks = tuple(sum(1 << x for x in _check_indices(s, n_formulas, v + " entry"))
+                  for s in vertex_sets)
+    out = pair_lists
+    if not isinstance(out, _Rows):
+        empty = (0,) * n_formulas
+        out = []
+        for pairs in pair_lists:
+            rows = [0] * n_formulas
+            for x, y in pairs:
+                if x == y or not (0 <= x < n_formulas and 0 <= y < n_formulas):
+                    raise InputError("%s pair (%r, %r) %s" % (
+                        p, x, y, "is degenerate" if x == y else "out of range"))
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+            out.append(tuple(rows) if any(rows) else empty)
+        out = _Rows(out)
+    for alpha, (m, rs) in enumerate(zip(masks, out)):
+        if any(r & ~m for r in rs):
+            x, y = next(e for e in _edges(rs) if not m >> e[0] & m >> e[1] & 1)
+            raise InputError("%s pair (%d, %d) outside %s at index %d"
+                             % (p, x, y, v, alpha))
+    return masks, out
 
 
 class Trace:
     """Per-index formula graphs under a covering family.
+
+    Each index keeps a vertex mask (``g1_masks``) and n_formulas adjacency
+    rows (``g2_rows``).  The read-only views ``g1`` and ``g2`` build the
+    frozensets of vertices and of pairs (u, v), u < v, of every index on
+    each access, so a loop reads them once.  The constructor takes vertex
+    iterables and pair lists.
 
     Structure is enforced here: edges lie inside their vertex sets, and
     a present instance dominates the trace pointwise.  Pair-adequacy
     against the family is a reported property, not a constructor check.
     """
 
-    __slots__ = ("family", "n_formulas", "g1", "g2", "instance")
+    __slots__ = ("family", "n_formulas", "g1_masks", "g2_rows", "instance")
 
     def __init__(self, family, n_formulas, g1, g2, instance=None):
         if not isinstance(family, CoveringFamily):
             raise InputError("family must be a CoveringFamily")
         n = family.index_count
-        g1 = tuple(_check_indices(s, n_formulas, "g1 entry") for s in g1)
-        g2 = tuple(frozenset(_norm_pairs(ps, n_formulas, "g2")) for ps in g2)
+        g1, g2 = _graphs(n_formulas, g1, g2, "g1", "g2")
         if len(g1) != n or len(g2) != n:
             raise InputError("g1/g2 must assign every index exactly once")
-        for alpha in range(n):
-            for u, v in g2[alpha]:
-                if u not in g1[alpha] or v not in g1[alpha]:
-                    raise InputError(
-                        "g2 pair (%d, %d) outside g1 at index %d" % (u, v, alpha))
         if instance is not None:
             from .refinement import LosInstance
 
@@ -233,18 +277,14 @@ class Trace:
                 raise InputError("instance must be a LosInstance")
             if instance.n_indices != n or instance.n_formulas != n_formulas:
                 raise InputError("instance dimensions do not match the trace")
-            for alpha in range(n):
-                if not g1[alpha] <= instance.k1[alpha]:
+            for alpha, (m, k) in enumerate(zip(g1, instance.k1_masks)):
+                if m & ~k:
                     raise InputError(
                         "g1 exceeds the instance k1 at index %d" % alpha)
-                if not g2[alpha] <= instance.k2[alpha]:
+                if any(r & ~q for r, q in zip(g2[alpha], instance.k2_rows[alpha])):
                     raise InputError(
                         "g2 exceeds the instance k2 at index %d" % alpha)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n_formulas", n_formulas)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "instance", instance)
+        _freeze(self, family, n_formulas, g1, g2, instance)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trace is immutable")
@@ -253,12 +293,12 @@ class Trace:
     def n_indices(self):
         return self.family.index_count
 
+    g1 = property(lambda self: tuple(frozenset(_bits(m)) for m in self.g1_masks))
+    g2 = property(lambda self: tuple(frozenset(_edges(rs)) for rs in self.g2_rows))
+
     def __eq__(self, other):
-        return (isinstance(other, Trace)
-                and (self.family, self.n_formulas, self.g1, self.g2,
-                     self.instance)
-                == (other.family, other.n_formulas, other.g1, other.g2,
-                    other.instance))
+        return isinstance(other, Trace) and all(
+            getattr(self, k) == getattr(other, k) for k in Trace.__slots__)
 
     def __repr__(self):
         return "Trace(%d formulas, %d indices, %s)" % (
@@ -267,13 +307,14 @@ class Trace:
 
 def singleton_support(t, beta):
     """Indices whose vertex set contains the formula."""
-    return frozenset(a for a in range(t.n_indices) if beta in t.g1[a])
+    return frozenset(a for a, m in enumerate(t.g1_masks) if _has(m, beta))
 
 
 def pair_support(t, pair):
     """Indices whose edge set contains the pair."""
-    p = _pair(*pair)
-    return frozenset(a for a in range(t.n_indices) if p in t.g2[a])
+    u, v = sorted(pair)
+    return frozenset(a for a, (m, rs) in enumerate(zip(t.g1_masks, t.g2_rows))
+                     if _has(m, u) and _has(rs[u], v))
 
 
 def adequacy_report(t):
@@ -299,23 +340,17 @@ def is_pair_adequate(t):
 # ---------------------------------------------------------------------------
 
 def graph_sequence(t):
-    """Per-index (vertex set, Graph) pairs; edges are the g2 pairs."""
+    """Per-index (vertex tuple, Graph) pairs; the graphs carry the g2 rows."""
     from .graphs import Graph
 
-    out = []
-    for a in range(t.n_indices):
-        out.append((tuple(sorted(t.g1[a])),
-                    Graph(t.n_formulas, sorted(t.g2[a]))))
-    return out
+    return [(tuple(_bits(m)), Graph._from_rows(t.n_formulas, rs))
+            for m, rs in zip(t.g1_masks, t.g2_rows)]
 
 
 def is_multiplicative_trace(t):
     """True iff every index with vertices carries a complete graph."""
-    for a in range(t.n_indices):
-        for u, v in combinations(sorted(t.g1[a]), 2):
-            if (u, v) not in t.g2[a]:
-                return False
-    return True
+    return all(rs[b] | 1 << b == m for m, rs in zip(t.g1_masks, t.g2_rows)
+               for b in _bits(m))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +361,11 @@ def _index_graphs(source):
     """One graph on the formulas per index: a pair is an edge at alpha
     when alpha lies in its g2 support (trace) or its value (full
     distribution)."""
-    if isinstance(source, Trace):
-        return [g for _, g in graph_sequence(source)]
     from .graphs import Graph
 
+    if isinstance(source, Trace):
+        return [Graph._from_rows(source.n_formulas, rs)
+                for rs in source.g2_rows]
     edges = [[] for _ in range(source.n_indices)]
     for p in combinations(range(source.n_formulas), 2):
         for a in source.at(p):
@@ -390,10 +426,11 @@ def parse_trace(text):
     """Parse the trace line format; structural violations are errors.
 
     Headers above ``TRACE_INDEX_CAP`` or ``TRACE_FORMULA_CAP`` are
-    capability errors, raised before anything is allocated.
+    capability errors, raised before anything is allocated.  Each row
+    goes into its vertex mask or adjacency rows as it is parsed, the
+    instance rows first, so the first fault in that order is reported.
     """
-    n_indices = None
-    n_formulas = None
+    header = {}
     fam_decl = None
     members = []
     rows = {"g1": {}, "g2": {}, "k1": {}, "k2": {}}
@@ -401,46 +438,40 @@ def parse_trace(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = line.split(None, 3)
         head = parts[0]
-        if head == "indices":
-            if n_indices is not None or len(parts) != 2:
-                raise InputError("malformed indices line %r" % line)
-            n_indices = _parse_int(parts[1], line)
-            if n_indices > TRACE_INDEX_CAP:
-                raise CapabilityError(
-                    "traces bounded to %d indices" % TRACE_INDEX_CAP)
-        elif head == "formulas":
-            if n_formulas is not None or len(parts) != 2:
-                raise InputError("malformed formulas line %r" % line)
-            n_formulas = _parse_int(parts[1], line)
-            if n_formulas > TRACE_FORMULA_CAP:
-                raise CapabilityError(
-                    "traces bounded to %d formulas" % TRACE_FORMULA_CAP)
+        if head in rows:
+            if len(parts) < 3 or parts[2] != ":":
+                raise InputError("malformed %s line %r" % (head, line))
+            alpha = _parse_int(parts[1], line)
+            if alpha in rows[head]:
+                raise InputError("duplicate %s line for index %d" % (head, alpha))
+            rows[head][alpha] = parts[3] if len(parts) > 3 else ""
+            continue
+        parts = line.split()
+        if head in ("indices", "formulas"):
+            if head in header or len(parts) != 2:
+                raise InputError("malformed %s line %r" % (head, line))
+            header[head] = _parse_int(parts[1], line)
+            cap = TRACE_INDEX_CAP if head == "indices" else TRACE_FORMULA_CAP
+            if header[head] > cap:
+                raise CapabilityError("traces bounded to %d %s" % (cap, head))
         elif head == "family":
             if fam_decl is not None or len(parts) < 2:
                 raise InputError("malformed family line %r" % line)
             fam_decl = parts[1:]
         elif head == "member":
             members.append([_parse_int(tok, line) for tok in parts[1:]])
-        elif head in rows:
-            if len(parts) < 3 or parts[2] != ":":
-                raise InputError("malformed %s line %r" % (head, line))
-            alpha = _parse_int(parts[1], line)
-            if alpha in rows[head]:
-                raise InputError("duplicate %s line for index %d" % (head, alpha))
-            rows[head][alpha] = parts[3:]
         else:
             raise InputError("unknown directive %r in trace" % head)
-    if n_indices is None or n_formulas is None or fam_decl is None:
+    if len(header) < 2 or fam_decl is None:
         raise InputError("trace needs indices, formulas, and family lines")
+    n_indices, n_formulas = header["indices"], header["formulas"]
     family = _build_family(n_indices, fam_decl, members)
-    g1 = _collect_rows(rows["g1"], n_indices, False)
-    g2 = _collect_rows(rows["g2"], n_indices, True)
+    g1, g2, k1, k2 = (_collect_rows(rows[k], n_indices, k[1] == "2")
+                      for k in ("g1", "g2", "k1", "k2"))
     instance = None
     if rows["k1"] or rows["k2"]:
-        k1 = _collect_rows(rows["k1"], n_indices, False)
-        k2 = _collect_rows(rows["k2"], n_indices, True)
         from .refinement import LosInstance
 
         instance = LosInstance(n_formulas, k1, k2)
@@ -473,20 +504,20 @@ def _build_family(n_indices, decl, members):
 
 
 def _collect_rows(got, n_indices, pairs):
+    """Per index, an iterator over the parsed entries of its row."""
     for alpha in got:
         if not 0 <= alpha < n_indices:
             raise InputError("row index %d out of range" % alpha)
-    out = []
     for alpha in range(n_indices):
-        toks = got.get(alpha, [])
-        if pairs:
-            entry = []
-            for tok in toks:
-                a, sep, b = tok.partition("-")
-                if not sep:
-                    raise InputError("malformed pair token %r" % tok)
-                entry.append((_parse_int(a, tok), _parse_int(b, tok)))
-            out.append(entry)
-        else:
-            out.append([_parse_int(tok, tok) for tok in toks])
-    return out
+        yield _parse_row(got.get(alpha, ""), pairs)
+
+
+def _parse_row(text, pairs):
+    for tok in text.split():
+        if not pairs:
+            yield _parse_int(tok, tok)
+            continue
+        a, sep, b = tok.partition("-")
+        if not sep:
+            raise InputError("malformed pair token %r" % tok)
+        yield _parse_int(a, tok), _parse_int(b, tok)

@@ -15,7 +15,8 @@ module; ``distributions`` serves its names, executing it on first use.
 
 from itertools import combinations
 
-from .distributions import FORMULA_CAP, _check_indices
+from .distributions import (FORMULA_CAP, _bits, _check_indices, _edges,
+                            _freeze)
 from .errors import CapabilityError, InputError
 
 
@@ -33,7 +34,7 @@ def _by_size(n):
 
 def _set(mask):
     """The positions of the set bits of mask, as a frozenset."""
-    return frozenset(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+    return frozenset(_bits(mask))
 
 
 def _pair_meets(masks):
@@ -49,15 +50,16 @@ def _pair_meets(masks):
     return masks
 
 
-def _clique_masks(n_formulas, n_indices, vertices, edges):
+def _clique_masks(n_formulas, n_indices, vertices, rows):
     """Per formula mask, the indices where the set is a clique: its
-    formulas lie in vertices[alpha] and its pairs in edges[alpha]."""
+    formulas lie in the vertex mask vertices[alpha] and its pairs are
+    edges of the adjacency rows rows[alpha]."""
     masks = [0] * (1 << n_formulas)
     masks[0] = (1 << n_indices) - 1
     for a in range(n_indices):
-        for x in vertices[a]:
+        for x in _bits(vertices[a]):
             masks[1 << x] |= 1 << a
-        for u, v in edges[a]:
+        for u, v in _edges(rows[a]):
             masks[1 << u | 1 << v] |= 1 << a
     return _pair_meets(masks)
 
@@ -101,12 +103,6 @@ class FullDistribution:
             self.n_formulas, self.n_indices)
 
 
-def _freeze(obj, *values):
-    for name, value in zip(type(obj).__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def conjugate(f):
     """Level maps of a full distribution: level n sends each index to
     the size-n formula sets whose value contains it, n = 0..n_formulas."""
@@ -114,7 +110,7 @@ def conjugate(f):
               for _ in range(f.n_formulas + 1)]
     for d in _by_size(f.n_formulas):
         members = _set(d)
-        for a in _set(f.masks[d]):
+        for a in _bits(f.masks[d]):
             levels[len(members)][a].append(members)
     return [tuple(map(frozenset, lv)) for lv in levels]
 
@@ -122,11 +118,13 @@ def conjugate(f):
 def distribution_from_conjugate(levels):
     """Rebuild the full distribution determined by level maps.
 
-    The levels must be downward hereditary: a set present at level n
-    needs all its size-m subsets present at level m; the first violation
-    is reported as (index, set, m).  Checked level by level, a set is
-    hereditary iff its one-smaller subsets are present one level down;
-    only a set failing that is scanned in full, for the report.
+    The sets must lie in range(n_formulas), n_formulas being the number
+    of levels less one.  The levels must be downward hereditary: a set
+    present at level n needs all its size-m subsets present at level m;
+    the first violation is reported as (index, set, m).  Checked level by
+    level on formula masks, a set is hereditary iff its one-smaller
+    subsets are present one level down; only a set failing that is
+    scanned in full, for the report.
     """
     if not levels or not levels[0]:
         raise InputError("levels must cover at least one index")
@@ -134,25 +132,27 @@ def distribution_from_conjugate(levels):
     n_indices = len(levels[0])
     if any(len(lv) != n_indices for lv in levels):
         raise InputError("levels must agree on the index count")
+    present = [set() for _ in range(n_indices)]
     for n, lv in enumerate(levels):
         for a in range(n_indices):
             for d in lv[a]:
                 if len(d) != n:
                     raise InputError(
                         "level %d holds a size-%d set at index %d" % (n, len(d), a))
-                s = sorted(d)
-                if all(frozenset(s[:i] + s[i + 1:]) in levels[n - 1][a]
-                       for i in range(n)):
-                    continue
-                m, sub = next((m, sub) for m in range(n)
-                              for sub in combinations(s, m)
-                              if frozenset(sub) not in levels[m][a])
-                raise InputError(
-                    "levels not hereditary at index %d: %r present but %r "
-                    "missing at level %d" % (a, s, list(sub), m))
+                s = sorted(_check_indices(
+                    d, n_formulas, "level %d set at index %d:" % (n, a)))
+                dm = sum(1 << x for x in s)
+                if any(dm ^ 1 << x not in present[a] for x in s):
+                    m, sub = next((m, sub) for m in range(n)
+                                  for sub in combinations(s, m)
+                                  if sum(1 << x for x in sub) not in present[a])
+                    raise InputError(
+                        "levels not hereditary at index %d: %r present but %r "
+                        "missing at level %d" % (a, s, list(sub), m))
+                present[a].add(dm)
     return FullDistribution(n_formulas, n_indices, {
-        s: [a for a, present in enumerate(levels[len(s)]) if s in present]
-        for s in all_subsets(n_formulas)})
+        _set(d): [a for a, ds in enumerate(present) if d in ds]
+        for d in range(1 << n_formulas)})
 
 
 def graphlike_extension(t):
@@ -171,7 +171,7 @@ def extension_distribution(t):
     if t.n_formulas > FORMULA_CAP:
         raise CapabilityError(
             "extension bounded to %d formulas" % FORMULA_CAP)
-    masks = _clique_masks(t.n_formulas, t.n_indices, t.g1, t.g2)
+    masks = _clique_masks(t.n_formulas, t.n_indices, t.g1_masks, t.g2_rows)
     return _freeze(object.__new__(FullDistribution), t.n_formulas,
                    t.n_indices, tuple(masks))
 
@@ -247,7 +247,8 @@ def check_properties(f, instance=None):
     if instance is not None:
         if (instance.n_formulas, instance.n_indices) != (n, f.n_indices):
             raise InputError("instance dimensions do not match the distribution")
-        cliques = _clique_masks(n, f.n_indices, instance.k1, instance.k2)
+        cliques = _clique_masks(n, f.n_indices, instance.k1_masks,
+                                instance.k2_rows)
         d = next((d for d in order if m[d] & ~cliques[d]), None)
         refines = d is None
         if d is not None:

@@ -24,6 +24,8 @@ from .errors import CapabilityError, InputError
 
 GRAPH_VERTEX_CAP = 10000
 
+# Nothing in the package reads these names here: the table stays for
+# bench/check.py (canonical_key), bench/child.py TRACED and the tests.
 _MOVED = {**dict.fromkeys((
     "ENUMERATION_CAP", "induced_subgraph", "canonical_form",
     "_stabilizer_orbits", "canonical_key", "canonical_graph",

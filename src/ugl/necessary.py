@@ -62,14 +62,6 @@ WORK_BUDGET = 1 << 16
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
 
 
-def __getattr__(name):
-    """``automorphisms``, a name this module once imported, from its home."""
-    if name != "automorphisms":
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from .isomorphism import automorphisms
-    return automorphisms
-
-
 class NecessarySet:
     """A candidate set of host non-edges with claimed flags."""
 

@@ -14,41 +14,33 @@ names it had before, and ``graphs`` the clique enumeration; either
 executes this module on first use.
 """
 
-from itertools import combinations
-
-from .distributions import (PRINCIPAL, QUORUM, Trace, _check_indices,
-                            _norm_pairs, _pair, adequacy_report,
+from .distributions import (PRINCIPAL, QUORUM, Trace, _Rows, _bits, _edges,
+                            _freeze, _graphs, _has, adequacy_report,
                             is_pair_adequate)
 from .errors import ConsistencyError, InputError
 
 
 class LosInstance:
-    """Per-index dominating graphs on formula vertices."""
+    """Per-index dominating graphs on formula vertices, stored as a trace
+    stores its graphs (``k1_masks``, ``k2_rows``; views ``k1``, ``k2``)."""
 
-    __slots__ = ("n_indices", "n_formulas", "k1", "k2")
+    __slots__ = ("n_indices", "n_formulas", "k1_masks", "k2_rows")
 
     def __init__(self, n_formulas, k1, k2):
-        k1 = tuple(_check_indices(s, n_formulas, "k1 entry") for s in k1)
-        k2 = tuple(frozenset(_norm_pairs(ps, n_formulas, "k2")) for ps in k2)
+        k1, k2 = _graphs(n_formulas, k1, k2, "k1", "k2")
         if len(k1) != len(k2):
             raise InputError("k1 and k2 must cover the same indices")
-        for alpha, pairs in enumerate(k2):
-            for u, v in pairs:
-                if u not in k1[alpha] or v not in k1[alpha]:
-                    raise InputError(
-                        "k2 pair (%d, %d) outside k1 at index %d" % (u, v, alpha))
-        object.__setattr__(self, "n_indices", len(k1))
-        object.__setattr__(self, "n_formulas", n_formulas)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
+        _freeze(self, len(k1), n_formulas, k1, k2)
 
     def __setattr__(self, name, value):
         raise AttributeError("LosInstance is immutable")
 
+    k1 = property(lambda self: tuple(frozenset(_bits(m)) for m in self.k1_masks))
+    k2 = property(lambda self: tuple(frozenset(_edges(rs)) for rs in self.k2_rows))
+
     def __eq__(self, other):
-        return (isinstance(other, LosInstance)
-                and (self.n_formulas, self.k1, self.k2)
-                == (other.n_formulas, other.k1, other.k2))
+        return isinstance(other, LosInstance) and all(
+            getattr(self, k) == getattr(other, k) for k in LosInstance.__slots__)
 
     def __repr__(self):
         return "LosInstance(%d formulas, %d indices)" % (
@@ -56,11 +48,12 @@ class LosInstance:
 
     def is_clique(self, alpha, delta):
         """Whether delta induces a clique (vertices present, pairs edges)."""
+        vs, rows = self.k1_masks[alpha], self.k2_rows[alpha]
         d = frozenset(delta)
-        if not d <= self.k1[alpha]:
+        if not all(_has(vs, x) for x in d):
             return False
-        return all(_pair(u, v) in self.k2[alpha] for u, v in combinations(sorted(d), 2))
-
+        m = sum(1 << x for x in d)
+        return all(m & ~rows[x] == 1 << x for x in d)
 
 
 def from_graph_sequence(family, n_formulas, seq, instance=None,
@@ -77,9 +70,9 @@ def from_graph_sequence(family, n_formulas, seq, instance=None,
         if g.n != n_formulas:
             raise InputError("sequence graph on %d vertices, expected %d"
                              % (g.n, n_formulas))
-        g1.append(frozenset(vertices))
-        g2.append(frozenset(g.edges()))
-    t = Trace(family, n_formulas, g1, g2, instance)
+        g1.append(vertices)
+        g2.append(g.rows)
+    t = Trace(family, n_formulas, g1, _Rows(g2), instance)
     if require_adequate:
         bad_b, bad_p = adequacy_report(t)
         if bad_b or bad_p:
@@ -94,15 +87,16 @@ def is_refinement(t1, t2):
     still pair-adequate."""
     if t1.family != t2.family or t1.n_formulas != t2.n_formulas:
         raise InputError("refinement needs matching family and formula set")
-    for a in range(t1.n_indices):
-        if not (t1.g1[a] <= t2.g1[a] and t1.g2[a] <= t2.g2[a]):
+    for m1, m2, r1, r2 in zip(t1.g1_masks, t2.g1_masks, t1.g2_rows,
+                              t2.g2_rows):
+        if m1 & ~m2 or any(x & ~y for x, y in zip(r1, r2)):
             return False
     return is_pair_adequate(t1)
 
 
 def essential_range(t):
     """Indices with a nonempty vertex set; must be a family member."""
-    ess = frozenset(a for a in range(t.n_indices) if t.g1[a])
+    ess = frozenset(a for a, m in enumerate(t.g1_masks) if m)
     if not t.family.is_member(ess):
         raise ConsistencyError(
             "essential range %r is not a family member" % sorted(ess))
@@ -114,22 +108,22 @@ def restrict(t):
     ess = essential_range(t)
     order = sorted(ess)
     fam = t.family.restrict(ess)
-    g1 = [t.g1[a] for a in order]
-    g2 = [t.g2[a] for a in order]
     inst = t.instance
     if inst is not None:
         inst = LosInstance(t.n_formulas,
-                           [inst.k1[a] for a in order],
-                           [inst.k2[a] for a in order])
-    return Trace(fam, t.n_formulas, g1, g2, inst)
+                           [_bits(inst.k1_masks[a]) for a in order],
+                           _Rows(inst.k2_rows[a] for a in order))
+    return Trace(fam, t.n_formulas, [_bits(t.g1_masks[a]) for a in order],
+                 _Rows(t.g2_rows[a] for a in order), inst)
 
 
 # ---------------------------------------------------------------------------
 # maximal cliques of the index graphs
 # ---------------------------------------------------------------------------
 
-def enumerate_maximal_cliques(g):
-    """All maximal cliques as sorted vertex tuples, in sorted order."""
+def enumerate_maximal_cliques(g, within=None):
+    """All maximal cliques as sorted vertex tuples, in sorted order; with
+    a vertex mask ``within``, those of the subgraph it induces."""
     rows = g.rows
     out = []
 
@@ -156,16 +150,8 @@ def enumerate_maximal_cliques(g):
             x |= bit
             ext &= ext - 1
 
-    expand(0, (1 << g.n) - 1, 0)
-    cliques = []
-    for r in out:
-        vs = []
-        while r:
-            vs.append((r & -r).bit_length() - 1)
-            r &= r - 1
-        cliques.append(tuple(vs))
-    cliques.sort()
-    return cliques
+    expand(0, (1 << g.n) - 1 if within is None else within, 0)
+    return sorted(tuple(_bits(r)) for r in out)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +167,8 @@ def _clique_choices(t, alpha):
     """
     from .graphs import Graph
 
-    vs = sorted(t.g1[alpha])
-    pos = {v: i for i, v in enumerate(vs)}
-    sub = Graph(len(vs), [(pos[u], pos[v]) for u, v in t.g2[alpha]])
-    return sorted(tuple(vs[i] for i in c)
-                  for c in enumerate_maximal_cliques(sub))
+    return enumerate_maximal_cliques(
+        Graph._from_rows(t.n_formulas, t.g2_rows[alpha]), t.g1_masks[alpha])
 
 
 def find_multiplicative_refinement(t):
@@ -203,9 +186,10 @@ def find_multiplicative_refinement(t):
     """
     n = t.n_indices
     nb = t.n_formulas
-    choices = [_clique_choices(t, a) for a in range(n)]
+    choices = [[sum(1 << v for v in c) for c in _clique_choices(t, a)]
+               for a in range(n)]
     formulas = list(range(nb))
-    pairs = sorted(set().union(*t.g2))
+    pairs = sorted(set().union(*map(_edges, set(t.g2_rows))))
     uncovered = len(pairs) < nb * (nb - 1) // 2
     fam = t.family
     assigned = []
@@ -215,12 +199,13 @@ def find_multiplicative_refinement(t):
         if uncovered and not fam.is_member(rest):
             return False
         for b in formulas:
-            support = frozenset(a for a, k in enumerate(assigned) if b in k)
+            support = frozenset(a for a, k in enumerate(assigned)
+                                if k >> b & 1)
             if not fam.is_member(support | rest):
                 return False
-        for p in pairs:
+        for u, v in pairs:
             support = frozenset(a for a, k in enumerate(assigned)
-                                if p[0] in k and p[1] in k)
+                                if k >> u & k >> v & 1)
             if not fam.is_member(support | rest):
                 return False
         return True
@@ -234,16 +219,15 @@ def find_multiplicative_refinement(t):
                 return None
             assigned.pop()
             continue
-        assigned.append(set(choices[a][tried[a]]))
+        assigned.append(choices[a][tried[a]])
         tried[a] += 1
         if not feasible():
             assigned.pop()
         elif a + 1 < n:
             tried[a + 1] = 0
-    g1 = [frozenset(k) for k in assigned]
-    g2 = [frozenset(_pair(u, v) for u, v in combinations(sorted(k), 2))
-          for k in assigned]
-    return Trace(t.family, nb, g1, g2, t.instance)
+    return Trace(t.family, nb, map(_bits, assigned), _Rows(
+        tuple(k & ~(1 << v) if k >> v & 1 else 0 for v in range(nb))
+        for k in assigned), t.instance)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +245,17 @@ def format_trace(t):
         lines.append("family explicit")
         for m in fam.minimal_members():
             lines.append("member " + " ".join(str(a) for a in sorted(m)))
-    for name, data in (("g1", t.g1), ("g2", t.g2)):
-        for a in range(t.n_indices):
-            lines.append(_format_row(name, a, data[a]))
+    rows = [("g1", t.g1_masks), ("g2", t.g2_rows)]
     if t.instance is not None:
-        for name, data in (("k1", t.instance.k1), ("k2", t.instance.k2)):
-            for a in range(t.n_indices):
-                lines.append(_format_row(name, a, data[a]))
+        rows += [("k1", t.instance.k1_masks), ("k2", t.instance.k2_rows)]
+    for name, data in rows:
+        lines.extend(_format_row(name, a, entry) for a, entry in enumerate(data))
     return "\n".join(lines) + "\n"
 
 
 def _format_row(name, alpha, entry):
     if name in ("g1", "k1"):
-        toks = [str(b) for b in sorted(entry)]
+        toks = [str(b) for b in _bits(entry)]
     else:
-        toks = ["%d-%d" % p for p in sorted(entry)]
+        toks = ["%d-%d" % p for p in _edges(entry)]
     return "%s %d :%s" % (name, alpha, (" " + " ".join(toks)) if toks else "")

@@ -42,6 +42,9 @@ from .catalog import (FIXED_FAMILIES, INTERVAL, PARAMETRIC_FAMILIES,  # noqa: F4
 from .errors import CapabilityError, InputError  # noqa: F401
 from .graphs import INDUCED, Embedding, Graph, find_embedding  # noqa: F401
 
+# cli's realize and obstructions run their names through here, where
+# bench/child.py TRACED times them; bench/check.py and the tests read
+# the parsers.
 _MOVED = {
     **dict.fromkeys(("IntervalModel", "format_interval_model",
                      "parse_interval_model", "realize_intervals"),

@@ -24,7 +24,7 @@ the componentwise reading of edges is not sound.
 from itertools import combinations, product
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .distributions import PRINCIPAL, Trace
+from .distributions import PRINCIPAL, Trace, _bits, _freeze, _has
 
 MATERIALIZE_CAP = 10 ** 6
 
@@ -35,10 +35,7 @@ class ReducedProduct:
     __slots__ = ("trace", "core", "parts", "size")
 
     def __init__(self, trace, core, parts, size):
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "size", size)
+        _freeze(self, trace, core, parts, size)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReducedProduct is immutable")
@@ -51,7 +48,7 @@ class ReducedProduct:
         if len(tup) != len(self.core):
             raise InputError("vertex tuple must have one entry per core index")
         for x, alpha in zip(tup, self.core):
-            if x not in self.trace.g1[alpha]:
+            if not _has(self.trace.g1_masks[alpha], x):
                 raise InputError(
                     "coordinate %r not a vertex at index %d" % (x, alpha))
         return tup
@@ -63,7 +60,7 @@ class ReducedProduct:
         if tu == tv:
             return False
         for x, y, alpha in zip(tu, tv, self.core):
-            if (min(x, y), max(x, y)) not in self.trace.g2[alpha]:
+            if not self.trace.g2_rows[alpha][x] >> y & 1:
                 return False
         return True
 
@@ -72,7 +69,7 @@ class ReducedProduct:
         tu = self.check_vertex(tu)
         tv = self.check_vertex(tv)
         for x, y, alpha in zip(tu, tv, self.core):
-            if x != y and (min(x, y), max(x, y)) not in self.trace.g2[alpha]:
+            if x != y and not self.trace.g2_rows[alpha][x] >> y & 1:
                 return False
         return True
 
@@ -122,7 +119,7 @@ def build(t):
         raise CapabilityError(
             "reduced products need a principal family; got %s" % t.family.kind)
     core = tuple(sorted(t.family.param))
-    parts = [tuple(sorted(t.g1[alpha])) for alpha in core]
+    parts = [tuple(_bits(t.g1_masks[alpha])) for alpha in core]
     size = 1
     for p in parts:
         size *= len(p)
@@ -141,7 +138,7 @@ def eta(t):
     out = {}
     for b in range(t.n_formulas):
         for alpha in rp.core:
-            if b not in t.g1[alpha]:
+            if not t.g1_masks[alpha] >> b & 1:
                 raise ConsistencyError(
                     "formula %d missing from index %d of the core" % (b, alpha))
         out[b] = tuple(b for _ in rp.core)
@@ -155,7 +152,7 @@ def eta_clique_witness(t):
     etamap = eta(t)
     for b, c in combinations(sorted(etamap), 2):
         for alpha in rp.core:
-            if (b, c) not in t.g2[alpha]:
+            if not t.g2_rows[alpha][b] >> c & 1:
                 return b, c, alpha
     return None
 
@@ -172,8 +169,7 @@ class InternalSet:
         parts = {alpha: frozenset(parts[alpha]) for alpha in core}
         if set(parts) != set(core):
             raise InputError("internal set needs one part per core index")
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "parts", parts)
+        _freeze(self, core, parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("InternalSet is immutable")
@@ -215,11 +211,12 @@ class InternalSet:
             raise InputError("internal set core does not match the product")
         for alpha in self.core:
             part = self.parts[alpha]
-            if not part <= rp.trace.g1[alpha]:
+            if not all(_has(rp.trace.g1_masks[alpha], x) for x in part):
                 raise InputError(
                     "part at index %d leaves the vertex set" % alpha)
+            rows = rp.trace.g2_rows[alpha]
             for u, v in combinations(sorted(part), 2):
-                if (u, v) not in rp.trace.g2[alpha]:
+                if not rows[u] >> v & 1:
                     return False
         return True
 
@@ -282,13 +279,12 @@ def extend_to_internal_clique(rp, target, require_complete=True):
 
 
 def _grow_clique(t, alpha, seed):
-    clique = set(seed)
-    for v in sorted(t.g1[alpha]):
-        if v in clique:
-            continue
-        if all((min(v, u), max(v, u)) in t.g2[alpha] for u in clique):
-            clique.add(v)
-    return frozenset(clique)
+    rows = t.g2_rows[alpha]
+    clique = sum(1 << v for v in set(seed))
+    for v in _bits(t.g1_masks[alpha] & ~clique):
+        if not clique & ~rows[v]:
+            clique |= 1 << v
+    return frozenset(_bits(clique))
 
 
 def eta_extension(t):
@@ -324,26 +320,23 @@ class LiftedMap:
             raise InputError("need one vertex map per source core index")
         theta = {alpha: dict(theta[alpha]) for alpha in source.core}
         for alpha in source.core:
-            for v in source.trace.g1[alpha]:
+            for v in _bits(source.trace.g1_masks[alpha]):
                 if v not in theta[alpha]:
                     raise InputError(
                         "map at index %d undefined on vertex %d" % (alpha, v))
             for v, w in theta[alpha].items():
-                if w not in target.trace.g1[alpha]:
+                if not _has(target.trace.g1_masks[alpha], w):
                     raise InputError(
                         "map at index %d sends %d outside the target" % (alpha, v))
         fill = {}
         for alpha in target.core:
             if alpha not in src:
-                part = sorted(target.trace.g1[alpha])
+                part = _bits(target.trace.g1_masks[alpha])
                 if not part:
                     raise InputError(
                         "target index %d has no vertex to fill with" % alpha)
                 fill[alpha] = part[0]
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "fill", fill)
+        _freeze(self, source, target, theta, fill)
 
     def __setattr__(self, name, value):
         raise AttributeError("LiftedMap is immutable")
@@ -384,7 +377,7 @@ class LiftedMap:
         parts = {}
         for alpha in self.source.core:
             parts[alpha] = frozenset(
-                v for v in self.source.trace.g1[alpha]
+                v for v in _bits(self.source.trace.g1_masks[alpha])
                 if self.theta[alpha][v] in s.parts[alpha])
         return InternalSet(self.source.core, parts)
 
@@ -420,28 +413,28 @@ def clique_transversal_trace(t, transversal):
         h[b] = tup
     for b in range(nb):
         for alpha in core:
-            if h[b][alpha] not in t.g1[alpha]:
+            if not _has(t.g1_masks[alpha], h[b][alpha]):
                 raise InputError(
                     "transversal value for formula %d at index %d is not a "
                     "vertex" % (b, alpha))
     for b, c in combinations(range(nb), 2):
         for alpha in core:
             x, y = h[b][alpha], h[c][alpha]
-            if x != y and (min(x, y), max(x, y)) not in t.g2[alpha]:
+            if x != y and not t.g2_rows[alpha][x] >> y & 1:
                 raise InputError(
                     "transversal images of formulas %d and %d are not "
                     "adjacent at index %d" % (b, c, alpha))
     l1 = []
     l2 = []
     for alpha in range(t.n_indices):
-        vs = frozenset(b for b in range(nb) if h[b][alpha] in t.g1[alpha])
+        vs = [b for b in range(nb) if _has(t.g1_masks[alpha], h[b][alpha])]
         es = set()
-        for b, c in combinations(sorted(vs), 2):
+        for b, c in combinations(vs, 2):
             x, y = h[b][alpha], h[c][alpha]
-            if x == y or (min(x, y), max(x, y)) in t.g2[alpha]:
+            if x == y or t.g2_rows[alpha][x] >> y & 1:
                 es.add((b, c))
         l1.append(vs)
-        l2.append(frozenset(es))
+        l2.append(es)
     new = Trace(t.family, nb, l1, l2)
     theta = {alpha: {b: h[b][alpha] for b in l1[alpha]} for alpha in core}
     return new, theta

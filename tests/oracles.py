@@ -9,7 +9,7 @@ shares) so that agreement is meaningful.
 from itertools import combinations, permutations
 
 from ugl.distributions import (FullDistribution, PropertyReport, Trace,
-                               _clique_choices, _pair, all_subsets)
+                               all_subsets)
 from ugl.errors import InputError
 from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, enumerate_graphs,
                         find_embedding, graph_from_mask, induced_subgraph,
@@ -557,7 +557,7 @@ def frozenset_extension(t):
         for a in range(t.n_indices):
             good = []
             for c in combinations(sorted(t.g1[a]), n):
-                if all(_pair(u, v) in t.g2[a] for u, v in combinations(c, 2)):
+                if all((u, v) in t.g2[a] for u, v in combinations(c, 2)):
                     good.append(frozenset(c))
             per.append(frozenset(good))
         levels.append(tuple(per))
@@ -670,7 +670,7 @@ def recursive_multiplicative_refinement(t):
     """
     n = t.n_indices
     nb = t.n_formulas
-    choices = [_clique_choices(t, a) for a in range(n)]
+    choices = [frozenset_clique_choices(t, a) for a in range(n)]
     formulas = list(range(nb))
     pairs = list(combinations(range(nb), 2))
     fam = t.family
@@ -702,6 +702,117 @@ def recursive_multiplicative_refinement(t):
     if not search():
         return None
     g1 = [frozenset(k) for k in assigned]
-    g2 = [frozenset(_pair(u, v) for u, v in combinations(sorted(k), 2))
-          for k in assigned]
+    g2 = [frozenset(combinations(sorted(k), 2)) for k in assigned]
     return Trace(t.family, nb, g1, g2, t.instance)
+
+
+# ---------------------------------------------------------------------------
+# traces on frozensets: the package's routines as they were before traces
+# kept their graphs as bitmask rows.  Each reads the frozenset views
+# ``g1``/``g2`` of the trace once.
+# ---------------------------------------------------------------------------
+
+def frozenset_graph_sequence(t):
+    """Per-index (vertex tuple, Graph) pairs; edges are the g2 pairs."""
+    g1, g2 = t.g1, t.g2
+    return [(tuple(sorted(g1[a])), Graph(t.n_formulas, sorted(g2[a])))
+            for a in range(t.n_indices)]
+
+
+def frozenset_is_multiplicative_trace(t):
+    """True iff every index with vertices carries a complete graph."""
+    g1, g2 = t.g1, t.g2
+    return all((u, v) in g2[a] for a in range(t.n_indices)
+               for u, v in combinations(sorted(g1[a]), 2))
+
+
+def frozenset_adequacy_report(t):
+    """Formulas and pairs whose supports (index frozensets) miss the
+    family, each sorted."""
+    g1, g2 = t.g1, t.g2
+    idx = range(t.n_indices)
+    bad_b = [b for b in range(t.n_formulas) if not t.family.is_member(
+        frozenset(a for a in idx if b in g1[a]))]
+    bad_p = [p for p in combinations(range(t.n_formulas), 2)
+             if not t.family.is_member(frozenset(a for a in idx if p in g2[a]))]
+    return bad_b, bad_p
+
+
+def frozenset_clique_choices(t, alpha):
+    """Maximal cliques of the graph at alpha, as sorted vertex tuples: the
+    brute-force cliques of the subgraph induced on g1, relabelled."""
+    vs = sorted(t.g1[alpha])
+    pos = {v: i for i, v in enumerate(vs)}
+    sub = Graph(len(vs), [(pos[u], pos[v]) for u, v in t.g2[alpha]])
+    return sorted(tuple(vs[i] for i in c) for c in brute_maximal_cliques(sub))
+
+
+def frozenset_multiplicative_refinement(t):
+    """``find_multiplicative_refinement`` on frozensets: the same
+    iterative backtracking, cliques as vertex sets, supports as index
+    frozensets rebuilt at every node."""
+    n = t.n_indices
+    nb = t.n_formulas
+    choices = [frozenset_clique_choices(t, a) for a in range(n)]
+    pairs = sorted(set().union(*t.g2))
+    uncovered = len(pairs) < nb * (nb - 1) // 2
+    fam = t.family
+    assigned = []
+
+    def feasible():
+        rest = frozenset(range(len(assigned), n))
+        if uncovered and not fam.is_member(rest):
+            return False
+        for b in range(nb):
+            support = frozenset(a for a, k in enumerate(assigned) if b in k)
+            if not fam.is_member(support | rest):
+                return False
+        for p in pairs:
+            support = frozenset(a for a, k in enumerate(assigned)
+                                if p[0] in k and p[1] in k)
+            if not fam.is_member(support | rest):
+                return False
+        return True
+
+    tried = [0] * n
+    while len(assigned) < n:
+        a = len(assigned)
+        if tried[a] == len(choices[a]):
+            if not assigned:
+                return None
+            assigned.pop()
+            continue
+        assigned.append(set(choices[a][tried[a]]))
+        tried[a] += 1
+        if not feasible():
+            assigned.pop()
+        elif a + 1 < n:
+            tried[a + 1] = 0
+    g1 = [frozenset(k) for k in assigned]
+    g2 = [frozenset(combinations(sorted(k), 2)) for k in assigned]
+    return Trace(t.family, nb, g1, g2, t.instance)
+
+
+def frozenset_grow_clique(t, alpha, seed):
+    """The seed grown by each further g1 vertex, ascending, adjacent to
+    all of the clique so far."""
+    g1, g2 = t.g1[alpha], t.g2[alpha]
+    clique = set(seed)
+    for v in sorted(g1):
+        if v not in clique and all(tuple(sorted((u, v))) in g2
+                                   for u in clique):
+            clique.add(v)
+    return frozenset(clique)
+
+
+def frozenset_conjugate(f):
+    """Level maps of a full distribution from its frozenset ``map``:
+    level n sends each index to the size-n formula sets whose value
+    contains it, in ``all_subsets`` order."""
+    fmap = f.map
+    levels = [[[] for _ in range(f.n_indices)]
+              for _ in range(f.n_formulas + 1)]
+    for d in all_subsets(f.n_formulas):
+        for a in fmap[d]:
+            levels[len(d)][a].append(d)
+    return [tuple(map(frozenset, lv)) for lv in levels]

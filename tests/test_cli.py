@@ -892,8 +892,8 @@ FORMER_NAMES = {
         EXPLICIT FORMULA_CAP FullDistribution InputError LosInstance
         PRINCIPAL PropertyReport QUORUM TRACE_FORMULA_CAP TRACE_INDEX_CAP
         Trace _build_family _check_indices _clique_choices _collect_rows
-        _format_row _index_graphs _is_multiplicative _norm_pairs _pair
-        _parse_int adequacy_report all_subsets check_necessary_conditions
+        _format_row _index_graphs _is_multiplicative _parse_int
+        adequacy_report all_subsets check_necessary_conditions
         check_properties check_sop2_condition combinations conjugate
         distribution_from_conjugate essential_range extension_distribution
         find_multiplicative_refinement format_trace from_graph_sequence
@@ -904,7 +904,7 @@ FORMER_NAMES = {
         IRREDUCIBLE_CYCLE InputError NecessarySet SEARCH_VERTEX_CAP TREE
         WORK_BUDGET _TREE_PATTERN_NON_EDGES _branch_bits _charge
         _check_pairs _complete_to_member _minimal_completions _minimal_hits
-        _sorted_pairs automorphisms catalog_necessary_set check_shape
+        _sorted_pairs catalog_necessary_set check_shape
         compute_flags counterexample_checks edges_mask family_graph
         family_necessary_set forced_edges format_necessary_set
         graph_from_mask is_necessary minimal_necessary_sets
@@ -946,7 +946,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 52
+    assert len(moved) == 51
     for home, names in bench_traced_names().items():
         for name in names:
             assert callable(getattr(importlib.import_module("ugl." + home),

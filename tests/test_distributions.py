@@ -39,9 +39,14 @@ from ugl.errors import CapabilityError, ConsistencyError, InputError
 from ugl.graphs import Graph, enumerate_graphs
 from ugl.necessary import family_necessary_set
 from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
+from ugl.ultragraph import _grow_clique
 
 from oracles import (all_subsets_from_conjugate, brute_pattern_violation,
-                     frozenset_check_properties, frozenset_extension,
+                     frozenset_adequacy_report, frozenset_check_properties,
+                     frozenset_conjugate, frozenset_extension,
+                     frozenset_graph_sequence, frozenset_grow_clique,
+                     frozenset_is_multiplicative_trace,
+                     frozenset_multiplicative_refinement,
                      pairwise_check_properties,
                      recursive_multiplicative_refinement)
 
@@ -274,6 +279,9 @@ def test_supports_and_adequacy():
     assert pair_support(t, (0, 1)) == {0, 1}
     assert pair_support(t, (1, 0)) == {0, 1}
     assert pair_support(t, (0, 2)) == frozenset()
+    # formulas outside the trace lie in no set
+    assert singleton_support(t, -1) == singleton_support(t, 3) == frozenset()
+    assert pair_support(t, (-1, 0)) == pair_support(t, (2, 3)) == frozenset()
     bad_b, bad_p = adequacy_report(t)
     assert bad_b == []
     assert bad_p == [(0, 2), (1, 2)]
@@ -358,6 +366,31 @@ def test_parse_missing_rows_default_empty():
 def test_parse_rejects_malformed(text):
     with pytest.raises(InputError):
         parse_trace(text)
+
+
+def test_negative_formula_counts_are_refused():
+    # a trace or an instance on a negative number of formulas is malformed
+    with pytest.raises(InputError, match="formula count must be nonnegative"):
+        parse_trace("indices 1\nformulas -1\nfamily principal 0\n")
+    with pytest.raises(InputError):
+        Trace(CoveringFamily.quorum(1, 1), -1, [set()], [[]])
+    with pytest.raises(InputError):
+        LosInstance(-2, [], [])
+
+
+def test_parse_reports_the_first_fault_in_row_order():
+    # rows are checked as they are parsed, the instance first: k1, k2,
+    # then g1, g2, then the domination of the trace by the instance
+    head = "indices 2\nformulas 3\nfamily quorum 1\n"
+    for rows, want in [
+            ("g1 0 : 0 5\ng2 0 : 0x1\n", "g1 entry element 5 out of range 0..2"),
+            ("g1 0 : 0\ng2 0 : 0-1\nk1 0 : 0\nk2 0 : 0-2\n",
+             "k2 pair (0, 2) outside k1 at index 0"),
+            ("g1 0 : x\nk1 0 : 9\n", "k1 entry element 9 out of range 0..2"),
+            ("g1 0 : 1\nk1 0 : 0\n", "g1 exceeds the instance k1 at index 0")]:
+        with pytest.raises(InputError) as err:
+            parse_trace(head + rows)
+        assert str(err.value) == want
 
 
 def test_parse_comments_and_blank_lines():
@@ -465,6 +498,16 @@ def test_from_conjugate_reports_like_the_all_subsets_scan():
         assert got == conjugate_report(all_subsets_from_conjugate, levels)
         broken += isinstance(got, str)
     assert 100 < broken < 400
+
+
+def test_from_conjugate_rejects_formulas_outside_the_range():
+    # one formula: the set {7} names a formula that does not exist
+    levels = [(frozenset({frozenset()}),),
+              (frozenset({frozenset({7}), frozenset({0})}),)]
+    with pytest.raises(InputError) as err:
+        distribution_from_conjugate(levels)
+    assert str(err.value) == (
+        "level 1 set at index 0: element 7 out of range 0..0")
 
 
 def test_from_conjugate_rejects_wrong_level_size():
@@ -706,6 +749,38 @@ def test_properties_match_the_frozenset_oracle_on_broken_distributions():
         hit.update(rep.witnesses)
     assert hit == {"monotone", "graph_like", "multiplicative",
                    "pairwise_splitting", "refines_los"}
+
+
+def test_trace_routines_match_the_frozenset_oracles():
+    # random traces with at most 8 formulas and 6 indices, under every
+    # family kind, with and without an instance: the routines on bitmask
+    # rows give the results and witnesses of their frozenset versions
+    rng = random.Random(1616)
+    seen = set()
+    outcomes = set()
+    for i in range(360):
+        nb, ni = rng.randrange(0, 9), rng.randrange(1, 7)
+        if i % 2:
+            t = random_dominated_trace(rng, ni, nb)
+        else:
+            t = random_trace(rng, ni, nb, p_edge=rng.choice((0.6, 0.95)))
+        seen.add((t.family.kind, t.instance is not None))
+        assert graph_sequence(t) == frozenset_graph_sequence(t)
+        multiplicative = is_multiplicative_trace(t)
+        assert multiplicative == frozenset_is_multiplicative_trace(t)
+        assert adequacy_report(t) == frozenset_adequacy_report(t)
+        found = find_multiplicative_refinement(t)
+        assert found == frozenset_multiplicative_refinement(t)
+        outcomes.add((multiplicative, found is None))
+        for a in range(ni):
+            seed = {b for b in t.g1[a] if rng.random() < 0.3}
+            assert (_grow_clique(t, a, seed)
+                    == frozenset_grow_clique(t, a, seed))
+        f = extension_distribution(t)
+        assert conjugate(f) == frozenset_conjugate(f)
+    assert seen == {(kind, inst) for kind in ("quorum", "principal", "explicit")
+                    for inst in (False, True)}
+    assert {(True, False), (False, False), (False, True)} <= outcomes
 
 
 def test_refines_los_needs_an_instance_of_the_same_dimensions():

@@ -17,6 +17,7 @@ from ugl.shapes import INTERVAL, TREE, family_graph, recognize
 
 import oracles
 from oracles import classwide_constraints, minimize_family
+from test_cli import fresh_python
 
 C4 = family_graph("C4")
 L4 = family_graph("L4")
@@ -251,13 +252,21 @@ def counting(monkeypatch, *names):
 def test_constraints_branch_on_witness_pairs(monkeypatch):
     # The 4-cycle's diagonals are the only branches; the four isolated
     # vertices add 20 non-edges that are never tried.
-    calls = counting(monkeypatch, "recognize", "automorphisms",
-                     "iter_embeddings")
+    calls = counting(monkeypatch, "recognize", "iter_embeddings")
     host = Graph(8, C4.edges())
     assert necessity_constraints(TREE, host) == [frozenset({(0, 2)}),
                                                  frozenset({(1, 3)})]
-    assert calls["recognize"] <= 3 and calls["automorphisms"] == 0
+    assert calls["recognize"] <= 3
     assert calls["iter_embeddings"] == 0
+    # no automorphism or canonical-form code runs: the call leaves the
+    # isomorphism module unexecuted
+    got = fresh_python(
+        "import sys\n"
+        "from ugl.graphs import Graph\n"
+        "from ugl.necessary import TREE, necessity_constraints\n"
+        "got = necessity_constraints(TREE, Graph(8, %r))\n"
+        "print(len(got), 'ugl.isomorphism' in sys.modules)" % (C4.edges(),))
+    assert got == "2 False"
     assert [m.edges for m in minimal_necessary_sets(TREE, host)] == [
         ((0, 2), (1, 3))]
 

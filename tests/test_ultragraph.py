@@ -8,6 +8,7 @@ import pytest
 import ugl.ultragraph as U
 from ugl.distributions import (
     CoveringFamily,
+    LosInstance,
     Trace,
     find_multiplicative_refinement,
 )
@@ -99,6 +100,23 @@ def test_check_vertex_errors():
     with pytest.raises(InputError):
         rp.check_vertex((0, 1))
     rp.check_vertex((1, 0))
+
+
+def test_vertex_tests_take_int_coordinates_only():
+    # a coordinate is a vertex only as an int, as in every constructor:
+    # 1.0 is refused even where the int 1 is a vertex
+    t = principal_trace([({0, 1}, [(0, 1)]), ({0}, [])], 2)
+    rp = U.build(t)
+    assert rp.loop_adjacent((0, 0), (1, 0))
+    for bad in ((1.0, 0), (-1, 0), ("1", 0)):
+        with pytest.raises(InputError):
+            rp.check_vertex(bad)
+    with pytest.raises(InputError):
+        U.InternalSet((0, 1), {0: {0, 1.0}, 1: {0}}).is_clique_in(rp)
+    inst = LosInstance(2, [{0, 1}], [[(0, 1)]])
+    assert inst.is_clique(0, {0, 1})
+    assert not inst.is_clique(0, {0, 1.0})
+    assert not inst.is_clique(0, {-1})
 
 
 def test_product_vertex_format():
