@@ -20,13 +20,14 @@ usage built from the same table on stdout and exits 0.  No argparse.
 Importing this module registers the package modules in sys.modules
 without executing them; each executes when a subcommand first uses it,
 so a run compiles only what it needs.  The cold halves of graphs,
-shapes and distributions live in modules of their own, which their old
-homes serve on first use.  recognize executes catalog, graphs and
-shapes; realize adds intervals; obstructions adds isomorphism and
-obstructions; necessary adds necessary; trace-check and
-trace-condition execute catalog, graphs and distributions; trace-refine
-executes graphs, distributions and refinement; ultragraph executes
-distributions and ultragraph, and no graph code.
+shapes and distributions live in modules of their own; the names that
+the bench times in the old homes are served there on first use.
+recognize executes catalog, graphs and shapes; realize adds intervals;
+obstructions adds isomorphism and obstructions; necessary adds
+necessary; trace-check and trace-condition execute catalog, graphs and
+distributions; trace-refine executes graphs, distributions and
+refinement; ultragraph executes distributions and ultragraph, and no
+graph code.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
 ``ugl`` script: it returns ``main()``'s exit code after freezing the
@@ -39,7 +40,6 @@ import gc
 import importlib.util
 import os
 import sys
-from itertools import combinations
 from types import SimpleNamespace
 
 from .errors import CapabilityError, InputError
@@ -325,9 +325,7 @@ def _cmd_ultragraph(args, out):
     out.write("core " + " ".join(str(a) for a in rp.core) + "\n")
     out.write("vertices %d\n" % rp.size)
     if rp.size <= 1000:
-        vs = rp.vertices()
-        count = sum(1 for a, b in combinations(vs, 2) if rp.has_edge(a, b))
-        out.write("edges %d\n" % count)
+        out.write("edges %d\n" % rp.edge_count())
     else:
         out.write("edges symbolic\n")
     witness = ug.eta_clique_witness(t)

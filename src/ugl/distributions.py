@@ -19,11 +19,13 @@ violations (an edge outside g1, an instance not dominating the trace)
 are load errors; pair-adequacy is deliberately only reported, since a
 stored trace may be meaningful before any adequacy repair.
 
-Two halves that no condition check runs live in modules of their own:
-the refinement search, Łoś instances, restriction and the trace writer
-in ``refinement``; full distributions, level maps and the property
-checks in ``fulldist``.  Their names stay importable from here, and
-each module executes when one of its names is first used.
+Index sets are masks too: family generators and members, supports and
+the refinement search's state.  Two halves that no condition check runs
+live in modules of their own: the refinement search, Łoś instances,
+restriction and the trace writer in ``refinement``; full distributions,
+level maps and the property checks in ``fulldist``.  Only the five
+names the bench reads here stay importable from here, each executing
+its module on first use; every other name lives in its home alone.
 """
 
 from itertools import combinations
@@ -33,34 +35,29 @@ from .errors import CapabilityError, ConsistencyError, InputError
 # Graph and catalog code is imported in the functions that use it, so a
 # library run on distributions alone compiles nothing else.
 
-# Kept for bench/check.py (is_refinement), bench/child.py TRACED and the
-# tests, and for trace-refine, whose calls through here the spans see.
+# Kept for the bench, which reads these names here (bench/check.py,
+# bench/child.py); trace-refine runs its two through here for the spans.
 _MOVED = {
-    **dict.fromkeys(("LosInstance", "from_graph_sequence", "is_refinement",
-                     "essential_range", "restrict", "_clique_choices",
-                     "find_multiplicative_refinement", "format_trace",
-                     "_format_row"), "refinement"),
-    **dict.fromkeys(("all_subsets", "FullDistribution", "conjugate",
-                     "distribution_from_conjugate", "graphlike_extension",
-                     "extension_distribution", "PropertyReport",
-                     "_is_multiplicative", "check_properties"), "fulldist"),
+    **dict.fromkeys(("find_multiplicative_refinement", "is_refinement",
+                     "format_trace"), "refinement"),
+    **dict.fromkeys(("extension_distribution", "check_properties"),
+                    "fulldist"),
 }
 
 
 def __getattr__(name):
-    """A name that moved to a module of its own, executing it on first use."""
-    home = _MOVED.get(name)
-    if home is None:
+    """A name that moved to a module of its own (the call form of ``from
+    .<home> import <name>``), executing it on first use."""
+    if name not in _MOVED:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    # the call form of ``from .<home> import <name>``
-    return getattr(__import__(home, globals(), None, (name,), 1), name)
+    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
 
 
 FORMULA_CAP = 12
 # Trace headers above these are refused when read.  On an otherwise empty
 # trace at the index cap `trace-condition --sop2 --shape tree` takes about
-# 19 s; at the formula cap the work grows with indices times formulas: 100
-# empty indices take 0.3 s there and 13 s in `trace-refine`.
+# 19 s; at the formula cap 100 empty indices take 0.3 s there and 0.2 s
+# in `trace-refine`.
 TRACE_INDEX_CAP = 2900000
 TRACE_FORMULA_CAP = 15000
 
@@ -69,16 +66,32 @@ PRINCIPAL = "principal"
 EXPLICIT = "explicit"
 
 
-def _check_indices(vals, bound, what):
-    out = frozenset(vals)
-    for v in out:
+def _mask(bits):
+    """The mask of a collection of nonnegative ints, built in time linear
+    in its size and largest element, not one OR at a time."""
+    buf = bytearray(max(bits, default=-1) // 8 + 1)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _checked_mask(vals, bound, what):
+    """The mask of an iterable of ints in range(bound), read whole into a
+    frozenset first: a fault names the first bad element in set order."""
+    vals = frozenset(vals)
+    for v in vals:
         if not isinstance(v, int) or not 0 <= v < bound:
             raise InputError("%s element %r out of range 0..%d" % (what, v, bound - 1))
-    return out
+    return _mask(vals)
 
 
 class CoveringFamily:
-    """Upward closed family of nonempty subsets of a finite index set."""
+    """Upward closed family of nonempty subsets of a finite index set.
+
+    ``param`` is the quorum threshold, the generator mask (principal) or
+    the minimal member masks in ``_bits`` order (explicit).  The public
+    methods take index iterables and test their masks with
+    ``is_member_mask``."""
 
     __slots__ = ("index_count", "kind", "param")
 
@@ -89,22 +102,21 @@ class CoveringFamily:
             if not isinstance(param, int) or not 1 <= param <= index_count:
                 raise InputError("quorum threshold must lie in 1..%d" % index_count)
         elif kind == PRINCIPAL:
-            param = _check_indices(param, index_count, "principal generator")
+            param = _checked_mask(param, index_count, "principal generator")
             if not param:
                 raise InputError("principal generator must be nonempty")
         elif kind == EXPLICIT:
-            members = [_check_indices(m, index_count, "explicit member")
+            members = [_checked_mask(m, index_count, "explicit member")
                        for m in param]
             if not members:
                 raise InputError("explicit family needs at least one member")
-            for m in members:
-                if not m:
-                    raise InputError("explicit member must be nonempty")
+            if 0 in members:
+                raise InputError("explicit member must be nonempty")
             for a, b in combinations(members, 2):
-                if a <= b or b <= a:
+                if not a & ~b or not b & ~a:
                     raise InputError(
                         "explicit members must be incomparable minimal sets")
-            param = tuple(sorted(members, key=sorted))
+            param = tuple(sorted(members, key=_bits))
         else:
             raise InputError("unknown family kind %r" % kind)
         _freeze(self, index_count, kind, param)
@@ -112,17 +124,11 @@ class CoveringFamily:
     def __setattr__(self, name, value):
         raise AttributeError("CoveringFamily is immutable")
 
-    @classmethod
-    def quorum(cls, index_count, k):
-        return cls(index_count, QUORUM, k)
-
-    @classmethod
-    def principal(cls, index_count, generator):
-        return cls(index_count, PRINCIPAL, generator)
-
-    @classmethod
-    def explicit(cls, index_count, members):
-        return cls(index_count, EXPLICIT, members)
+    quorum = classmethod(lambda cls, index_count, k: cls(index_count, QUORUM, k))
+    principal = classmethod(lambda cls, index_count, generator: cls(
+        index_count, PRINCIPAL, generator))
+    explicit = classmethod(lambda cls, index_count, members: cls(
+        index_count, EXPLICIT, members))
 
     def __eq__(self, other):
         return (isinstance(other, CoveringFamily)
@@ -136,56 +142,55 @@ class CoveringFamily:
         if self.kind == QUORUM:
             detail = "k=%d" % self.param
         elif self.kind == PRINCIPAL:
-            detail = "J=%r" % sorted(self.param)
+            detail = "J=%r" % _bits(self.param)
         else:
-            detail = "members=%r" % [sorted(m) for m in self.param]
+            detail = "members=%r" % list(map(_bits, self.param))
         return "CoveringFamily(%d, %s, %s)" % (self.index_count, self.kind, detail)
 
-    def is_member(self, s):
-        s = _check_indices(s, self.index_count, "candidate set")
+    def is_member_mask(self, m):
+        """Whether the index mask m is a member."""
         if self.kind == QUORUM:
-            return len(s) >= self.param
+            return m.bit_count() >= self.param
         if self.kind == PRINCIPAL:
-            return self.param <= s
-        return any(m <= s for m in self.param)
+            return not self.param & ~m
+        return any(not g & ~m for g in self.param)
+
+    def is_member(self, s):
+        return self.is_member_mask(
+            _checked_mask(s, self.index_count, "candidate set"))
 
     def minimal_members(self):
         """The minimal members, sorted; quorum families enumerate them."""
         if self.kind == QUORUM:
             return [frozenset(c) for c in
                     combinations(range(self.index_count), self.param)]
-        if self.kind == PRINCIPAL:
-            return [self.param]
-        return sorted(self.param, key=sorted)
+        members = (self.param,) if self.kind == PRINCIPAL else self.param
+        return [frozenset(_bits(m)) for m in members]
 
     def restrict(self, ess):
         """The family {A ∩ ess : A a member} renumbered along sorted(ess).
-
-        Only meaningful when ess is itself a member; the result must
-        again exclude the empty set, otherwise the restriction is not a
-        covering family and a consistency error is raised.
-        """
-        ess = _check_indices(ess, self.index_count, "restriction range")
-        if not self.is_member(ess):
+        ess must be a member, and a cut admitting the empty set is not a
+        covering family; each is a consistency error."""
+        ess = _checked_mask(ess, self.index_count, "restriction range")
+        if not self.is_member_mask(ess):
             raise ConsistencyError("restriction range is not a family member")
-        order = sorted(ess)
-        renum = {a: i for i, a in enumerate(order)}
-        outside = self.index_count - len(order)
+        order = _bits(ess)
         if self.kind == QUORUM:
-            k = self.param - outside
+            k = self.param - (self.index_count - len(order))
             if k <= 0:
                 raise ConsistencyError(
                     "restriction admits the empty set (quorum met outside)")
             return CoveringFamily.quorum(len(order), k)
-        if self.kind == PRINCIPAL:
-            return CoveringFamily.principal(
-                len(order), [renum[a] for a in self.param])
-        cut = {frozenset(renum[a] for a in m & ess) for m in self.param}
-        if frozenset() in cut:
+        renum = {a: i for i, a in enumerate(order)}
+        cut = {_mask([renum[a] for a in _bits(m & ess)])
+               for m in ((self.param,) if self.kind == PRINCIPAL else self.param)}
+        if 0 in cut:
             raise ConsistencyError(
                 "restriction admits the empty set (member disjoint from range)")
-        keep = [m for m in cut if not any(o < m for o in cut)]
-        return CoveringFamily.explicit(len(order), keep)
+        keep = [m for m in cut if not any(o != m and not o & ~m for o in cut)]
+        return _freeze(object.__new__(CoveringFamily), len(order), self.kind,
+                       keep[0] if self.kind == PRINCIPAL
+                       else tuple(sorted(keep, key=_bits)))
 
 
 def _bits(mask):
@@ -223,8 +228,7 @@ def _graphs(n_formulas, vertex_sets, pair_lists, v, p):
     of its index."""
     if n_formulas < 0:
         raise InputError("formula count must be nonnegative")
-    masks = tuple(sum(1 << x for x in _check_indices(s, n_formulas, v + " entry"))
-                  for s in vertex_sets)
+    masks = tuple(_checked_mask(s, n_formulas, v + " entry") for s in vertex_sets)
     out = pair_lists
     if not isinstance(out, _Rows):
         empty = (0,) * n_formulas
@@ -251,14 +255,11 @@ class Trace:
     """Per-index formula graphs under a covering family.
 
     Each index keeps a vertex mask (``g1_masks``) and n_formulas adjacency
-    rows (``g2_rows``).  The read-only views ``g1`` and ``g2`` build the
-    frozensets of vertices and of pairs (u, v), u < v, of every index on
-    each access, so a loop reads them once.  The constructor takes vertex
-    iterables and pair lists.
-
-    Structure is enforced here: edges lie inside their vertex sets, and
-    a present instance dominates the trace pointwise.  Pair-adequacy
-    against the family is a reported property, not a constructor check.
+    rows (``g2_rows``); the views ``g1`` and ``g2`` build the frozensets
+    of vertices and of pairs (u, v), u < v, on each access.  The
+    constructor takes vertex iterables and pair lists, and enforces
+    structure: edges lie inside their vertex sets, and a present instance
+    dominates the trace pointwise.  Pair-adequacy is only reported.
     """
 
     __slots__ = ("family", "n_formulas", "g1_masks", "g2_rows", "instance")
@@ -289,10 +290,7 @@ class Trace:
     def __setattr__(self, name, value):
         raise AttributeError("Trace is immutable")
 
-    @property
-    def n_indices(self):
-        return self.family.index_count
-
+    n_indices = property(lambda self: self.family.index_count)
     g1 = property(lambda self: tuple(frozenset(_bits(m)) for m in self.g1_masks))
     g2 = property(lambda self: tuple(frozenset(_edges(rs)) for rs in self.g2_rows))
 
@@ -318,21 +316,21 @@ def pair_support(t, pair):
 
 
 def adequacy_report(t):
-    """Formulas and pairs whose supports miss the family.
-
-    Returns (bad_formulas, bad_pairs), each sorted; both empty iff the
-    trace is pair-adequate.
-    """
-    bad_b = [b for b in range(t.n_formulas)
-             if not t.family.is_member(singleton_support(t, b))]
-    bad_p = [p for p in combinations(range(t.n_formulas), 2)
-             if not t.family.is_member(pair_support(t, p))]
-    return bad_b, bad_p
+    """(bad_formulas, bad_pairs), each sorted: the formulas and pairs
+    whose supports, as index masks, miss the family; a pair in no g2 has
+    the empty support.  Both are empty iff the trace is pair-adequate."""
+    member = t.family.is_member_mask
+    masks, rows = t.g1_masks, t.g2_rows
+    listed = set().union(*map(_edges, set(rows)))
+    return ([b for b in range(t.n_formulas) if not member(
+                _mask([a for a, m in enumerate(masks) if m >> b & 1]))],
+            [p for p in combinations(range(t.n_formulas), 2) if not member(
+                _mask([a for a, rs in enumerate(rows) if rs[p[0]] >> p[1] & 1])
+                if p in listed else 0)])
 
 
 def is_pair_adequate(t):
-    bad_b, bad_p = adequacy_report(t)
-    return not bad_b and not bad_p
+    return not any(adequacy_report(t))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +365,9 @@ def _index_graphs(source):
         return [Graph._from_rows(source.n_formulas, rs)
                 for rs in source.g2_rows]
     edges = [[] for _ in range(source.n_indices)]
-    for p in combinations(range(source.n_formulas), 2):
-        for a in source.at(p):
-            edges[a].append(p)
+    for u, v in combinations(range(source.n_formulas), 2):
+        for a in _bits(source.masks[1 << u | 1 << v]):
+            edges[a].append((u, v))
     return [Graph(source.n_formulas, e) for e in edges]
 
 

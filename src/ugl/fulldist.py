@@ -10,13 +10,14 @@ checks walk formula masks in ``all_subsets`` order, so each first
 witness is the one a scan over frozensets finds; frozensets are built
 only for witnesses, ``at``, ``map``, mappings and level maps.  All of
 it is bounded to ``FORMULA_CAP`` formulas.  No CLI request runs this
-module; ``distributions`` serves its names, executing it on first use.
+module; ``distributions`` serves ``extension_distribution`` and
+``check_properties`` to the bench, executing it on first use.
 """
 
 from itertools import combinations
 
-from .distributions import (FORMULA_CAP, _bits, _check_indices, _edges,
-                            _freeze)
+from .distributions import (FORMULA_CAP, _bits, _checked_mask, _edges,
+                            _freeze, _mask)
 from .errors import CapabilityError, InputError
 
 
@@ -74,13 +75,13 @@ class FullDistribution:
         if n_formulas > FORMULA_CAP:
             raise CapabilityError(
                 "full distributions bounded to %d formulas" % FORMULA_CAP)
-        mapping = {frozenset(k): _check_indices(v, n_indices, "value")
+        mapping = {frozenset(k): _checked_mask(v, n_indices, "value")
                    for k, v in mapping.items()}
         if set(mapping) != set(all_subsets(n_formulas)):
             raise InputError("distribution must assign every subset of the "
                              "formula set exactly once")
         _freeze(self, n_formulas, n_indices, tuple(
-            sum(1 << a for a in mapping[_set(d)]) for d in range(1 << n_formulas)))
+            mapping[_set(d)] for d in range(1 << n_formulas)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FullDistribution is immutable")
@@ -139,13 +140,13 @@ def distribution_from_conjugate(levels):
                 if len(d) != n:
                     raise InputError(
                         "level %d holds a size-%d set at index %d" % (n, len(d), a))
-                s = sorted(_check_indices(
-                    d, n_formulas, "level %d set at index %d:" % (n, a)))
-                dm = sum(1 << x for x in s)
+                dm = _checked_mask(
+                    d, n_formulas, "level %d set at index %d:" % (n, a))
+                s = _bits(dm)
                 if any(dm ^ 1 << x not in present[a] for x in s):
                     m, sub = next((m, sub) for m in range(n)
                                   for sub in combinations(s, m)
-                                  if sum(1 << x for x in sub) not in present[a])
+                                  if _mask(sub) not in present[a])
                     raise InputError(
                         "levels not hereditary at index %d: %r present but %r "
                         "missing at level %d" % (a, s, list(sub), m))

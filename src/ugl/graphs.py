@@ -2,7 +2,8 @@
 
 Everything downstream (shape recognizers, obstruction catalogs, necessary
 sets, reduced products) works over graphs on vertex set 0..n-1 stored as
-per-vertex adjacency bitmasks.  This module owns:
+per-vertex adjacency bitmasks; the index sets of ``distributions``
+(covering families, supports) are bitmasks too.  This module owns:
 
 * the ``Graph`` value type and its text format,
 * injective embeddings (edges-only and induced modes, optionally with
@@ -12,8 +13,9 @@ per-vertex adjacency bitmasks.  This module owns:
 Induced subgraphs, canonical forms, isomorphism tests and one-per-class
 enumeration live in ``isomorphism``, which only the obstruction catalog
 runs; pair masks live in ``necessary`` and maximal clique enumeration
-in ``refinement``, their one users.  Their names stay importable from
-here and execute their module on first use.
+in ``refinement``, their one users.  The five of their names that the
+bench times or reads here stay importable from here, each executing its
+module on first use; the rest are imported from their homes.
 
 All objects here are immutable, and every operation is a pure function.
 """
@@ -24,26 +26,21 @@ from .errors import CapabilityError, InputError
 
 GRAPH_VERTEX_CAP = 10000
 
-# Nothing in the package reads these names here: the table stays for
-# bench/check.py (canonical_key), bench/child.py TRACED and the tests.
-_MOVED = {**dict.fromkeys((
-    "ENUMERATION_CAP", "induced_subgraph", "canonical_form",
-    "_stabilizer_orbits", "canonical_key", "canonical_graph",
-    "graph_from_canonical_key", "is_isomorphic", "automorphisms",
-    "_ENUM_CACHE", "_extend_keys", "_vertex_invariants", "enumerate_graphs"),
-    "isomorphism"), **dict.fromkeys((
-        "pair_order", "pair_index", "edges_mask", "graph_from_mask",
-        "_PAIR_ORDER"), "necessary"),
-    "enumerate_maximal_cliques": "refinement"}
+# Nothing in the package reads these names here: they stay for the
+# bench, whose TRACED table times canonical_form, automorphisms,
+# enumerate_graphs and enumerate_maximal_cliques here and whose checker
+# reads canonical_key.
+_MOVED = {**dict.fromkeys(("canonical_key", "enumerate_graphs",
+                           "canonical_form", "automorphisms"), "isomorphism"),
+          "enumerate_maximal_cliques": "refinement"}
 
 
 def __getattr__(name):
-    """A name that moved to a module of its own, executing it on first use."""
-    home = _MOVED.get(name)
-    if home is None:
+    """A name that moved to a module of its own (the call form of ``from
+    .<home> import <name>``), executing it on first use."""
+    if name not in _MOVED:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    # the call form of ``from .<home> import <name>``
-    return getattr(__import__(home, globals(), None, (name,), 1), name)
+    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
 
 
 class Graph:

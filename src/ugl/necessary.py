@@ -41,9 +41,7 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
-# INTERVAL, TREE and family_graph are re-exported from here
-from .catalog import (INTERVAL, TREE, catalog_necessary_set,  # noqa: F401
-                      check_shape, family_graph)
+from .catalog import catalog_necessary_set, check_shape
 from .errors import CapabilityError, InputError
 from .graphs import INDUCED, Graph, iter_embeddings
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize

@@ -15,13 +15,12 @@ the recognizers; ``shapes`` serves its names.
 
 from itertools import combinations
 
-from .catalog import check_shape, parse_family, shape_families
+from .catalog import check_shape, family_graph, parse_family, shape_families
 from .errors import CapabilityError, InputError
-from .graphs import Graph
+from .graphs import INDUCED, Embedding, Graph
 from .isomorphism import canonical_key, graph_from_canonical_key
-from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INDUCED,
-                     IRREDUCIBLE_CYCLE, WITNESS_KINDS, Embedding,
-                     ObstructionWitness, _avoid_components, family_graph)
+from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE,
+                     WITNESS_KINDS, ObstructionWitness, _avoid_components)
 
 OBSTRUCTION_CAP = 7
 

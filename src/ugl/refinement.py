@@ -9,13 +9,17 @@ every pair with a family member; with quorum families this is a
 genuine covering problem and can fail.  Its choices are the maximal
 cliques of the index graphs (Bron-Kerbosch with pivoting).  Restriction
 to the essential range, rebuilding a trace from its graph sequence and
-the trace text writer live here too.  ``distributions`` serves the
-names it had before, and ``graphs`` the clique enumeration; either
-executes this module on first use.
+the trace text writer live here too.  The search keeps one index mask
+per formula and listed pair as its supports.  ``distributions`` serves
+the search, ``is_refinement`` and the writer for the bench, and
+``graphs`` the clique enumeration; either executes this module on
+first use.
 """
 
+from itertools import combinations
+
 from .distributions import (PRINCIPAL, QUORUM, Trace, _Rows, _bits, _edges,
-                            _freeze, _graphs, _has, adequacy_report,
+                            _freeze, _graphs, _has, _mask, adequacy_report,
                             is_pair_adequate)
 from .errors import ConsistencyError, InputError
 
@@ -96,18 +100,17 @@ def is_refinement(t1, t2):
 
 def essential_range(t):
     """Indices with a nonempty vertex set; must be a family member."""
-    ess = frozenset(a for a, m in enumerate(t.g1_masks) if m)
-    if not t.family.is_member(ess):
+    ess = [a for a, m in enumerate(t.g1_masks) if m]
+    if not t.family.is_member_mask(_mask(ess)):
         raise ConsistencyError(
-            "essential range %r is not a family member" % sorted(ess))
-    return ess
+            "essential range %r is not a family member" % ess)
+    return frozenset(ess)
 
 
 def restrict(t):
     """The trace cut down to its essential range, indices renumbered."""
-    ess = essential_range(t)
-    order = sorted(ess)
-    fam = t.family.restrict(ess)
+    order = sorted(essential_range(t))
+    fam = t.family.restrict(order)
     inst = t.instance
     if inst is not None:
         inst = LosInstance(t.n_formulas,
@@ -137,7 +140,7 @@ def enumerate_maximal_cliques(g, within=None):
         m = px
         while m:
             v = (m & -m).bit_length() - 1
-            score = bin(p & rows[v]).count("1")
+            score = (p & rows[v]).bit_count()
             if score > best:
                 best, pivot = score, v
             m &= m - 1
@@ -178,37 +181,29 @@ def find_multiplicative_refinement(t):
     ascending order, so the first solution is the lexicographically
     least; after each choice every formula and pair is checked for a
     still-reachable family member (known support plus all undecided
-    indices).  Only the pairs of some g2 are listed: any other pair lies
-    in no clique, so its support stays empty and one check of the
-    undecided indices alone stands for all of them.  The search keeps
-    its own stack, so any number of indices fits.  None means the
-    exhaustive search proved no assignment covers everything.
+    indices).  Each formula, and each pair of some g2, keeps its support
+    as an index mask: a push sets the index bit on the supports its
+    clique covers and a pop clears it, and each distinct support is
+    tested once per node.  Any other pair lies in no clique, so its
+    support stays empty.  The search keeps its own stack, so any number
+    of indices fits.  None means the exhaustive search proved no
+    assignment covers everything.
     """
     n = t.n_indices
     nb = t.n_formulas
-    choices = [[sum(1 << v for v in c) for c in _clique_choices(t, a)]
-               for a in range(n)]
-    formulas = list(range(nb))
-    pairs = sorted(set().union(*map(_edges, set(t.g2_rows))))
+    choices = [_clique_choices(t, a) for a in range(n)]
+    member = t.family.is_member_mask
+    formulas = [0] * nb
+    pairs = dict.fromkeys(set().union(*map(_edges, set(t.g2_rows))), 0)
     uncovered = len(pairs) < nb * (nb - 1) // 2
-    fam = t.family
+    everything = (1 << n) - 1
     assigned = []
 
-    def feasible():
-        rest = frozenset(range(len(assigned), n))
-        if uncovered and not fam.is_member(rest):
-            return False
-        for b in formulas:
-            support = frozenset(a for a, k in enumerate(assigned)
-                                if k >> b & 1)
-            if not fam.is_member(support | rest):
-                return False
-        for u, v in pairs:
-            support = frozenset(a for a, k in enumerate(assigned)
-                                if k >> u & k >> v & 1)
-            if not fam.is_member(support | rest):
-                return False
-        return True
+    def toggle(clique, bit):
+        for v in clique:
+            formulas[v] ^= bit
+        for p in combinations(clique, 2):
+            pairs[p] ^= bit
 
     # tried[a]: how many cliques of index a the search has tried
     tried = [0] * n
@@ -217,17 +212,23 @@ def find_multiplicative_refinement(t):
         if tried[a] == len(choices[a]):
             if not assigned:
                 return None
-            assigned.pop()
+            toggle(assigned.pop(), 1 << (a - 1))
             continue
-        assigned.append(choices[a][tried[a]])
+        clique = choices[a][tried[a]]
         tried[a] += 1
-        if not feasible():
-            assigned.pop()
+        toggle(clique, 1 << a)
+        assigned.append(clique)
+        rest = everything >> (a + 1) << (a + 1)
+        supports = {*formulas, *pairs.values()}
+        if uncovered:
+            supports.add(0)
+        if not all(member(s | rest) for s in supports):
+            toggle(assigned.pop(), 1 << a)
         elif a + 1 < n:
             tried[a + 1] = 0
-    return Trace(t.family, nb, map(_bits, assigned), _Rows(
+    return Trace(t.family, nb, assigned, _Rows(
         tuple(k & ~(1 << v) if k >> v & 1 else 0 for v in range(nb))
-        for k in assigned), t.instance)
+        for k in map(_mask, assigned)), t.instance)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +241,10 @@ def format_trace(t):
     if fam.kind == QUORUM:
         lines.append("family quorum %d" % fam.param)
     elif fam.kind == PRINCIPAL:
-        lines.append("family principal " + " ".join(str(a) for a in sorted(fam.param)))
+        lines.append("family principal " + " ".join(map(str, _bits(fam.param))))
     else:
         lines.append("family explicit")
-        for m in fam.minimal_members():
-            lines.append("member " + " ".join(str(a) for a in sorted(m)))
+        lines.extend("member " + " ".join(map(str, _bits(m))) for m in fam.param)
     rows = [("g1", t.g1_masks), ("g2", t.g2_rows)]
     if t.instance is not None:
         rows += [("k1", t.instance.k1_masks), ("k2", t.instance.k2_rows)]

@@ -25,46 +25,39 @@ fixed order of its search.
 The interval models and realization live in ``intervals``; the minimal
 obstructions, the rooted forests and the witness parser in
 ``obstructions``.  No recognition request runs either, so each executes
-only when one of its names is first used here.  The shape names, the
-obstruction families and the diagonal condition live in ``catalog``;
-they are importable from here too, as are the graph names this module
-imported before the split.
+only when one of its names is first used here.  Six of their names stay
+importable from here: the four that cli's realize and obstructions run
+through here, where the bench times them, and the two parsers that the
+bench checker reads.  The shape names, the obstruction families and the
+diagonal condition live in ``catalog``; the ones the bench reads here
+are re-exported.  Like these rows, the covering families of
+``distributions`` are bitmasks.
 """
 
 from itertools import combinations
 
-# the catalog names are re-exported from here
-from .catalog import (FIXED_FAMILIES, INTERVAL, PARAMETRIC_FAMILIES,  # noqa: F401
-                      SHAPES, TREE, check_shape, diagonal_violation,
-                      family_graph, family_str, is_diagonal, parse_family,
-                      shape_families)
-# CapabilityError, Embedding and Graph are kept importable from here
-from .errors import CapabilityError, InputError  # noqa: F401
-from .graphs import INDUCED, Embedding, Graph, find_embedding  # noqa: F401
+# the catalog names the bench reads are re-exported from here
+from .catalog import (INTERVAL, TREE, check_shape, family_graph,  # noqa: F401
+                      family_str, parse_family, shape_families)
+from .errors import InputError
+from .graphs import INDUCED, find_embedding
 
 # cli's realize and obstructions run their names through here, where
-# bench/child.py TRACED times them; bench/check.py and the tests read
-# the parsers.
+# bench/child.py TRACED times them; bench/check.py reads the parsers.
 _MOVED = {
     **dict.fromkeys(("IntervalModel", "format_interval_model",
                      "parse_interval_model", "realize_intervals"),
                     "intervals"),
-    **dict.fromkeys(("OBSTRUCTION_CAP", "parse_witness",
-                     "minimal_obstructions", "_rooted_trees", "_forest_graph",
-                     "forest_comparability_classes"), "obstructions"),
-    **dict.fromkeys(("canonical_key", "enumerate_graphs",
-                     "graph_from_canonical_key", "induced_subgraph"),
-                    "isomorphism"),
+    **dict.fromkeys(("parse_witness", "minimal_obstructions"), "obstructions"),
 }
 
 
 def __getattr__(name):
-    """A name that moved to a module of its own, executing it on first use."""
-    home = _MOVED.get(name)
-    if home is None:
+    """A name that moved to a module of its own (the call form of ``from
+    .<home> import <name>``), executing it on first use."""
+    if name not in _MOVED:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    # the call form of ``from .<home> import <name>``
-    return getattr(__import__(home, globals(), None, (name,), 1), name)
+    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
 
 
 # ---------------------------------------------------------------------------

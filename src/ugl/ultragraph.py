@@ -95,6 +95,15 @@ class ReducedProduct:
                 edges.append((pos[tu], pos[tv]))
         return Graph(len(vs), edges), vs
 
+    def edge_count(self):
+        """The number of edges.  Two tuples adjacent at every core index
+        differ there, and the core is nonempty, so the ordered adjacent
+        pairs number the product of the per-index ordered edge counts."""
+        count = 1
+        for alpha in self.core:
+            count *= sum(r.bit_count() for r in self.trace.g2_rows[alpha])
+        return count // 2
+
     def induces_clique(self, tuples, loops=False):
         """Whether the tuples are pairwise adjacent (strictly, or in the
         quotient reading when loops is set)."""
@@ -118,7 +127,7 @@ def build(t):
     if t.family.kind != PRINCIPAL:
         raise CapabilityError(
             "reduced products need a principal family; got %s" % t.family.kind)
-    core = tuple(sorted(t.family.param))
+    core = tuple(_bits(t.family.param))
     parts = [tuple(_bits(t.g1_masks[alpha])) for alpha in core]
     size = 1
     for p in parts:
@@ -400,7 +409,7 @@ def clique_transversal_trace(t, transversal):
     """
     if t.family.kind != PRINCIPAL:
         raise CapabilityError("transversal traces need a principal family")
-    core = tuple(sorted(t.family.param))
+    core = tuple(_bits(t.family.param))
     nb = t.n_formulas
     h = {}
     for b in range(nb):

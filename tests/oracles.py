@@ -8,17 +8,19 @@ shares) so that agreement is meaningful.
 
 from itertools import combinations, permutations
 
-from ugl.distributions import (FullDistribution, PropertyReport, Trace,
-                               all_subsets)
-from ugl.errors import InputError
-from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, enumerate_graphs,
-                        find_embedding, graph_from_mask, induced_subgraph,
-                        iter_embeddings, pair_index, pair_order)
-from ugl.necessary import _complete_to_member
-from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
-                        IRREDUCIBLE_CYCLE, IntervalModel, ObstructionWitness,
-                        _avoid_components, family_graph,
-                        find_asteroidal_triple, recognize)
+from ugl.catalog import INTERVAL, family_graph
+from ugl.distributions import Trace
+from ugl.errors import ConsistencyError, InputError
+from ugl.fulldist import FullDistribution, PropertyReport, all_subsets
+from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
+                        iter_embeddings)
+from ugl.intervals import IntervalModel
+from ugl.isomorphism import enumerate_graphs, induced_subgraph
+from ugl.necessary import (_complete_to_member, graph_from_mask, pair_index,
+                           pair_order)
+from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
+                        IRREDUCIBLE_CYCLE, ObstructionWitness,
+                        _avoid_components, find_asteroidal_triple, recognize)
 
 
 def brute_canonical_key(g):
@@ -816,3 +818,108 @@ def frozenset_conjugate(f):
         for a in fmap[d]:
             levels[len(d)][a].append(d)
     return [tuple(map(frozenset, lv)) for lv in levels]
+
+
+# ---------------------------------------------------------------------------
+# covering families on frozensets: ``CoveringFamily`` as it was before
+# index sets were masks, and the product edge count as a pair loop
+# ---------------------------------------------------------------------------
+
+def _frozen_indices(vals, bound, what):
+    out = frozenset(vals)
+    for v in out:
+        if not isinstance(v, int) or not 0 <= v < bound:
+            raise InputError("%s element %r out of range 0..%d" % (what, v, bound - 1))
+    return out
+
+
+class FrozensetCoveringFamily:
+    """Upward closed family of nonempty subsets of a finite index set; the
+    generator and the explicit members are frozensets, and every candidate
+    set is checked and frozen on each call."""
+
+    def __init__(self, index_count, kind, param):
+        if index_count < 1:
+            raise InputError("index set must be nonempty")
+        if kind == "quorum":
+            if not isinstance(param, int) or not 1 <= param <= index_count:
+                raise InputError("quorum threshold must lie in 1..%d" % index_count)
+        elif kind == "principal":
+            param = _frozen_indices(param, index_count, "principal generator")
+            if not param:
+                raise InputError("principal generator must be nonempty")
+        elif kind == "explicit":
+            members = [_frozen_indices(m, index_count, "explicit member")
+                       for m in param]
+            if not members:
+                raise InputError("explicit family needs at least one member")
+            for m in members:
+                if not m:
+                    raise InputError("explicit member must be nonempty")
+            for a, b in combinations(members, 2):
+                if a <= b or b <= a:
+                    raise InputError(
+                        "explicit members must be incomparable minimal sets")
+            param = tuple(sorted(members, key=sorted))
+        else:
+            raise InputError("unknown family kind %r" % kind)
+        self.index_count, self.kind, self.param = index_count, kind, param
+
+    def __eq__(self, other):
+        return (isinstance(other, FrozensetCoveringFamily)
+                and (self.index_count, self.kind, self.param)
+                == (other.index_count, other.kind, other.param))
+
+    def __repr__(self):
+        if self.kind == "quorum":
+            detail = "k=%d" % self.param
+        elif self.kind == "principal":
+            detail = "J=%r" % sorted(self.param)
+        else:
+            detail = "members=%r" % [sorted(m) for m in self.param]
+        return "CoveringFamily(%d, %s, %s)" % (self.index_count, self.kind, detail)
+
+    def is_member(self, s):
+        s = _frozen_indices(s, self.index_count, "candidate set")
+        if self.kind == "quorum":
+            return len(s) >= self.param
+        if self.kind == "principal":
+            return self.param <= s
+        return any(m <= s for m in self.param)
+
+    def minimal_members(self):
+        if self.kind == "quorum":
+            return [frozenset(c) for c in
+                    combinations(range(self.index_count), self.param)]
+        if self.kind == "principal":
+            return [self.param]
+        return sorted(self.param, key=sorted)
+
+    def restrict(self, ess):
+        ess = _frozen_indices(ess, self.index_count, "restriction range")
+        if not self.is_member(ess):
+            raise ConsistencyError("restriction range is not a family member")
+        order = sorted(ess)
+        renum = {a: i for i, a in enumerate(order)}
+        outside = self.index_count - len(order)
+        if self.kind == "quorum":
+            k = self.param - outside
+            if k <= 0:
+                raise ConsistencyError(
+                    "restriction admits the empty set (quorum met outside)")
+            return FrozensetCoveringFamily(len(order), "quorum", k)
+        if self.kind == "principal":
+            return FrozensetCoveringFamily(
+                len(order), "principal", [renum[a] for a in self.param])
+        cut = {frozenset(renum[a] for a in m & ess) for m in self.param}
+        if frozenset() in cut:
+            raise ConsistencyError(
+                "restriction admits the empty set (member disjoint from range)")
+        keep = [m for m in cut if not any(o < m for o in cut)]
+        return FrozensetCoveringFamily(len(order), "explicit", keep)
+
+
+def loop_edge_count(rp):
+    """The edges of a reduced product, counted over every vertex pair."""
+    return sum(1 for a, b in combinations(rp.vertices(), 2)
+               if rp.has_edge(a, b))

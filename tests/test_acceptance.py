@@ -9,47 +9,34 @@ import random
 import time
 from itertools import combinations, product
 
+from ugl.catalog import INTERVAL, TREE, family_graph, is_diagonal
 from ugl.cli import main
 from ugl.distributions import (
-    PRINCIPAL,
     CoveringFamily,
     Trace,
-    all_subsets,
-    check_properties,
     check_sop2_condition,
-    conjugate,
-    distribution_from_conjugate,
-    extension_distribution,
-    find_multiplicative_refinement,
-    format_trace,
     graph_sequence,
     is_multiplicative_trace,
     is_pair_adequate,
-    is_refinement,
     parse_trace,
 )
-from ugl.graphs import (
-    INDUCED,
-    Graph,
-    canonical_key,
-    enumerate_graphs,
-    find_embedding,
+from ugl.fulldist import (
+    all_subsets,
+    check_properties,
+    conjugate,
+    distribution_from_conjugate,
+    extension_distribution,
 )
+from ugl.graphs import INDUCED, Graph, find_embedding
+from ugl.intervals import (format_interval_model, parse_interval_model,
+                           realize_intervals)
+from ugl.isomorphism import canonical_key, enumerate_graphs
 from ugl.necessary import family_necessary_set, verify_claims
-from ugl.shapes import (
-    INTERVAL,
-    TREE,
-    family_graph,
-    forest_comparability_classes,
-    format_interval_model,
-    format_witness,
-    is_diagonal,
-    minimal_obstructions,
-    parse_interval_model,
-    parse_witness,
-    realize_intervals,
-    recognize,
-)
+from ugl.obstructions import (forest_comparability_classes,
+                              minimal_obstructions, parse_witness)
+from ugl.refinement import (find_multiplicative_refinement, format_trace,
+                            is_refinement)
+from ugl.shapes import format_witness, recognize
 from ugl.ultragraph import (
     build,
     eta,

@@ -13,15 +13,11 @@ from pathlib import Path
 import pytest
 
 from ugl.cli import main
-from ugl.distributions import (
-    CoveringFamily,
-    Trace,
-    format_trace,
-    is_refinement,
-    parse_trace,
-)
+from ugl.distributions import CoveringFamily, Trace, parse_trace
 from ugl.graphs import Graph, format_graph, parse_graph
-from ugl.shapes import parse_interval_model, parse_witness
+from ugl.intervals import parse_interval_model
+from ugl.obstructions import parse_witness
+from ugl.refinement import format_trace, is_refinement
 from ugl.ultragraph import build, parse_internal_set
 
 
@@ -279,7 +275,7 @@ def test_necessary_verify_good(tmp_path, capsys):
 
 
 def test_necessary_verify_bad_claim(tmp_path, capsys):
-    from ugl.shapes import INTERVAL
+    from ugl.catalog import INTERVAL
     from ugl.necessary import counterexample_checks
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     sf = write(tmp_path, "A.set",
@@ -427,12 +423,19 @@ def test_trace_condition_tree_answers_above_formula_cap(tmp_path, capsys):
     (lambda: "indices 1\nformulas 15000\nfamily quorum 1\n",
      ["trace-check"], 3, "",
      "capability: trace conditions bounded to 12 formulas\n"),
-], ids=["sop2-empty-12000", "sop2-complete-400", "check-empty-15000"])
+    (lambda: "indices 8000\nformulas 2\nfamily quorum 1\n",
+     ["trace-refine"], 1, "none\n", ""),
+    (lambda: "indices 100\nformulas 15000\nfamily quorum 1\n",
+     ["trace-refine"], 1, "none\n", ""),
+], ids=["sop2-empty-12000", "sop2-complete-400", "check-empty-15000",
+        "refine-empty-8000-indices", "refine-empty-100x15000"])
 def test_large_trace_conditions_answer_within_two_seconds(
         tmp_path, text, argv, code, out, err):
     # the chain condition places a 4-vertex host, a search that stays
     # fast at the trace cap; trace-check decides it before the interval
-    # bound refuses the request
+    # bound refuses the request.  The refinement search keeps a support
+    # mask per formula and tests each distinct one once per node, so
+    # neither many indices nor many formulas make its nodes slow.
     tf = write(tmp_path, "large.trace", text())
     start = time.perf_counter()
     got = subprocess.run([sys.executable, "-m", "ugl.cli"] + argv + [tf],
@@ -851,13 +854,10 @@ def test_moved_names_stay_importable_where_they_were():
     import ugl.distributions
     import ugl.necessary
     import ugl.shapes
-    for name in ("TREE", "INTERVAL", "SHAPES", "check_shape",
-                 "FIXED_FAMILIES", "PARAMETRIC_FAMILIES", "family_graph",
-                 "family_str", "parse_family", "shape_families",
-                 "diagonal_violation", "is_diagonal"):
+    for name in ("TREE", "INTERVAL", "check_shape", "family_graph",
+                 "family_str", "parse_family", "shape_families"):
         assert getattr(ugl.shapes, name) is getattr(ugl.catalog, name)
-    for name in ("TREE", "INTERVAL", "check_shape", "family_graph"):
-        assert getattr(ugl.necessary, name) is getattr(ugl.catalog, name)
+    assert ugl.necessary.check_shape is ugl.catalog.check_shape
     with pytest.raises(AttributeError):
         ugl.distributions.recognize
     for module in (ugl.graphs, ugl.shapes):
@@ -865,47 +865,37 @@ def test_moved_names_stay_importable_where_they_were():
             module.recognize_everything
 
 
-# Every name (dunders aside) that these modules had before their cold
-# halves moved out; each must stay importable from the same module.
+# The names (dunders aside) these modules had before their cold halves
+# moved out that each still serves: its own, and the sixteen that the
+# bench reads through it.
 FORMER_NAMES = {
-    "graphs": """CapabilityError EDGES_ONLY ENUMERATION_CAP Embedding
-        GRAPH_VERTEX_CAP Graph INDUCED InputError _ENUM_CACHE _PAIR_ORDER
-        _extend_keys _stabilizer_orbits _vertex_invariants automorphisms
-        canonical_form canonical_graph canonical_key combinations edges_mask
-        enumerate_graphs enumerate_maximal_cliques find_embedding
-        format_graph graph_from_canonical_key graph_from_mask
-        induced_subgraph is_isomorphic iter_embeddings pair_index pair_order
-        parse_graph""",
-    "shapes": """ASTEROIDAL_TRIPLE CapabilityError Embedding FIXED_FAMILIES
-        FORBIDDEN_FAMILY Graph INDUCED INTERVAL IRREDUCIBLE_CYCLE InputError
-        IntervalModel OBSTRUCTION_CAP ObstructionWitness PARAMETRIC_FAMILIES
-        SHAPES TREE WITNESS_KINDS _avoid_components _bits _chordal_cliques
-        _clique_spans _forest_graph _interval_certificate
-        _nested_neighborhoods _reaches _rooted_trees canonical_key
-        check_shape combinations diagonal_violation enumerate_graphs
-        family_graph family_str find_asteroidal_triple find_chordless_cycle
-        find_embedding forest_comparability_classes format_interval_model
-        format_witness graph_from_canonical_key induced_subgraph is_diagonal
-        minimal_obstructions parse_family parse_interval_model parse_witness
-        realize_intervals recognize shape_families""",
+    "graphs": """CapabilityError EDGES_ONLY Embedding GRAPH_VERTEX_CAP Graph
+        INDUCED InputError automorphisms canonical_form canonical_key
+        combinations enumerate_graphs enumerate_maximal_cliques
+        find_embedding format_graph iter_embeddings parse_graph""",
+    "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INDUCED INTERVAL
+        IRREDUCIBLE_CYCLE InputError IntervalModel ObstructionWitness TREE
+        WITNESS_KINDS _avoid_components _bits _chordal_cliques _clique_spans
+        _interval_certificate _nested_neighborhoods _reaches check_shape
+        combinations family_graph family_str find_asteroidal_triple
+        find_chordless_cycle find_embedding format_interval_model
+        format_witness minimal_obstructions parse_family
+        parse_interval_model parse_witness realize_intervals recognize
+        shape_families""",
     "distributions": """CapabilityError ConsistencyError CoveringFamily
-        EXPLICIT FORMULA_CAP FullDistribution InputError LosInstance
-        PRINCIPAL PropertyReport QUORUM TRACE_FORMULA_CAP TRACE_INDEX_CAP
-        Trace _build_family _check_indices _clique_choices _collect_rows
-        _format_row _index_graphs _is_multiplicative _parse_int
-        adequacy_report all_subsets check_necessary_conditions
-        check_properties check_sop2_condition combinations conjugate
-        distribution_from_conjugate essential_range extension_distribution
-        find_multiplicative_refinement format_trace from_graph_sequence
-        graph_sequence graphlike_extension is_multiplicative_trace
-        is_pair_adequate is_refinement pair_support parse_trace restrict
-        singleton_support""",
-    "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY INTERVAL
-        IRREDUCIBLE_CYCLE InputError NecessarySet SEARCH_VERTEX_CAP TREE
+        EXPLICIT FORMULA_CAP InputError PRINCIPAL QUORUM TRACE_FORMULA_CAP
+        TRACE_INDEX_CAP Trace _build_family _collect_rows _index_graphs
+        _parse_int adequacy_report check_necessary_conditions
+        check_properties check_sop2_condition combinations
+        extension_distribution find_multiplicative_refinement format_trace
+        graph_sequence is_multiplicative_trace is_pair_adequate
+        is_refinement pair_support parse_trace singleton_support""",
+    "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY
+        IRREDUCIBLE_CYCLE InputError NecessarySet SEARCH_VERTEX_CAP
         WORK_BUDGET _TREE_PATTERN_NON_EDGES _branch_bits _charge
         _check_pairs _complete_to_member _minimal_completions _minimal_hits
         _sorted_pairs catalog_necessary_set check_shape
-        compute_flags counterexample_checks edges_mask family_graph
+        compute_flags counterexample_checks edges_mask
         family_necessary_set forced_edges format_necessary_set
         graph_from_mask is_necessary minimal_necessary_sets
         necessary_by_enumeration necessity_constraints
@@ -946,7 +936,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 51
+    assert len(moved) == 16
     for home, names in bench_traced_names().items():
         for name in names:
             assert callable(getattr(importlib.import_module("ugl." + home),

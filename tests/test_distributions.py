@@ -8,39 +8,46 @@ from pathlib import Path
 import pytest
 
 import ugl.distributions as D
+from ugl.catalog import INTERVAL, TREE, family_str, shape_families
 from ugl.distributions import (
     CoveringFamily,
-    FullDistribution,
-    LosInstance,
     Trace,
     adequacy_report,
-    all_subsets,
     check_necessary_conditions,
-    check_properties,
     check_sop2_condition,
-    conjugate,
-    distribution_from_conjugate,
-    essential_range,
-    extension_distribution,
-    find_multiplicative_refinement,
-    format_trace,
-    from_graph_sequence,
     graph_sequence,
-    graphlike_extension,
     is_multiplicative_trace,
     is_pair_adequate,
-    is_refinement,
     pair_support,
     parse_trace,
-    restrict,
     singleton_support,
 )
 from ugl.errors import CapabilityError, ConsistencyError, InputError
-from ugl.graphs import Graph, enumerate_graphs
+from ugl.fulldist import (
+    FullDistribution,
+    all_subsets,
+    check_properties,
+    conjugate,
+    distribution_from_conjugate,
+    extension_distribution,
+    graphlike_extension,
+)
+from ugl.graphs import Graph
+from ugl.isomorphism import enumerate_graphs
 from ugl.necessary import family_necessary_set
-from ugl.shapes import INTERVAL, TREE, family_str, recognize, shape_families
+from ugl.refinement import (
+    LosInstance,
+    essential_range,
+    find_multiplicative_refinement,
+    format_trace,
+    from_graph_sequence,
+    is_refinement,
+    restrict,
+)
+from ugl.shapes import recognize
 from ugl.ultragraph import _grow_clique
 
+import oracles
 from oracles import (all_subsets_from_conjugate, brute_pattern_violation,
                      frozenset_adequacy_report, frozenset_check_properties,
                      frozenset_conjugate, frozenset_extension,
@@ -215,6 +222,50 @@ def test_family_restrict_degenerate():
         CoveringFamily.principal(3, [0, 1]).restrict([0, 2])
 
 
+def outcome(call, *args):
+    """A call's result, or its error type and message."""
+    try:
+        return call(*args)
+    except (InputError, ConsistencyError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_family_matches_the_frozenset_oracle():
+    # every quorum, principal and explicit family over at most 4 indices
+    # (explicit members listed in reverse sorted order), and the refused
+    # declarations, against every candidate set and two out of range
+    families = []
+    for n in range(1, 5):
+        subsets = [frozenset(c) for k in range(1, n + 1)
+                   for c in combinations(range(n), k)]
+        params = [("quorum", k) for k in range(1, n + 2)]
+        params += [("principal", sorted(s)) for s in subsets]
+        params += [("explicit", [sorted(m) for m in reversed(chain)])
+                   for size in range(1, 7)
+                   for chain in combinations(subsets, size)]
+        for kind, param in params:
+            got = outcome(CoveringFamily, n, kind, param)
+            old = outcome(oracles.FrozensetCoveringFamily, n, kind, param)
+            assert repr(got) == repr(old)
+            if not isinstance(got, CoveringFamily):
+                continue
+            families.append((got, old))
+            candidates = [()] + subsets + [(n,), (n, -1)]
+            for c in candidates:
+                assert outcome(got.is_member, c) == outcome(old.is_member, c)
+            assert got.minimal_members() == old.minimal_members()
+            for c in filter(old.is_member, subsets):
+                cut, old_cut = outcome(got.restrict, c), outcome(old.restrict, c)
+                assert repr(cut) == repr(old_cut)
+                if isinstance(cut, CoveringFamily):
+                    assert cut == CoveringFamily(
+                        old_cut.index_count, old_cut.kind, old_cut.param)
+    # 10 quorum, 26 principal and 189 explicit families
+    assert len(families) == 225
+    for (a, old_a), (b, old_b) in combinations(families, 2):
+        assert (a == b) == (old_a == old_b) == (repr(a) == repr(b))
+
+
 # ---------------------------------------------------------------------------
 # instance and trace structure
 # ---------------------------------------------------------------------------
@@ -380,10 +431,12 @@ def test_negative_formula_counts_are_refused():
 
 def test_parse_reports_the_first_fault_in_row_order():
     # rows are checked as they are parsed, the instance first: k1, k2,
-    # then g1, g2, then the domination of the trace by the instance
+    # then g1, g2, then the domination of the trace by the instance; a
+    # vertex row is read whole before its values are checked
     head = "indices 2\nformulas 3\nfamily quorum 1\n"
     for rows, want in [
             ("g1 0 : 0 5\ng2 0 : 0x1\n", "g1 entry element 5 out of range 0..2"),
+            ("g1 0 : 5 x\n", "malformed number 'x' in 'x'"),
             ("g1 0 : 0\ng2 0 : 0-1\nk1 0 : 0\nk2 0 : 0-2\n",
              "k2 pair (0, 2) outside k1 at index 0"),
             ("g1 0 : x\nk1 0 : 9\n", "k1 entry element 9 out of range 0..2"),
@@ -771,6 +824,7 @@ def test_trace_routines_match_the_frozenset_oracles():
         assert adequacy_report(t) == frozenset_adequacy_report(t)
         found = find_multiplicative_refinement(t)
         assert found == frozenset_multiplicative_refinement(t)
+        assert found == recursive_multiplicative_refinement(t)
         outcomes.add((multiplicative, found is None))
         for a in range(ni):
             seed = {b for b in t.g1[a] if rng.random() < 0.3}
@@ -982,6 +1036,7 @@ def test_refinement_matches_recursive_oracle_on_bench_traces(
     for _, t in traces:
         got = find_multiplicative_refinement(t)
         assert got == recursive_multiplicative_refinement(t)
+        assert got == frozenset_multiplicative_refinement(t)
         found += got is not None
         # pairs in no g2, which the search checks all at once
         nb = t.n_formulas

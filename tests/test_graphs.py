@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Embedding,
-                        Graph, automorphisms, canonical_form, canonical_graph,
-                        canonical_key, enumerate_graphs,
-                        enumerate_maximal_cliques, find_embedding,
-                        format_graph, graph_from_canonical_key,
-                        induced_subgraph, is_isomorphic, iter_embeddings,
+                        Graph, find_embedding, format_graph, iter_embeddings,
                         parse_graph)
+from ugl.isomorphism import (automorphisms, canonical_form, canonical_graph,
+                             canonical_key, enumerate_graphs,
+                             graph_from_canonical_key, induced_subgraph,
+                             is_isomorphic)
+from ugl.refinement import enumerate_maximal_cliques
 
 import oracles
 

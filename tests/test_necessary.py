@@ -5,15 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugl import necessary
+from ugl.catalog import INTERVAL, TREE, family_graph
 from ugl.errors import CapabilityError, InputError
-from ugl.graphs import Graph, automorphisms, enumerate_graphs
+from ugl.graphs import Graph
+from ugl.isomorphism import automorphisms, enumerate_graphs
 from ugl.necessary import (NecessarySet, compute_flags, counterexample_checks,
                            family_necessary_set, forced_edges,
                            format_necessary_set, is_necessary,
                            minimal_necessary_sets, necessary_by_enumeration,
                            necessity_constraints, necessity_counterexample,
                            parse_necessary_set, verify_claims)
-from ugl.shapes import INTERVAL, TREE, family_graph, recognize
+from ugl.shapes import recognize
 
 import oracles
 from oracles import classwide_constraints, minimize_family
@@ -263,7 +265,8 @@ def test_constraints_branch_on_witness_pairs(monkeypatch):
     got = fresh_python(
         "import sys\n"
         "from ugl.graphs import Graph\n"
-        "from ugl.necessary import TREE, necessity_constraints\n"
+        "from ugl.catalog import TREE\n"
+        "from ugl.necessary import necessity_constraints\n"
         "got = necessity_constraints(TREE, Graph(8, %r))\n"
         "print(len(got), 'ugl.isomorphism' in sys.modules)" % (C4.edges(),))
     assert got == "2 False"

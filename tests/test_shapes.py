@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugl.catalog import (INTERVAL, TREE, diagonal_violation, family_graph,
+                         family_str, is_diagonal, parse_family,
+                         shape_families)
 from ugl.errors import CapabilityError, InputError
-from ugl.graphs import (Graph, enumerate_graphs, enumerate_maximal_cliques,
-                        induced_subgraph, is_isomorphic)
-from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, INTERVAL,
-                        IRREDUCIBLE_CYCLE, TREE, IntervalModel,
-                        ObstructionWitness, _chordal_cliques, _clique_spans,
-                        diagonal_violation, family_graph,
-                        family_str, find_asteroidal_triple,
-                        find_chordless_cycle, forest_comparability_classes,
-                        format_interval_model, format_witness, is_diagonal,
-                        minimal_obstructions, parse_family,
-                        parse_interval_model, parse_witness,
-                        realize_intervals, recognize, shape_families)
+from ugl.graphs import Graph
+from ugl.intervals import (IntervalModel, format_interval_model,
+                           parse_interval_model, realize_intervals)
+from ugl.isomorphism import enumerate_graphs, induced_subgraph, is_isomorphic
+from ugl.obstructions import (forest_comparability_classes,
+                              minimal_obstructions, parse_witness)
+from ugl.refinement import enumerate_maximal_cliques
+from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
+                        IRREDUCIBLE_CYCLE, ObstructionWitness,
+                        _chordal_cliques, _clique_spans,
+                        find_asteroidal_triple, find_chordless_cycle,
+                        format_witness, recognize)
 from ugl import shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,

@@ -6,14 +6,12 @@ from itertools import combinations, product
 import pytest
 
 import ugl.ultragraph as U
-from ugl.distributions import (
-    CoveringFamily,
-    LosInstance,
-    Trace,
-    find_multiplicative_refinement,
-)
+from ugl.distributions import CoveringFamily, Trace
 from ugl.errors import CapabilityError, ConsistencyError, InputError
-from ugl.graphs import canonical_key, Graph
+from ugl.refinement import LosInstance, find_multiplicative_refinement
+
+import oracles
+from test_distributions import bench_traces
 
 
 def principal_trace(graphs, n_formulas, core=None):
@@ -90,6 +88,30 @@ def test_vertex_count_is_product():
         assert rp.size == want
         if want:
             assert len(rp.vertices()) == want
+
+
+def test_edge_count_matches_the_pair_loop(tmp_path_factory):
+    # the principal traces of bench seeds 1-5, which the bench sends to
+    # ultragraph, and random principal traces with up to 3 indices
+    traces = [t for kinds, t in bench_traces(tmp_path_factory)
+              if "ultragraph" in kinds]
+    assert len(traces) == 60
+    rng = random.Random(31)
+    for _ in range(300):
+        n, nb = rng.randrange(1, 4), rng.randrange(6)
+        graphs = []
+        for _ in range(n):
+            vs = {b for b in range(nb) if rng.random() < 0.8}
+            p = rng.choice((0.3, 0.9))
+            graphs.append((vs, [e for e in pairs_of(vs) if rng.random() < p]))
+        core = rng.sample(range(n), rng.randrange(1, n + 1))
+        traces.append(principal_trace(graphs, nb, core))
+    counts = set()
+    for t in traces:
+        rp = U.build(t)
+        counts.add(rp.edge_count())
+        assert rp.edge_count() == oracles.loop_edge_count(rp)
+    assert 0 in counts and max(counts) > 100
 
 
 def test_check_vertex_errors():
