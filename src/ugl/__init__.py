@@ -1,0 +1,51 @@
+"""ugl: shapes of finite graphs, and covering-family traces with their
+reduced products.
+
+The package itself holds the base of its value types.  A ``_Frozen``
+object's fields are its ``__slots__``, set once when it is built;
+setting or deleting one raises ``AttributeError``, and ``copy``,
+``deepcopy`` and ``pickle`` rebuild it from its fields.  A ``_Value`` is
+also equal to any object of its type with equal fields, and hashes as
+the tuple of its fields; the other frozen objects compare by identity.
+"""
+
+
+def _freeze(obj, *values):
+    """Set the fields of obj to values, in ``__slots__`` order, and return
+    it.  Given a class, a new instance is made without running its
+    constructor: that is how already-checked values are built."""
+    if isinstance(obj, type):
+        obj = object.__new__(obj)
+    for name, value in zip(obj.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """An object whose fields are fixed once built; compared by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __reduce__(self):
+        return _freeze, (type(self), *self._fields())
+
+
+class _Value(_Frozen):
+    """A frozen object equal to any of its type with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())

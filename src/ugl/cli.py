@@ -74,7 +74,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError("cannot read %s: %s" % (path, err))
 
 

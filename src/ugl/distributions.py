@@ -30,6 +30,7 @@ its module on first use; every other name lives in its home alone.
 
 from itertools import combinations
 
+from . import _Value, _freeze
 from .errors import CapabilityError, ConsistencyError, InputError
 
 # Graph and catalog code is imported in the functions that use it, so a
@@ -85,7 +86,7 @@ def _checked_mask(vals, bound, what):
     return _mask(vals)
 
 
-class CoveringFamily:
+class CoveringFamily(_Value):
     """Upward closed family of nonempty subsets of a finite index set.
 
     ``param`` is the quorum threshold, the generator mask (principal) or
@@ -121,22 +122,11 @@ class CoveringFamily:
             raise InputError("unknown family kind %r" % kind)
         _freeze(self, index_count, kind, param)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CoveringFamily is immutable")
-
     quorum = classmethod(lambda cls, index_count, k: cls(index_count, QUORUM, k))
     principal = classmethod(lambda cls, index_count, generator: cls(
         index_count, PRINCIPAL, generator))
     explicit = classmethod(lambda cls, index_count, members: cls(
         index_count, EXPLICIT, members))
-
-    def __eq__(self, other):
-        return (isinstance(other, CoveringFamily)
-                and (self.index_count, self.kind, self.param)
-                == (other.index_count, other.kind, other.param))
-
-    def __hash__(self):
-        return hash((self.index_count, self.kind, self.param))
 
     def __repr__(self):
         if self.kind == QUORUM:
@@ -188,7 +178,7 @@ class CoveringFamily:
             raise ConsistencyError(
                 "restriction admits the empty set (member disjoint from range)")
         keep = [m for m in cut if not any(o != m and not o & ~m for o in cut)]
-        return _freeze(object.__new__(CoveringFamily), len(order), self.kind,
+        return _freeze(CoveringFamily, len(order), self.kind,
                        keep[0] if self.kind == PRINCIPAL
                        else tuple(sorted(keep, key=_bits)))
 
@@ -206,12 +196,6 @@ def _edges(rows):
 def _has(mask, x):
     """Whether x is a vertex of the vertex mask; vertices are ints."""
     return isinstance(x, int) and x >= 0 and bool(mask >> x & 1)
-
-
-def _freeze(obj, *values):
-    for name, value in zip(type(obj).__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 class _Rows(tuple):
@@ -251,7 +235,7 @@ def _graphs(n_formulas, vertex_sets, pair_lists, v, p):
     return masks, out
 
 
-class Trace:
+class Trace(_Value):
     """Per-index formula graphs under a covering family.
 
     Each index keeps a vertex mask (``g1_masks``) and n_formulas adjacency
@@ -287,16 +271,9 @@ class Trace:
                         "g2 exceeds the instance k2 at index %d" % alpha)
         _freeze(self, family, n_formulas, g1, g2, instance)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Trace is immutable")
-
     n_indices = property(lambda self: self.family.index_count)
     g1 = property(lambda self: tuple(frozenset(_bits(m)) for m in self.g1_masks))
     g2 = property(lambda self: tuple(frozenset(_edges(rs)) for rs in self.g2_rows))
-
-    def __eq__(self, other):
-        return isinstance(other, Trace) and all(
-            getattr(self, k) == getattr(other, k) for k in Trace.__slots__)
 
     def __repr__(self):
         return "Trace(%d formulas, %d indices, %s)" % (

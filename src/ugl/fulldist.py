@@ -16,8 +16,8 @@ module; ``distributions`` serves ``extension_distribution`` and
 
 from itertools import combinations
 
-from .distributions import (FORMULA_CAP, _bits, _checked_mask, _edges,
-                            _freeze, _mask)
+from . import _Frozen, _Value, _freeze
+from .distributions import FORMULA_CAP, _bits, _checked_mask, _edges, _mask
 from .errors import CapabilityError, InputError
 
 
@@ -65,7 +65,7 @@ def _clique_masks(n_formulas, n_indices, vertices, rows):
     return _pair_meets(masks)
 
 
-class FullDistribution:
+class FullDistribution(_Value):
     """A value in 2^I for every subset of the formula set; entry d of
     ``masks`` is the index mask of the formula set with mask d."""
 
@@ -83,9 +83,6 @@ class FullDistribution:
         _freeze(self, n_formulas, n_indices, tuple(
             mapping[_set(d)] for d in range(1 << n_formulas)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FullDistribution is immutable")
-
     def at(self, delta):
         return _set(self.masks[sum(1 << x for x in frozenset(delta))])
 
@@ -93,11 +90,6 @@ class FullDistribution:
     def map(self):
         """Every formula set's value, as frozensets (built on each use)."""
         return {_set(d): _set(v) for d, v in enumerate(self.masks)}
-
-    def __eq__(self, other):
-        return (isinstance(other, FullDistribution)
-                and (self.n_formulas, self.n_indices, self.masks)
-                == (other.n_formulas, other.n_indices, other.masks))
 
     def __repr__(self):
         return "FullDistribution(%d formulas, %d indices)" % (
@@ -173,11 +165,10 @@ def extension_distribution(t):
         raise CapabilityError(
             "extension bounded to %d formulas" % FORMULA_CAP)
     masks = _clique_masks(t.n_formulas, t.n_indices, t.g1_masks, t.g2_rows)
-    return _freeze(object.__new__(FullDistribution), t.n_formulas,
-                   t.n_indices, tuple(masks))
+    return _freeze(FullDistribution, t.n_formulas, t.n_indices, tuple(masks))
 
 
-class PropertyReport:
+class PropertyReport(_Frozen):
     """Boolean verdicts from check_properties with first witnesses."""
 
     __slots__ = ("monotone", "graph_like", "multiplicative",
@@ -187,9 +178,6 @@ class PropertyReport:
                  pairwise_splitting, refines_los, witnesses):
         _freeze(self, monotone, graph_like, multiplicative,
                 pairwise_splitting, refines_los, witnesses)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PropertyReport is immutable")
 
     def __repr__(self):
         return "PropertyReport(%s)" % ", ".join(

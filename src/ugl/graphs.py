@@ -17,11 +17,14 @@ in ``refinement``, their one users.  The five of their names that the
 bench times or reads here stay importable from here, each executing its
 module on first use; the rest are imported from their homes.
 
-All objects here are immutable, and every operation is a pure function.
+Graphs and embeddings are immutable values (``ugl._Value``: frozen
+fields, equality and hashing by field, copy and pickle), and every
+operation is a pure function.
 """
 
 from itertools import combinations, compress
 
+from . import _Value, _freeze
 from .errors import CapabilityError, InputError
 
 GRAPH_VERTEX_CAP = 10000
@@ -43,7 +46,7 @@ def __getattr__(name):
     return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
 
 
-class Graph:
+class Graph(_Value):
     """An immutable simple graph on vertices 0..n-1.
 
     Adjacency is a tuple of n bitmasks; bit v of ``rows[u]`` says u ~ v.
@@ -64,28 +67,11 @@ class Graph:
                 raise InputError("loop at vertex %d" % u)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
+        _freeze(self, n, tuple(rows))
 
     @classmethod
     def _from_rows(cls, n, rows):
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", tuple(rows))
-        return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # default slot-based pickling would setattr on restore
-        return (Graph._from_rows, (self.n, self.rows))
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
+        return _freeze(cls, n, tuple(rows))
 
     def __repr__(self):
         return "Graph(%d, %r)" % (self.n, self.edges())
@@ -206,7 +192,7 @@ EDGES_ONLY = "edges-only"
 INDUCED = "induced"
 
 
-class Embedding:
+class Embedding(_Value):
     """An injective vertex map witnessing h -> g in the given mode."""
 
     __slots__ = ("mapping", "mode")
@@ -214,18 +200,7 @@ class Embedding:
     def __init__(self, mapping, mode):
         if mode not in (EDGES_ONLY, INDUCED):
             raise InputError("unknown embedding mode %r" % mode)
-        object.__setattr__(self, "mapping", tuple(mapping))
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Embedding is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Embedding)
-                and self.mapping == other.mapping and self.mode == other.mode)
-
-    def __hash__(self):
-        return hash((self.mapping, self.mode))
+        _freeze(self, tuple(mapping), mode)
 
     def __repr__(self):
         return "Embedding(%r, %r)" % (self.mapping, self.mode)

@@ -9,11 +9,12 @@ serves its names.
 
 from itertools import combinations
 
+from . import _Value, _freeze
 from .errors import InputError
 from .shapes import _interval_certificate
 
 
-class IntervalModel:
+class IntervalModel(_Value):
     """Open intervals (a_v, b_v) with integer endpoints, one per vertex."""
 
     __slots__ = ("n", "intervals", "distinct")
@@ -29,17 +30,7 @@ class IntervalModel:
             ends = [e for ab in intervals for e in ab]
             if len(set(ends)) != len(ends):
                 raise InputError("distinct-endpoint model has a repeated endpoint")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "distinct", distinct)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalModel is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, IntervalModel)
-                and (self.n, self.intervals, self.distinct)
-                == (other.n, other.intervals, other.distinct))
+        _freeze(self, n, intervals, distinct)
 
     def __repr__(self):
         return "IntervalModel(%d, %r)" % (self.n, self.intervals)

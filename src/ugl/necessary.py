@@ -41,6 +41,7 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
+from . import _Value, _freeze
 from .catalog import catalog_necessary_set, check_shape
 from .errors import CapabilityError, InputError
 from .graphs import INDUCED, Graph, iter_embeddings
@@ -60,10 +61,12 @@ WORK_BUDGET = 1 << 16
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
 
 
-class NecessarySet:
-    """A candidate set of host non-edges with claimed flags."""
+class NecessarySet(_Value):
+    """A candidate set of host non-edges with claimed flags, kept as
+    bools in ``FLAG_NAMES`` order (``flag_values``); the view ``flags``
+    builds the name -> bool dict on each access."""
 
-    __slots__ = ("edges", "flags")
+    __slots__ = ("edges", "flag_values")
 
     def __init__(self, edges, flags=None):
         seen = set()
@@ -77,28 +80,21 @@ class NecessarySet:
         for k in flags:
             if k not in FLAG_NAMES:
                 raise InputError("unknown flag %r" % k)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "flags",
-                           {k: bool(flags.get(k, False)) for k in FLAG_NAMES})
+        _freeze(self, tuple(sorted(edges)),
+                tuple(bool(flags.get(k, False)) for k in FLAG_NAMES))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NecessarySet is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, NecessarySet)
-                and (self.edges, self.flags) == (other.edges, other.flags))
+    flags = property(lambda self: dict(zip(FLAG_NAMES, self.flag_values)))
 
     def __repr__(self):
-        on = [k for k in FLAG_NAMES if self.flags[k]]
-        return "NecessarySet(%r, flags=%r)" % (list(self.edges), on)
+        return "NecessarySet(%r, flags=%r)" % (list(self.edges), self.claimed())
 
     def claimed(self):
-        return [k for k in FLAG_NAMES if self.flags[k]]
+        return [k for k, on in zip(FLAG_NAMES, self.flag_values) if on]
 
 
 def format_necessary_set(ns):
     head = " ".join(["B"] + ["%d-%d" % e for e in ns.edges])
-    tail = "flags " + " ".join("%s=%d" % (k, ns.flags[k]) for k in FLAG_NAMES)
+    tail = "flags " + " ".join("%s=%d" % kv for kv in ns.flags.items())
     return head + "\n" + tail + "\n"
 
 

@@ -18,13 +18,14 @@ first use.
 
 from itertools import combinations
 
+from . import _Value, _freeze
 from .distributions import (PRINCIPAL, QUORUM, Trace, _Rows, _bits, _edges,
-                            _freeze, _graphs, _has, _mask, adequacy_report,
+                            _graphs, _has, _mask, adequacy_report,
                             is_pair_adequate)
 from .errors import ConsistencyError, InputError
 
 
-class LosInstance:
+class LosInstance(_Value):
     """Per-index dominating graphs on formula vertices, stored as a trace
     stores its graphs (``k1_masks``, ``k2_rows``; views ``k1``, ``k2``)."""
 
@@ -36,15 +37,8 @@ class LosInstance:
             raise InputError("k1 and k2 must cover the same indices")
         _freeze(self, len(k1), n_formulas, k1, k2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LosInstance is immutable")
-
     k1 = property(lambda self: tuple(frozenset(_bits(m)) for m in self.k1_masks))
     k2 = property(lambda self: tuple(frozenset(_edges(rs)) for rs in self.k2_rows))
-
-    def __eq__(self, other):
-        return isinstance(other, LosInstance) and all(
-            getattr(self, k) == getattr(other, k) for k in LosInstance.__slots__)
 
     def __repr__(self):
         return "LosInstance(%d formulas, %d indices)" % (

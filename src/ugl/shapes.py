@@ -36,6 +36,7 @@ are re-exported.  Like these rows, the covering families of
 
 from itertools import combinations
 
+from . import _Value, _freeze
 # the catalog names the bench reads are re-exported from here
 from .catalog import (INTERVAL, TREE, check_shape, family_graph,  # noqa: F401
                       family_str, parse_family, shape_families)
@@ -204,7 +205,7 @@ FORBIDDEN_FAMILY = "forbidden-family"
 WITNESS_KINDS = (IRREDUCIBLE_CYCLE, ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY)
 
 
-class ObstructionWitness:
+class ObstructionWitness(_Value):
     """A checkable certificate of non-membership."""
 
     __slots__ = ("kind", "vertices", "family")
@@ -218,20 +219,7 @@ class ObstructionWitness:
             family_graph(*family)
         elif family is not None:
             raise InputError("%s witness takes no family" % kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "family", family)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ObstructionWitness is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ObstructionWitness)
-                and (self.kind, self.vertices, self.family)
-                == (other.kind, other.vertices, other.family))
-
-    def __hash__(self):
-        return hash((self.kind, self.vertices, self.family))
+        _freeze(self, kind, tuple(vertices), family)
 
     def __repr__(self):
         return "ObstructionWitness(%r, %r, %r)" % (self.kind, self.vertices, self.family)

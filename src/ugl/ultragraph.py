@@ -23,22 +23,20 @@ the componentwise reading of edges is not sound.
 
 from itertools import combinations, product
 
+from . import _Frozen, _Value, _freeze
 from .errors import CapabilityError, ConsistencyError, InputError
-from .distributions import PRINCIPAL, Trace, _bits, _freeze, _has
+from .distributions import PRINCIPAL, Trace, _bits, _has
 
 MATERIALIZE_CAP = 10 ** 6
 
 
-class ReducedProduct:
+class ReducedProduct(_Frozen):
     """Product graph of the per-index graphs over the principal core."""
 
     __slots__ = ("trace", "core", "parts", "size")
 
     def __init__(self, trace, core, parts, size):
         _freeze(self, trace, core, parts, size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedProduct is immutable")
 
     def __repr__(self):
         return "ReducedProduct(core=%r, size=%d)" % (list(self.core), self.size)
@@ -128,7 +126,7 @@ def build(t):
         raise CapabilityError(
             "reduced products need a principal family; got %s" % t.family.kind)
     core = tuple(_bits(t.family.param))
-    parts = [tuple(_bits(t.g1_masks[alpha])) for alpha in core]
+    parts = tuple(tuple(_bits(t.g1_masks[alpha])) for alpha in core)
     size = 1
     for p in parts:
         size *= len(p)
@@ -166,49 +164,44 @@ def eta_clique_witness(t):
     return None
 
 
-class InternalSet:
-    """Product of per-core-index vertex subsets."""
+class InternalSet(_Value):
+    """Product of per-core-index vertex subsets, kept as frozensets in
+    ``core`` order (``part_sets``); the view ``parts`` builds the
+    index -> part dict on each access."""
 
-    __slots__ = ("core", "parts")
+    __slots__ = ("core", "part_sets")
 
     def __init__(self, core, parts):
         core = tuple(core)
         if len(set(core)) != len(core):
             raise InputError("core indices must be distinct")
-        parts = {alpha: frozenset(parts[alpha]) for alpha in core}
         if set(parts) != set(core):
             raise InputError("internal set needs one part per core index")
-        _freeze(self, core, parts)
+        _freeze(self, core, tuple(frozenset(parts[alpha]) for alpha in core))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("InternalSet is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, InternalSet)
-                and self.core == other.core and self.parts == other.parts)
+    parts = property(lambda self: dict(zip(self.core, self.part_sets)))
 
     def __repr__(self):
         return "InternalSet(%s)" % ", ".join(
-            "%d:%r" % (a, sorted(self.parts[a])) for a in self.core)
+            "%d:%r" % (a, sorted(p)) for a, p in zip(self.core, self.part_sets))
 
     def count(self):
         size = 1
-        for alpha in self.core:
-            size *= len(self.parts[alpha])
+        for part in self.part_sets:
+            size *= len(part)
         return size
 
     def contains(self, tup):
         tup = tuple(tup)
         if len(tup) != len(self.core):
             return False
-        return all(x in self.parts[alpha]
-                   for x, alpha in zip(tup, self.core))
+        return all(x in part for x, part in zip(tup, self.part_sets))
 
     def tuples(self):
         if self.count() > MATERIALIZE_CAP:
             raise CapabilityError("internal set too large to enumerate")
         return [tup for tup in
-                product(*(tuple(sorted(self.parts[a])) for a in self.core))]
+                product(*(tuple(sorted(part)) for part in self.part_sets))]
 
     def is_clique_in(self, rp):
         """Internal-clique test: every component induces a clique.
@@ -218,8 +211,7 @@ class InternalSet:
         """
         if self.core != rp.core:
             raise InputError("internal set core does not match the product")
-        for alpha in self.core:
-            part = self.parts[alpha]
+        for alpha, part in zip(self.core, self.part_sets):
             if not all(_has(rp.trace.g1_masks[alpha], x) for x in part):
                 raise InputError(
                     "part at index %d leaves the vertex set" % alpha)
@@ -232,8 +224,8 @@ class InternalSet:
 
 def format_internal_set(s):
     lines = []
-    for alpha in s.core:
-        toks = " ".join(str(x) for x in sorted(s.parts[alpha]))
+    for alpha, part in zip(s.core, s.part_sets):
+        toks = " ".join(str(x) for x in sorted(part))
         lines.append("K %d :%s" % (alpha, (" " + toks) if toks else ""))
     return "\n".join(lines) + "\n"
 
@@ -312,7 +304,7 @@ def eta_extension(t):
                                      require_complete=False)
 
 
-class LiftedMap:
+class LiftedMap(_Frozen):
     """Coordinatewise map between reduced products.
 
     Acts through per-index vertex maps on the source core; target core
@@ -347,9 +339,6 @@ class LiftedMap:
                 fill[alpha] = part[0]
         _freeze(self, source, target, theta, fill)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftedMap is immutable")
-
     def apply(self, tup):
         tup = self.source.check_vertex(tup)
         by_index = dict(zip(self.source.core, tup))
@@ -365,21 +354,18 @@ class LiftedMap:
         """Image of an internal set; again internal, componentwise."""
         if s.core != self.source.core:
             raise InputError("internal set core does not match the source")
-        parts = {}
-        for alpha in self.target.core:
-            if alpha in s.parts:
-                parts[alpha] = frozenset(
-                    self.theta[alpha][v] for v in s.parts[alpha])
-            else:
-                parts[alpha] = frozenset((self.fill[alpha],))
+        parts = {alpha: frozenset((v,)) for alpha, v in self.fill.items()}
+        for alpha, part in zip(s.core, s.part_sets):
+            parts[alpha] = frozenset(self.theta[alpha][v] for v in part)
         return InternalSet(self.target.core, parts)
 
     def preimage_of(self, s):
         """Preimage of an internal set; internal over the source core."""
         if s.core != self.target.core:
             raise InputError("internal set core does not match the target")
+        given = s.parts
         for alpha, v in self.fill.items():
-            if v not in s.parts[alpha]:
+            if v not in given[alpha]:
                 return InternalSet(
                     self.source.core,
                     {a: frozenset() for a in self.source.core})
@@ -387,7 +373,7 @@ class LiftedMap:
         for alpha in self.source.core:
             parts[alpha] = frozenset(
                 v for v in _bits(self.source.trace.g1_masks[alpha])
-                if self.theta[alpha][v] in s.parts[alpha])
+                if self.theta[alpha][v] in given[alpha])
         return InternalSet(self.source.core, parts)
 
 

@@ -92,6 +92,26 @@ def test_recognize_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+# Every command that reads a file, with "X" where the undecodable one goes
+# and the stand-ins of ``files`` for the valid ones.
+READERS = [["recognize", "--shape", "tree", "X"], ["realize", "X"],
+           ["necessary", "--shape", "tree", "X"],
+           ["necessary", "--shape", "tree", "G", "--verify", "X"],
+           ["trace-check", "X"], ["trace-refine", "X"],
+           ["trace-condition", "--sop2", "X"], ["ultragraph", "X"]]
+
+
+@pytest.mark.parametrize("argv", READERS, ids=" ".join)
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\n")
+    real = dict(files(tmp_path), X=str(bad))
+    code, out, err = run(capsys, *[real.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read %s: " % bad), err
+    assert "Traceback" not in err
+
+
 def test_recognize_oversized_header_is_capability(tmp_path, capsys):
     gf = write(tmp_path, "huge.graph", "graph 100000000\n")
     code, out, err = run(capsys, "recognize", "--shape", "interval", gf)
