@@ -169,15 +169,19 @@ def extension_distribution(t):
 
 
 class PropertyReport(_Frozen):
-    """Boolean verdicts from check_properties with first witnesses."""
+    """Boolean verdicts from check_properties with first witnesses, kept
+    as (property, witness) items (``witness_items``); the view
+    ``witnesses`` builds the property -> witness dict on each access."""
 
     __slots__ = ("monotone", "graph_like", "multiplicative",
-                 "pairwise_splitting", "refines_los", "witnesses")
+                 "pairwise_splitting", "refines_los", "witness_items")
 
     def __init__(self, monotone, graph_like, multiplicative,
                  pairwise_splitting, refines_los, witnesses):
         _freeze(self, monotone, graph_like, multiplicative,
-                pairwise_splitting, refines_los, witnesses)
+                pairwise_splitting, refines_los, tuple(witnesses.items()))
+
+    witnesses = property(lambda self: dict(self.witness_items))
 
     def __repr__(self):
         return "PropertyReport(%s)" % ", ".join(

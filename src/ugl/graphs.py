@@ -80,7 +80,7 @@ class Graph(_Value):
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v):
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def degree_sequence(self):
         return tuple(sorted(self.degree(v) for v in range(self.n)))

@@ -228,7 +228,7 @@ def _extend_keys(n, parent_keys):
 
 def _vertex_invariants(g):
     """Per vertex (degree, neighbour degree sum); isomorphisms keep them."""
-    deg = [bin(r).count("1") for r in g.rows]
+    deg = [r.bit_count() for r in g.rows]
     out = []
     for v, r in enumerate(g.rows):
         total = 0

@@ -8,7 +8,10 @@ edges of G.  A set B of host non-edges is *necessary* when every
 completion uses at least one element of B: no matter how the host is
 re-placed and extended into a member, some pair from B gets glued.
 
-Two independent decision routes are implemented.
+Two independent decision routes are implemented, under one work budget
+(``WORK_BUDGET``).  Both keep sets of host non-edges as pair masks: bit
+k stands for the k-th host non-edge in column order (0,1), (0,2),
+(1,2), (0,3), ..., and a mask for the host plus its pairs.
 
 * Enumeration: list the minimal member supergraphs of H on V(H),
   record the host non-edges each adds, and test that B meets every such
@@ -18,7 +21,7 @@ Two independent decision routes are implemented.
   so the identity placements already give every used set.  The sweep
   branches on the witness pairs of the search route below, and the
   subset-minimal necessary sets are the minimal hitting sets of what it
-  finds, both within one work budget (``WORK_BUDGET``).
+  finds.
 * Search: a member g between the floor E(H) | psi(E(H)) and the
   complement of psi(B), for any bijection psi, pulls back to psi^-1(g),
   a member that contains E(H) and avoids B.  So B is necessary iff no
@@ -31,8 +34,7 @@ Two independent decision routes are implemented.
   obstruction witness of the current graph: a chord of a chordless
   cycle, a pair incident to an asteroidal triple, or a missing diagonal
   of an induced 4-cycle or 4-path.  Adding any pair outside those sets
-  leaves the witness intact, so the branching is complete.  Recognition
-  is memoized per edge mask.
+  leaves the witness intact, so the branching is complete.
 
 The flag vocabulary for a candidate set: ``necessary``, ``submin`` (no
 proper subset is necessary), ``mincard`` (no smaller necessary set
@@ -41,21 +43,22 @@ stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
 """
 
+from functools import cache
+
 from . import _Value, _freeze
 from .catalog import catalog_necessary_set, check_shape
 from .errors import CapabilityError, InputError
-from .graphs import INDUCED, Graph, iter_embeddings
+from .graphs import INDUCED, iter_embeddings
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 
-SEARCH_VERTEX_CAP = 8
-# Work bound of the enumeration route: one unit per host non-edge, up
-# front (so a large sparse host is refused before any mask exists), then
-# one per distinct mask of the completion sweep, and for each node of the
-# hitting-set branching one per completion it carries, which is what the
-# node scans.  Every class with at most 7 vertices costs at most 6,698
-# units and every catalog host at most 7,337 (III(7)).  In the tree
-# shape, 8 disjoint 4-cycles answer and 9 or more are refused: k of them
-# have 2^k minimal completions, all carried by the root.
+# Work bound of one request, shared by every sweep and search it runs.
+# The sweep charges one unit per host non-edge up front, then one per
+# distinct mask it reaches and, per node of its hitting-set branching,
+# one per completion the node carries.  The search charges one unit per
+# host pair up front (so no host of more than 362 vertices reaches its
+# automorphism scan, which recurses once per vertex), then one per
+# automorphism and one per mask it recognizes.  README "Bounds" lists
+# what fits.
 WORK_BUDGET = 1 << 16
 
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
@@ -146,59 +149,55 @@ def _check_pairs(h, edges):
 
 
 # ---------------------------------------------------------------------------
-# pair masks: edge sets as bits over the pairs in column order
+# pair masks: sets of host non-edges as bits, in column order
 # ---------------------------------------------------------------------------
 
-_PAIR_ORDER = {}
+def _non_edges(h):
+    """The host's non-edges (i, j), i < j, in column order, and the bit
+    of each, keyed by (i, j) and by (j, i)."""
+    ne = []
+    for j, row in enumerate(h.rows):
+        m = ~row & (1 << j) - 1
+        while m:
+            low = m & -m
+            ne.append((low.bit_length() - 1, j))
+            m ^= low
+    idx = {}
+    for k, (i, j) in enumerate(ne):
+        idx[i, j] = idx[j, i] = k
+    return ne, idx
 
 
-def pair_order(n):
-    """Pairs (i, j), i < j, in column order: (0,1),(0,2),(1,2),(0,3),..."""
-    if n not in _PAIR_ORDER:
-        _PAIR_ORDER[n] = [(i, j) for j in range(n) for i in range(j)]
-    return _PAIR_ORDER[n]
-
-
-def pair_index(n):
-    """Map pair -> position in pair_order(n)."""
-    return {p: i for i, p in enumerate(pair_order(n))}
-
-
-def edges_mask(g, index=None):
-    """Edge set of g as a bitmask over pair_order positions."""
-    index = index or pair_index(g.n)
-    m = 0
-    for e in g.edges():
-        m |= 1 << index[e]
-    return m
-
-
-def graph_from_mask(n, mask):
-    order = pair_order(n)
-    edges = []
+def _pairs(ne, mask):
+    """The pairs of a mask over the non-edges ne, by ascending bit."""
+    out = []
     while mask:
-        i = (mask & -mask).bit_length() - 1
-        edges.append(order[i])
-        mask &= mask - 1
-    return Graph(n, edges)
+        low = mask & -mask
+        out.append(ne[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+class _Spend:
+    """The units of work one request has spent against ``WORK_BUDGET``."""
+
+    units = 0
+
+    def charge(self, units):
+        self.units += units
+        if self.units > WORK_BUDGET:
+            raise CapabilityError(
+                "necessary-set enumeration bounded to %d units of work"
+                % WORK_BUDGET)
 
 
 # ---------------------------------------------------------------------------
 # enumeration route
 # ---------------------------------------------------------------------------
 
-def _charge(spent):
-    """The work spent so far, refused once it exceeds ``WORK_BUDGET``."""
-    if spent > WORK_BUDGET:
-        raise CapabilityError(
-            "necessary-set enumeration bounded to %d units of work"
-            % WORK_BUDGET)
-    return spent
-
-
-def _minimal_completions(shape, h):
-    """Added-pair masks of the inclusion-minimal member supergraphs of h,
-    and the work spent on them.
+def _minimal_completions(shape, h, spend):
+    """The host non-edges, and the masks of the pairs added by the
+    inclusion-minimal member supergraphs of h.
 
     A level-order sweep by the number of added pairs, from E(H).  A
     member is recorded; a non-member branches on the ``_branch_bits``
@@ -209,32 +208,30 @@ def _minimal_completions(shape, h):
     are exactly the minimal ones.
     """
     check_shape(shape)
-    n = h.n
-    spent = _charge(n * (n - 1) // 2 - h.edge_count())
-    idx = pair_index(n)
-    base = edges_mask(h, idx)
-    found, level = [], {base}
+    spend.charge(h.n * (h.n - 1) // 2 - h.edge_count())
+    ne, idx = _non_edges(h)
+    found, level = [], {0}
     while level:
         wider, members = set(), []
         for mask in level:
             if any(m & mask == m for m in found):
                 continue
-            w = recognize(shape, graph_from_mask(n, mask))
+            w = recognize(shape, h.with_edges(_pairs(ne, mask)))
             if w is None:
                 members.append(mask)
                 continue
+            before = len(wider)
             wider.update(mask | 1 << p
-                         for p in _branch_bits(n, idx, mask, 0, w))
-            _charge(spent + len(wider))
-        spent += len(wider)
+                         for p in _branch_bits(h.n, idx, mask, 0, w))
+            spend.charge(len(wider) - before)
         found += members
         level = wider
-    return [m & ~base for m in found], spent
+    return ne, found
 
 
-def _sorted_pairs(n, masks):
+def _sorted_pairs(ne, masks):
     """Pair masks as tuples of pairs, sorted by (size, pairs)."""
-    return sorted((tuple(graph_from_mask(n, m).edges()) for m in masks),
+    return sorted((tuple(sorted(_pairs(ne, m))) for m in masks),
                   key=lambda s: (len(s), s))
 
 
@@ -248,8 +245,8 @@ def necessity_constraints(shape, h):
     preserves edges), so every used set contains one of these.
     Returned as frozensets sorted by (size, pairs).
     """
-    found, _ = _minimal_completions(shape, h)
-    return [frozenset(s) for s in _sorted_pairs(h.n, found)]
+    return [frozenset(s) for s in
+            _sorted_pairs(*_minimal_completions(shape, h, _Spend()))]
 
 
 def necessary_by_enumeration(shape, h, edges):
@@ -259,7 +256,7 @@ def necessary_by_enumeration(shape, h, edges):
     return all(b & s for s in necessity_constraints(shape, h))
 
 
-def _minimal_hits(shape, h):
+def _minimal_hits(shape, h, spend):
     """All minimal hitting sets of the minimal completions, sorted.
 
     Minimal-transversal branching (Murakami & Uno 2014) on the pairs of
@@ -269,14 +266,14 @@ def _minimal_hits(shape, h):
     completion (one the choice meets only there), as no wider choice is
     then minimal.  Each choice carries the completions it misses or
     meets once; one met twice is neither missed nor private again.  Each
-    node is charged the completions it carries against ``WORK_BUDGET``.
+    node is charged the completions it carries.
     """
-    family, spent = _minimal_completions(shape, h)
+    ne, family = _minimal_completions(shape, h, spend)
     hits = []
     stack = [(0, -1, family)]
     while stack:
         chosen, allowed, live = stack.pop()
-        spent = _charge(spent + len(live))
+        spend.charge(len(live))
         missed, private = None, {}
         for f in live:
             hit = f & chosen
@@ -300,7 +297,7 @@ def _minimal_hits(shape, h):
                 stack.append((chosen | bit, rest,
                               [f for f in live if not (f & chosen and f & bit)]))
             rest |= bit
-    return _sorted_pairs(h.n, hits)
+    return _sorted_pairs(ne, hits)
 
 
 def minimal_necessary_sets(shape, h):
@@ -310,7 +307,7 @@ def minimal_necessary_sets(shape, h):
     attains the minimum cardinality and whether it is the only set
     doing so.
     """
-    hits = _minimal_hits(shape, h)
+    hits = _minimal_hits(shape, h, _Spend())
     if not hits:
         return []
     smallest = min(len(c) for c in hits)
@@ -336,48 +333,25 @@ def _branch_bits(n, idx, mask, banned, witness):
     triple stays independent and the connecting paths only gain edges);
     an induced 4-cycle or 4-path survives unless one of its missing
     pairs is filled.  So every member above ``mask`` avoiding ``banned``
-    contains one of the returned pairs.
+    contains one of the returned pairs.  A host edge has no position in
+    ``idx``, as it is always present.
     """
-    def pos(a, b):
-        return idx[(a, b) if a < b else (b, a)]
-
     vs = witness.vertices
     if witness.kind == FORBIDDEN_FAMILY:
         pattern = _TREE_PATTERN_NON_EDGES[witness.family[0]]
-        cands = {pos(vs[u], vs[v]) for u, v in pattern}
+        pairs = [(vs[u], vs[v]) for u, v in pattern]
     elif witness.kind == IRREDUCIBLE_CYCLE:
         k = len(vs)
-        cands = {pos(vs[i], vs[j])
-                 for i in range(k) for j in range(i + 2, k - (i == 0))}
+        pairs = [(vs[i], vs[j])
+                 for i in range(k) for j in range(i + 2, k - (i == 0))]
     else:
-        cands = {pos(x, y) for x in vs for y in range(n) if y != x}
+        pairs = [(x, y) for x in vs for y in range(n) if y != x]
+    cands = {idx.get(p, -1) for p in pairs}
     free = ~(mask | banned)
-    return sorted(p for p in cands if free >> p & 1)
+    return sorted(p for p in cands if p >= 0 and free >> p & 1)
 
 
-def _complete_to_member(shape, n, idx, floor, banned, memo):
-    """Edge mask of a shape member g with floor <= g <= ~banned, or None."""
-    dead = set()
-
-    def search(mask):
-        if mask in dead:
-            return None
-        if mask not in memo:
-            memo[mask] = recognize(shape, graph_from_mask(n, mask))
-        w = memo[mask]
-        if w is None:
-            return mask
-        for p in _branch_bits(n, idx, mask, banned, w):
-            got = search(mask | (1 << p))
-            if got is not None:
-                return got
-        dead.add(mask)
-        return None
-
-    return search(floor)
-
-
-def necessity_counterexample(shape, h, edges):
+def necessity_counterexample(shape, h, edges, spend=None):
     """None when the set is necessary, else a completion that avoids it.
 
     A counterexample is a pair (member graph, psi): the member contains
@@ -385,28 +359,40 @@ def necessity_counterexample(shape, h, edges):
     psi-images of the candidate pairs.  Here psi is the first
     automorphism of H, in ascending order, with the least banned mask
     psi(B), and the member is the completion found from E(H) below the
-    complement of psi(B).
+    complement of psi(B): the first member of a depth-first search over
+    the masks, children in ascending order of their added pair, that
+    recognizes each mask once.  The work is charged to ``spend``, the
+    request's ``_Spend``.
     """
     check_shape(shape)
     _check_pairs(h, edges)
-    n = h.n
-    if n > SEARCH_VERTEX_CAP:
-        raise CapabilityError(
-            "necessity search bounded to hosts with <= %d vertices"
-            % SEARCH_VERTEX_CAP)
-    idx = pair_index(n)
+    spend = spend or _Spend()
+    spend.charge(h.n * (h.n - 1) // 2)
+    ne, idx = _non_edges(h)
     banned = psi = None
     for phi in iter_embeddings(h, h, INDUCED, bijective=True):
-        mask = 0
-        for u, v in edges:
-            a, b = phi[u], phi[v]
-            mask |= 1 << idx[(a, b) if a < b else (b, a)]
+        spend.charge(1)
+        mask = sum(1 << idx[phi[u], phi[v]] for u, v in edges)
         if banned is None or mask < banned:
             banned, psi = mask, phi
-    got = _complete_to_member(shape, n, idx, edges_mask(h, idx), banned, {})
-    if got is None:
-        return None
-    return graph_from_mask(n, got), psi
+    seen, stack = set(), [iter((0,))]
+    while stack:
+        mask = next(stack[-1], None)
+        if mask is None:
+            stack.pop()
+            continue
+        if mask in seen:
+            continue
+        seen.add(mask)
+        spend.charge(1)
+        g = h.with_edges(_pairs(ne, mask))
+        w = recognize(shape, g)
+        if w is None:
+            return g, psi
+        # the children, ascending, each mask built only when it is reached
+        bits = _branch_bits(h.n, idx, mask, banned, w)
+        stack.append(map(mask.__or__, map((1).__lshift__, bits)))
+    return None
 
 
 def is_necessary(shape, h, edges):
@@ -448,7 +434,7 @@ def compute_flags(shape, h, edges):
     """
     _check_pairs(h, edges)
     b = tuple(sorted(edges))
-    mins = _minimal_hits(shape, h)
+    mins = _minimal_hits(shape, h, _Spend())
     smallest = min((len(s) for s in mins), default=0)
     mincard = b in mins and len(b) == smallest
     return {"necessary": any(set(s) <= set(b) for s in mins),
@@ -464,21 +450,21 @@ def verify_claims(shape, h, ns):
     ("completion", graph, psi), ("redundant", pair), or
     ("smaller", pairs).  ``necessary`` and ``submin`` are decided by the
     completion search, ``mincard`` and ``unique`` by the minimal
-    necessary sets.  Raises CapabilityError when a claimed flag needs
-    more work than its route allows.
+    necessary sets.  The sweep and every search share one spend, and a
+    claim set that needs more than ``WORK_BUDGET`` units raises
+    CapabilityError.
     """
     _check_pairs(h, ns.edges)
     claimed = ns.claimed()
     b = ns.edges
-    verdicts, evidence, cex_memo = {}, {}, {}
+    verdicts, evidence, spend = {}, {}, _Spend()
 
+    @cache
     def cex(pairs):
-        if pairs not in cex_memo:
-            cex_memo[pairs] = necessity_counterexample(shape, h, pairs)
-        return cex_memo[pairs]
+        return necessity_counterexample(shape, h, pairs, spend)
 
     if "mincard" in claimed or "unique" in claimed:
-        mins = _minimal_hits(shape, h)
+        mins = _minimal_hits(shape, h, spend)
         same = [s for s in mins if len(s) == len(mins[0])]
     for flag in claimed:
         if flag == "necessary":

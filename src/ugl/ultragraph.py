@@ -308,10 +308,13 @@ class LiftedMap(_Frozen):
     """Coordinatewise map between reduced products.
 
     Acts through per-index vertex maps on the source core; target core
-    indices outside the source core get a fixed least vertex.
+    indices outside the source core get a fixed least vertex.  The maps
+    are kept as (vertex, image) items in ``core`` order (``maps``) and
+    the fixed vertices as (index, vertex) items (``fills``); the views
+    ``theta`` and ``fill`` build their dicts on each access.
     """
 
-    __slots__ = ("source", "target", "theta", "fill")
+    __slots__ = ("source", "target", "maps", "fills")
 
     def __init__(self, source, target, theta):
         src = set(source.core)
@@ -337,34 +340,38 @@ class LiftedMap(_Frozen):
                     raise InputError(
                         "target index %d has no vertex to fill with" % alpha)
                 fill[alpha] = part[0]
-        _freeze(self, source, target, theta, fill)
+        _freeze(self, source, target,
+                tuple(tuple(theta[alpha].items()) for alpha in source.core),
+                tuple(fill.items()))
+
+    theta = property(lambda self: {alpha: dict(m) for alpha, m
+                                   in zip(self.source.core, self.maps)})
+    fill = property(lambda self: dict(self.fills))
 
     def apply(self, tup):
         tup = self.source.check_vertex(tup)
-        by_index = dict(zip(self.source.core, tup))
-        out = []
-        for alpha in self.target.core:
-            if alpha in by_index:
-                out.append(self.theta[alpha][by_index[alpha]])
-            else:
-                out.append(self.fill[alpha])
-        return self.target.check_vertex(tuple(out))
+        image = dict(self.fills)
+        for alpha, v, m in zip(self.source.core, tup, self.maps):
+            image[alpha] = dict(m)[v]
+        return self.target.check_vertex(
+            tuple(image[alpha] for alpha in self.target.core))
 
     def image_of(self, s):
         """Image of an internal set; again internal, componentwise."""
         if s.core != self.source.core:
             raise InputError("internal set core does not match the source")
-        parts = {alpha: frozenset((v,)) for alpha, v in self.fill.items()}
+        theta = self.theta
+        parts = {alpha: frozenset((v,)) for alpha, v in self.fills}
         for alpha, part in zip(s.core, s.part_sets):
-            parts[alpha] = frozenset(self.theta[alpha][v] for v in part)
+            parts[alpha] = frozenset(theta[alpha][v] for v in part)
         return InternalSet(self.target.core, parts)
 
     def preimage_of(self, s):
         """Preimage of an internal set; internal over the source core."""
         if s.core != self.target.core:
             raise InputError("internal set core does not match the target")
-        given = s.parts
-        for alpha, v in self.fill.items():
+        given, theta = s.parts, self.theta
+        for alpha, v in self.fills:
             if v not in given[alpha]:
                 return InternalSet(
                     self.source.core,
@@ -373,7 +380,7 @@ class LiftedMap(_Frozen):
         for alpha in self.source.core:
             parts[alpha] = frozenset(
                 v for v in _bits(self.source.trace.g1_masks[alpha])
-                if self.theta[alpha][v] in given[alpha])
+                if theta[alpha][v] in given[alpha])
         return InternalSet(self.source.core, parts)
 
 

@@ -16,11 +16,19 @@ from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
                         iter_embeddings)
 from ugl.intervals import IntervalModel
 from ugl.isomorphism import enumerate_graphs, induced_subgraph
-from ugl.necessary import (_complete_to_member, graph_from_mask, pair_index,
-                           pair_order)
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
                         _avoid_components, find_asteroidal_triple, recognize)
+
+
+def pair_order(n):
+    """Pairs (i, j), i < j, in column order: (0,1),(0,2),(1,2),(0,3),..."""
+    return [(i, j) for j in range(n) for i in range(j)]
+
+
+def graph_from_mask(n, mask):
+    """The graph whose edges are the pairs of a mask over pair_order(n)."""
+    return Graph(n, [p for i, p in enumerate(pair_order(n)) if mask >> i & 1])
 
 
 def brute_canonical_key(g):
@@ -274,18 +282,92 @@ def brute_sandwiches(h, edges):
     return sorted(out.items())
 
 
+_TREE_PATTERN_NON_EDGES = {"C4": ((0, 2), (1, 3)), "L4": ((0, 2), (0, 3), (1, 3))}
+
+
+def all_pairs_branch_bits(n, idx, mask, banned, witness):
+    """The branching pairs of a witness as positions of ``idx``, a map
+    from every pair of ``pair_order(n)``: those neither in ``mask`` nor
+    in ``banned`` that are a chord of a chordless cycle, incident to an
+    asteroidal triple, or a missing pair of an induced 4-cycle or 4-path.
+    """
+    def pos(a, b):
+        return idx[(a, b) if a < b else (b, a)]
+
+    vs = witness.vertices
+    if witness.kind == FORBIDDEN_FAMILY:
+        pattern = _TREE_PATTERN_NON_EDGES[witness.family[0]]
+        cands = {pos(vs[u], vs[v]) for u, v in pattern}
+    elif witness.kind == IRREDUCIBLE_CYCLE:
+        k = len(vs)
+        cands = {pos(vs[i], vs[j])
+                 for i in range(k) for j in range(i + 2, k - (i == 0))}
+    else:
+        cands = {pos(x, y) for x in vs for y in range(n) if y != x}
+    free = ~(mask | banned)
+    return sorted(p for p in cands if free >> p & 1)
+
+
+def recursive_complete_to_member(shape, n, idx, floor, banned, memo):
+    """Mask over ``pair_order(n)`` of a shape member g with floor <= g <=
+    ~banned, or None: the recursive depth-first completion search
+    ``necessary`` ran while its masks spanned every pair, children in
+    ascending order, recognition memoized in ``memo``.
+    """
+    dead = set()
+
+    def search(mask):
+        if mask in dead:
+            return None
+        if mask not in memo:
+            memo[mask] = recognize(shape, graph_from_mask(n, mask))
+        w = memo[mask]
+        if w is None:
+            return mask
+        for p in all_pairs_branch_bits(n, idx, mask, banned, w):
+            got = search(mask | (1 << p))
+            if got is not None:
+                return got
+        dead.add(mask)
+        return None
+
+    return search(floor)
+
+
+def recursive_counterexample(shape, h, edges):
+    """``necessity_counterexample`` as it was while its masks spanned
+    every pair: the least psi(B) over the automorphisms of h, in
+    ascending order, then ``recursive_complete_to_member`` from E(H).
+    It shares ``iter_embeddings`` and ``recognize`` with the package.
+    """
+    n = h.n
+    idx = {p: i for i, p in enumerate(pair_order(n))}
+    banned = psi = None
+    for phi in iter_embeddings(h, h, INDUCED, bijective=True):
+        mask = 0
+        for u, v in edges:
+            a, b = phi[u], phi[v]
+            mask |= 1 << idx[(a, b) if a < b else (b, a)]
+        if banned is None or mask < banned:
+            banned, psi = mask, phi
+    floor = sum(1 << idx[e] for e in h.edges())
+    got = recursive_complete_to_member(shape, n, idx, floor, banned, {})
+    if got is None:
+        return None
+    return graph_from_mask(n, got), psi
+
+
 def sandwich_counterexample(shape, h, edges):
     """``necessity_counterexample`` as it was before it searched from one
     sandwich: the completion search on every sandwich of
     ``brute_sandwiches`` in order, returning the first completion with
-    the psi of its sandwich.  It shares ``_complete_to_member`` with the
-    package.
+    the psi of its sandwich.  It runs ``recursive_complete_to_member``.
     """
     n = h.n
-    idx = pair_index(n)
+    idx = {p: i for i, p in enumerate(pair_order(n))}
     memo = {}
     for (floor, banned), psi in brute_sandwiches(h, edges):
-        got = _complete_to_member(shape, n, idx, floor, banned, memo)
+        got = recursive_complete_to_member(shape, n, idx, floor, banned, memo)
         if got is not None:
             return graph_from_mask(n, got), psi
     return None

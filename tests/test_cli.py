@@ -323,13 +323,48 @@ def test_necessary_flag_conflict(tmp_path, capsys):
     assert code == 2
 
 
-def test_necessary_verify_nine_vertex_host_is_capability(tmp_path, capsys):
+def test_necessary_verify_nine_vertex_host_answers(tmp_path, capsys):
+    # a 4-cycle and 5 isolated vertices: its 36 pairs and 960
+    # automorphisms fit the work budget, so the search decides the set
     gf = write(tmp_path, "C4plus5.graph", C4_TEXT.replace("graph 4", "graph 9"))
-    sf = write(tmp_path, "A.set",
-               "B 0-2 1-3\nflags necessary=1 submin=0 mincard=0 unique=0\n")
-    code, out, err = run(capsys, "necessary", "--shape", "interval", gf,
-                         "--verify", sf)
-    assert code == 3 and out == "" and "capability" in err
+    text = "B 0-2 1-3\nflags necessary=1 submin=0 mincard=0 unique=0\n"
+    sf = write(tmp_path, "A.set", text)
+    assert run(capsys, "necessary", "--shape", "interval", gf,
+               "--verify", sf) == (0, text, "")
+
+
+def near_complete_text(n):
+    """K_n minus the edge 0-1."""
+    return "graph %d\n" % n + "".join(
+        "e %d %d\n" % (i, j) for j in range(n) for i in range(j)
+        if (i, j) != (0, 1))
+
+
+@pytest.mark.parametrize("text,verify,code,out", [
+    (near_complete_text(400), False, 1, "none\n"),
+    (near_complete_text(400), True, 3, ""),
+    ("graph 400\n", False, 3, ""),
+    ("graph 400\n", True, 3, ""),
+], ids=["near-complete-400", "near-complete-400-verify", "edgeless-400",
+        "edgeless-400-verify"])
+def test_necessary_large_hosts_answer_within_a_second(tmp_path, text, verify,
+                                                      code, out):
+    # The sweep charges one unit per host non-edge and the search one per
+    # host pair, both before they build anything: K_400 minus an edge has
+    # one non-edge and 79,800 pairs, the edgeless host 79,800 of each.
+    argv = ["necessary", "--shape", "interval", write(tmp_path, "h.graph", text)]
+    if verify:
+        argv += ["--verify", write(tmp_path, "B.set",
+                                   "B 0-1\nflags necessary=1\n")]
+    start = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "ugl.cli"] + argv,
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (got.returncode, got.stdout) == (code, out)
+    assert (got.stderr.startswith("capability:") if code == 3
+            else got.stderr == "")
+    assert elapsed < 1.0
 
 
 CATALOG = [("C4", None), ("L4", None), ("III", 4), ("III", 5), ("III", 6),
@@ -911,15 +946,14 @@ FORMER_NAMES = {
         graph_sequence is_multiplicative_trace is_pair_adequate
         is_refinement pair_support parse_trace singleton_support""",
     "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY
-        IRREDUCIBLE_CYCLE InputError NecessarySet SEARCH_VERTEX_CAP
-        WORK_BUDGET _TREE_PATTERN_NON_EDGES _branch_bits _charge
-        _check_pairs _complete_to_member _minimal_completions _minimal_hits
-        _sorted_pairs catalog_necessary_set check_shape
-        compute_flags counterexample_checks edges_mask
-        family_necessary_set forced_edges format_necessary_set
-        graph_from_mask is_necessary minimal_necessary_sets
+        IRREDUCIBLE_CYCLE InputError NecessarySet WORK_BUDGET
+        _TREE_PATTERN_NON_EDGES _branch_bits _check_pairs
+        _minimal_completions _minimal_hits _sorted_pairs
+        catalog_necessary_set check_shape compute_flags
+        counterexample_checks family_necessary_set forced_edges
+        format_necessary_set is_necessary minimal_necessary_sets
         necessary_by_enumeration necessity_constraints
-        necessity_counterexample pair_index parse_necessary_set recognize
+        necessity_counterexample parse_necessary_set recognize
         verify_claims""",
     "ultragraph": """CapabilityError ConsistencyError InputError InternalSet
         LiftedMap MATERIALIZE_CAP PRINCIPAL ReducedProduct Trace

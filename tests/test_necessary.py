@@ -160,7 +160,7 @@ def test_counterexample_checks_rejects_tampering():
 
 
 # ---------------------------------------------------------------------------
-# the decision agrees with the sweep over every sandwich
+# the decision agrees with the recursive search and the sandwich sweep
 # ---------------------------------------------------------------------------
 
 CATALOG = [("C4", None), ("L4", None), ("III", 4), ("III", 5), ("III", 6),
@@ -168,9 +168,15 @@ CATALOG = [("C4", None), ("L4", None), ("III", 4), ("III", 5), ("III", 6),
            ("IV", 4), ("V", 1), ("V", 2), ("V", 3)]
 
 
-def assert_matches_sweep(shape, host, pairs):
-    want = oracles.sandwich_counterexample(shape, host, pairs)
-    assert necessity_counterexample(shape, host, pairs) == want, (host, pairs)
+def assert_matches_oracles(shape, host, pairs):
+    # The masks over the host's non-edges relabel the bits of the masks
+    # over all pairs in the same order, so the completion and the psi of
+    # every answer stay those of the recursive search over all pairs.
+    got = necessity_counterexample(shape, host, pairs)
+    assert got == oracles.recursive_counterexample(shape, host, pairs), (
+        host, pairs)
+    assert got == oracles.sandwich_counterexample(shape, host, pairs), (
+        host, pairs)
 
 
 def test_sandwiches_match_sweep_on_catalog_hosts():
@@ -180,7 +186,7 @@ def test_sandwiches_match_sweep_on_catalog_hosts():
         cases = [b, tuple(forced_edges(shape, host))]
         cases += [b[:i] + b[i + 1:] for i in range(len(b))]
         for pairs in cases:
-            assert_matches_sweep(shape, host, pairs)
+            assert_matches_oracles(shape, host, pairs)
 
 
 def test_sandwiches_match_sweep_on_small_nonmembers():
@@ -188,7 +194,7 @@ def test_sandwiches_match_sweep_on_small_nonmembers():
         for n in range(7):
             for h in nonmembers(shape, n):
                 for e in h.non_edges():
-                    assert_matches_sweep(shape, h, [e])
+                    assert_matches_oracles(shape, h, [e])
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +432,12 @@ def test_capability_bounds():
     assert [len(m.edges) for m in mins] == [6, 7, 7, 7, 8, 8, 8, 9]
     assert mins[0] == NecessarySet(ns.edges, {"necessary": 1, "submin": 1,
                                               "mincard": 1, "unique": 1})
+    # 9! automorphisms exceed the budget of the search
     big = Graph(9, [])
     with pytest.raises(CapabilityError):
         necessity_counterexample(INTERVAL, big, [(0, 1)])
+    shape, host, ns = family_necessary_set("IV", 5)
+    assert host.n == 9 and is_necessary(shape, host, ns.edges)
     wide = Graph(7, [])
     assert necessity_constraints(INTERVAL, wide) == [frozenset()]
 
@@ -464,10 +473,41 @@ def test_hitting_set_nodes_are_charged_by_their_completions():
     sets = minimal_necessary_sets(TREE, disjoint_c4s(8))
     assert [ns.edges for ns in sets] == [
         ((4 * i, 4 * i + 2), (4 * i + 1, 4 * i + 3)) for i in range(8)]
-    family, spent = necessary._minimal_completions(TREE, disjoint_c4s(9))
-    assert len(family) == 512 and spent + len(family) < necessary.WORK_BUDGET
+    spend = necessary._Spend()
+    _, family = necessary._minimal_completions(TREE, disjoint_c4s(9), spend)
+    assert len(family) == 512
+    assert spend.units + len(family) < necessary.WORK_BUDGET
     with pytest.raises(CapabilityError):
         minimal_necessary_sets(TREE, disjoint_c4s(9))
+
+
+def test_search_charges_host_pairs_automorphisms_and_masks(monkeypatch):
+    calls = counting(monkeypatch, "recognize")
+    spend = necessary._Spend()
+    assert necessity_counterexample(INTERVAL, C4, [(0, 2)], spend) is not None
+    # 6 pairs, the 8 automorphisms of the 4-cycle, then the masks
+    assert spend.units == 6 + 8 + calls["recognize"]
+    # K_400 minus an edge has 79,800 pairs: the search is refused before
+    # it scans an automorphism, where the sweep charges its one non-edge
+    calls["recognize"] = 0
+    near = Graph(400, [(i, j) for j in range(400) for i in range(j)
+                       if (i, j) != (0, 1)])
+    with pytest.raises(CapabilityError):
+        necessity_counterexample(INTERVAL, near, [(0, 1)])
+    assert calls["recognize"] == 0
+    assert minimal_necessary_sets(INTERVAL, near) == []
+
+
+def test_verify_claims_share_one_spend(monkeypatch):
+    # III(9)'s search for its curated set takes 957 units, and the eight
+    # searches of its necessary and submin claims 2,268 in all: under a
+    # budget of 2,000 the one search answers and the claims are refused
+    shape, host, ns = family_necessary_set("III", 9)
+    assert verify_claims(shape, host, ns)[0]
+    monkeypatch.setattr(necessary, "WORK_BUDGET", 2000)
+    with pytest.raises(CapabilityError):
+        verify_claims(shape, host, ns)
+    assert is_necessary(shape, host, ns.edges)
 
 
 def test_member_host_has_no_necessary_sets():

@@ -139,6 +139,19 @@ def test_flags_and_parts_views_leave_the_value_unchanged():
     assert s == EXAMPLES["InternalSet"]() and s.count() == 2
 
 
+def test_witness_and_map_views_leave_the_object_unchanged():
+    rep = EXAMPLES["PropertyReport"]()
+    want = {"multiplicative": (frozenset({0}), frozenset({2})),
+            "pairwise_splitting": (0, 2)}
+    rep.witnesses.clear()
+    assert rep.witnesses == want
+    lm = EXAMPLES["LiftedMap"]()
+    lm.theta[0][0] = 0
+    lm.fill[0] = 0
+    assert lm.theta == {0: {0: 1, 1: 0}, 1: {0: 0, 1: 1, 2: 2}}
+    assert lm.fill == {} and lm.apply((0, 0)) == (1, 0)
+
+
 def test_internal_set_needs_exactly_one_part_per_core_index():
     for parts in ({0: {0}}, {0: {0}, 1: {1}, 2: {2}}):
         with pytest.raises(ugl.errors.InputError, match="one part per core"):
