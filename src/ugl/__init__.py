@@ -1,13 +1,35 @@
 """ugl: shapes of finite graphs, and covering-family traces with their
 reduced products.
 
-The package itself holds the base of its value types.  A ``_Frozen``
-object's fields are its ``__slots__``, set once when it is built;
-setting or deleting one raises ``AttributeError``, and ``copy``,
+The package itself holds what every request executes: the shape names,
+which the command line parser checks before any graph code runs (so an
+interval request never executes ``catalog``), the set-bit iterator of
+the graph modules' bitmask rows, and the base of the value types.  A
+``_Frozen`` object's fields are its ``__slots__``, set once when it is
+built; setting or deleting one raises ``AttributeError``, and ``copy``,
 ``deepcopy`` and ``pickle`` rebuild it from its fields.  A ``_Value`` is
 also equal to any object of its type with equal fields, and hashes as
 the tuple of its fields; the other frozen objects compare by identity.
 """
+
+from .errors import InputError
+
+TREE = "tree"
+INTERVAL = "interval"
+SHAPES = (TREE, INTERVAL)
+
+
+def check_shape(shape):
+    if shape not in SHAPES:
+        raise InputError("unknown shape %r (expected 'tree' or 'interval')" % shape)
+
+
+def _bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _freeze(obj, *values):

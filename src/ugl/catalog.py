@@ -1,5 +1,5 @@
-"""The paper's fixed catalog: shape names, obstruction families, the
-curated necessary sets and the placement search they share.
+"""The paper's fixed catalog: obstruction families, the curated
+necessary sets and the placement search they share.
 
 The minimal forbidden induced subgraphs of the interval shape form the
 classical catalog: the two fixed seven-vertex graphs (here families
@@ -15,18 +15,16 @@ lives apart from them.  All of them ask one question of an index graph
 edges and its curated pairs on non-edges?  Wolk's diagonal condition,
 hence the chain condition, is the ``L4`` entry.  Graph code is imported
 only where a graph is built.
+
+The shape names and ``check_shape`` live in the package and are bound
+here too.  This module executes only where a family graph is built: a
+tree non-member's witness, the obstruction lists, the curated sets and
+the trace conditions.  An interval recognition, a realization and an
+interval necessary-set request never execute it.
 """
 
+from . import INTERVAL, SHAPES, TREE, check_shape  # noqa: F401
 from .errors import InputError
-
-TREE = "tree"
-INTERVAL = "interval"
-SHAPES = (TREE, INTERVAL)
-
-
-def check_shape(shape):
-    if shape not in SHAPES:
-        raise InputError("unknown shape %r (expected 'tree' or 'interval')" % shape)
 
 
 # ---------------------------------------------------------------------------

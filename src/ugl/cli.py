@@ -22,12 +22,18 @@ without executing them; each executes when a subcommand first uses it,
 so a run compiles only what it needs.  The cold halves of graphs,
 shapes and distributions live in modules of their own; the names that
 the bench times in the old homes are served there on first use.
-recognize executes catalog, graphs and shapes; realize adds intervals;
-obstructions adds isomorphism and obstructions; necessary adds
-necessary; trace-check and trace-condition execute catalog, graphs and
-distributions; trace-refine executes graphs, distributions and
-refinement; ultragraph executes distributions and ultragraph, and no
-graph code.
+recognize --shape interval executes graphs, shapes and the interval
+kernels in chordal; a tree member executes graphs and shapes alone, and
+a tree non-member adds chordal and catalog (for its witness's family
+graph); realize adds intervals to the interval set; obstructions
+executes catalog, graphs, shapes, isomorphism and obstructions;
+necessary adds necessary to the recognize set of its shape.  The four
+trace commands' handlers live in tracecli, which no graph command
+executes: trace-check and trace-condition execute tracecli, catalog,
+graphs and distributions; trace-refine tracecli, graphs, distributions
+and refinement; ultragraph tracecli, distributions and ultragraph, and
+no graph code.  Every request executes the package ``__init__`` (the
+shape names the parser checks) and errors.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
 ``ugl`` script: it returns ``main()``'s exit code after freezing the
@@ -42,7 +48,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import CapabilityError, InputError
+from . import SHAPES
+from .errors import CapabilityError, InputError, read_text
 
 
 def _lazy(name):
@@ -62,20 +69,15 @@ def _lazy(name):
     return module
 
 
-catalog = _lazy("catalog")
 graphs = _lazy("graphs")
 shapes = _lazy("shapes")
 nec = _lazy("necessary")
-dist = _lazy("distributions")
-ug = _lazy("ultragraph")
-
-
-def _read(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise InputError("cannot read %s: %s" % (path, err))
+tracecli = _lazy("tracecli")
+# shapes binds catalog and chordal, tracecli distributions and ultragraph,
+# with ``from . import``: registered here first, each stays unexecuted
+# until a request uses it.
+for _name in ("catalog", "chordal", "distributions", "ultragraph"):
+    _lazy(_name)
 
 
 # Value kinds of the options: a store-true flag, a shape name, or a
@@ -140,7 +142,7 @@ def parse_args(argv):
                 if value[:1] == "-" and not value[1:].isdecimal():
                     raise InputError("argument %s: expected one argument" % name)
             if kind == SHAPE:
-                _check_choice(name, value, catalog.SHAPES)
+                _check_choice(name, value, SHAPES)
             elif kind == COUNT:
                 if not value.isdecimal():
                     raise InputError("argument %s: expected a nonnegative "
@@ -171,7 +173,7 @@ def usage(command=None):
         words = ["ugl", name]
         for opt, kind in options.items():
             if kind is not FLAG:
-                opt += " " + ("{%s}" % ",".join(catalog.SHAPES)
+                opt += " " + ("{%s}" % ",".join(SHAPES)
                               if kind == SHAPE else kind)
             words.append(opt if opt.split()[0] in required else "[%s]" % opt)
         lines += ["  " + " ".join(words + [positional or ""]).rstrip(),
@@ -180,7 +182,7 @@ def usage(command=None):
 
 
 def _cmd_recognize(args, out):
-    g = graphs.parse_graph(_read(args.graphfile))
+    g = graphs.parse_graph(read_text(args.graphfile))
     w = shapes.recognize(args.shape, g)
     if w is None:
         out.write("member\n")
@@ -190,7 +192,7 @@ def _cmd_recognize(args, out):
 
 
 def _cmd_realize(args, out):
-    g = graphs.parse_graph(_read(args.graphfile))
+    g = graphs.parse_graph(read_text(args.graphfile))
     got = shapes.realize_intervals(g, args.distinct_endpoints)
     if isinstance(got, shapes.IntervalModel):
         out.write(shapes.format_interval_model(got))
@@ -212,9 +214,9 @@ def _cmd_necessary(args, out):
     if args.verify is not None and args.all_minimal:
         raise InputError("argument --all-minimal: not allowed with argument "
                          "--verify")
-    g = graphs.parse_graph(_read(args.graphfile))
+    g = graphs.parse_graph(read_text(args.graphfile))
     if args.verify is not None:
-        ns = nec.parse_necessary_set(_read(args.verify))
+        ns = nec.parse_necessary_set(read_text(args.verify))
         ok, verdicts, evidence = nec.verify_claims(args.shape, g, ns)
         if ok:
             out.write(nec.format_necessary_set(ns))
@@ -250,110 +252,12 @@ def _write_evidence(out, ev):
         out.write("smaller " + " ".join("%d-%d" % p for p in ev[1]) + "\n")
 
 
-def _report_sop2(got, out):
-    if got is None:
-        out.write("sop2 holds\n")
-        return True
-    quad, alpha = got
-    out.write("sop2 fails %s at %d\n"
-              % (" ".join(str(x) for x in quad), alpha))
-    return False
-
-
-def _report_necessary(shape, got, out):
-    if got is None:
-        out.write("necessary %s holds\n" % shape)
-        return True
-    token, placement, alpha = got
-    out.write("necessary %s fails %s %s at %d\n"
-              % (shape, token, " ".join(str(x) for x in placement), alpha))
-    return False
-
-
-def _cmd_trace_check(args, out):
-    t = dist.parse_trace(_read(args.tracefile))
-    # every condition is decided before any output, so a capability
-    # error leaves stdout empty
-    sop2 = dist.check_sop2_condition(t)
-    necessary = [(shape, dist.check_necessary_conditions(t, shape))
-                 for shape in catalog.SHAPES]
-    bad_b, bad_p = dist.adequacy_report(t)
-    ok = not bad_b and not bad_p
-    out.write("adequate %s\n" % ("yes" if ok else "no"))
-    for b in bad_b:
-        out.write("inadequate-formula %d\n" % b)
-    for p in bad_p:
-        out.write("inadequate-pair %d-%d\n" % p)
-    out.write("multiplicative %s\n"
-              % ("yes" if dist.is_multiplicative_trace(t) else "no"))
-    if not _report_sop2(sop2, out):
-        ok = False
-    for shape, got in necessary:
-        if not _report_necessary(shape, got, out):
-            ok = False
-    return 0 if ok else 1
-
-
-def _cmd_trace_refine(args, out):
-    t = dist.parse_trace(_read(args.tracefile))
-    r = dist.find_multiplicative_refinement(t)
-    if r is None:
-        out.write("none\n")
-        return 1
-    out.write(dist.format_trace(r))
-    return 0
-
-
-def _cmd_trace_condition(args, out):
-    if not args.sop2 and args.shape is None:
-        raise InputError("trace-condition needs --sop2 or --shape")
-    t = dist.parse_trace(_read(args.tracefile))
-    if args.shape is not None:
-        necessary = dist.check_necessary_conditions(t, args.shape)
-    ok = True
-    if args.sop2:
-        ok = _report_sop2(dist.check_sop2_condition(t), out) and ok
-    if args.shape is not None:
-        ok = _report_necessary(args.shape, necessary, out) and ok
-    return 0 if ok else 1
-
-
-def _cmd_ultragraph(args, out):
-    t = dist.parse_trace(_read(args.tracefile))
-    rp = ug.build(t)
-    ug.eta(t)
-    out.write("core " + " ".join(str(a) for a in rp.core) + "\n")
-    out.write("vertices %d\n" % rp.size)
-    if rp.size <= 1000:
-        out.write("edges %d\n" % rp.edge_count())
-    else:
-        out.write("edges symbolic\n")
-    witness = ug.eta_clique_witness(t)
-    if witness is None:
-        out.write("eta complete\n")
-        complete = True
-    else:
-        out.write("eta incomplete %d %d at %d\n" % witness)
-        complete = False
-    if args.extend_eta:
-        s = ug.eta_extension(t)
-        if s is None:
-            out.write("none\n")
-            return 1
-        out.write(ug.format_internal_set(s))
-        return 0
-    return 0 if complete else 1
-
-
+# the trace commands' handlers are tracecli.HANDLERS
 _HANDLERS = {
     "recognize": _cmd_recognize,
     "realize": _cmd_realize,
     "obstructions": _cmd_obstructions,
     "necessary": _cmd_necessary,
-    "trace-check": _cmd_trace_check,
-    "trace-refine": _cmd_trace_refine,
-    "trace-condition": _cmd_trace_condition,
-    "ultragraph": _cmd_ultragraph,
 }
 
 
@@ -364,7 +268,9 @@ def main(argv=None):
             code = 0
             sys.stdout.write(usage(args.command))
         else:
-            code = _HANDLERS[args.command](args, sys.stdout)
+            handler = (_HANDLERS.get(args.command)
+                       or tracecli.HANDLERS[args.command])
+            code = handler(args, sys.stdout)
         # a reader that has gone away shows here, not in the exit flush
         sys.stdout.flush()
         return code

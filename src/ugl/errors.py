@@ -12,6 +12,9 @@ Three kinds of failure are distinguished everywhere:
 * ``CapabilityError``: the request is well formed but outside the
   documented bounds of an operation (enumeration past the size cap,
   ultrafilter-style operations over a non-principal family).  Exit code 3.
+
+``read_text`` reads the command line's input files, so a file that
+cannot be read or decoded is an ``InputError`` too.
 """
 
 
@@ -25,3 +28,12 @@ class ConsistencyError(InputError):
 
 class CapabilityError(RuntimeError):
     pass
+
+
+def read_text(path):
+    """The text of a UTF-8 file; InputError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError("cannot read %s: %s" % (path, err))

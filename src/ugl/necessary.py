@@ -45,8 +45,7 @@ claim and is skipped by verification.
 
 from functools import cache
 
-from . import _Value, _freeze
-from .catalog import catalog_necessary_set, check_shape
+from . import _Value, _freeze, check_shape
 from .errors import CapabilityError, InputError
 from .graphs import INDUCED, iter_embeddings
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
@@ -498,6 +497,10 @@ def verify_claims(shape, h, ns):
 
 def family_necessary_set(kind, param=None):
     """The curated necessary set of a catalog family as (shape, host,
-    NecessarySet); the data and its flags are ``catalog_necessary_set``'s."""
+    NecessarySet); the data and its flags are ``catalog_necessary_set``'s.
+    The catalog is imported here alone, so an interval request never
+    executes it (a tree non-member's witness builds a family graph)."""
+    from .catalog import catalog_necessary_set
+
     shape, host, (pairs, flags) = catalog_necessary_set(kind, param)
     return shape, host, NecessarySet(pairs, flags)

@@ -120,14 +120,20 @@ def restrict(t):
 
 def enumerate_maximal_cliques(g, within=None):
     """All maximal cliques as sorted vertex tuples, in sorted order; with
-    a vertex mask ``within``, those of the subgraph it induces."""
+    a vertex mask ``within``, those of the subgraph it induces.
+
+    Bron-Kerbosch with a pivot of most candidate neighbors, on an
+    explicit stack of (clique, candidates, excluded) masks, so no frame
+    is held per clique vertex; the cliques are sorted, so the order in
+    which nodes are expanded does not show."""
     rows = g.rows
     out = []
-
-    def expand(r, p, x):
+    stack = [(0, (1 << g.n) - 1 if within is None else within, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(r)
-            return
+            continue
         px = p | x
         pivot = -1
         best = -1
@@ -142,12 +148,10 @@ def enumerate_maximal_cliques(g, within=None):
         while ext:
             v = (ext & -ext).bit_length() - 1
             bit = 1 << v
-            expand(r | bit, p & rows[v], x & rows[v])
+            stack.append((r | bit, p & rows[v], x & rows[v]))
             p &= ~bit
             x |= bit
             ext &= ext - 1
-
-    expand(0, (1 << g.n) - 1 if within is None else within, 0)
     return sorted(tuple(_bits(r)) for r in out)
 
 

@@ -22,34 +22,41 @@ cliques, and the witness searches only on non-members.  Witnesses do not
 depend on how membership was decided: each is the first one in the
 fixed order of its search.
 
-The interval models and realization live in ``intervals``; the minimal
+The maximal cliques of a chordal graph and their consecutive order live
+in ``chordal``, which a tree member's recognition never runs.  The
+interval models and realization live in ``intervals``; the minimal
 obstructions, the rooted forests and the witness parser in
 ``obstructions``.  No recognition request runs either, so each executes
 only when one of its names is first used here.  Six of their names stay
 importable from here: the four that cli's realize and obstructions run
 through here, where the bench times them, and the two parsers that the
-bench checker reads.  The shape names, the obstruction families and the
-diagonal condition live in ``catalog``; the ones the bench reads here
-are re-exported.  Like these rows, the covering families of
-``distributions`` are bitmasks.
+bench checker reads.  The shape names live in the package.  The
+obstruction families live in ``catalog``, which executes only where a
+family graph is built (a tree non-member's witness); the four family
+names the bench reads here are served from it on first use.  Like these
+rows, the covering families of ``distributions`` are bitmasks.
 """
 
 from itertools import combinations
 
-from . import _Value, _freeze
-# the catalog names the bench reads are re-exported from here
-from .catalog import (INTERVAL, TREE, check_shape, family_graph,  # noqa: F401
-                      family_str, parse_family, shape_families)
+# cli registers catalog and chordal unexecuted, so each executes where
+# it is first used: catalog where a family graph is built, chordal where
+# an interval test or a tree non-member's chordality test runs
+from . import (INTERVAL, TREE, _bits, _Value, _freeze, catalog, check_shape,
+               chordal)
 from .errors import InputError
 from .graphs import INDUCED, find_embedding
 
 # cli's realize and obstructions run their names through here, where
-# bench/child.py TRACED times them; bench/check.py reads the parsers.
+# bench/child.py TRACED times them; bench/check.py and bench/gen.py read
+# the parsers and the catalog names.
 _MOVED = {
     **dict.fromkeys(("IntervalModel", "format_interval_model",
                      "parse_interval_model", "realize_intervals"),
                     "intervals"),
     **dict.fromkeys(("parse_witness", "minimal_obstructions"), "obstructions"),
+    **dict.fromkeys(("family_graph", "family_str", "parse_family",
+                     "shape_families"), "catalog"),
 }
 
 
@@ -64,14 +71,6 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # interval obstructions: chordless cycles and asteroidal triples
 # ---------------------------------------------------------------------------
-
-def _bits(mask):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
 
 def _reaches(rows, start, allowed, target):
     """Whether a path from ``start`` through ``allowed`` vertices reaches a
@@ -216,7 +215,7 @@ class ObstructionWitness(_Value):
         if kind == FORBIDDEN_FAMILY:
             if family is None:
                 raise InputError("forbidden-family witness needs a family")
-            family_graph(*family)
+            catalog.family_graph(*family)
         elif family is not None:
             raise InputError("%s witness takes no family" % kind)
         _freeze(self, kind, tuple(vertices), family)
@@ -235,7 +234,7 @@ class ObstructionWitness(_Value):
 def format_witness(w):
     parts = ["w", w.kind]
     if w.kind == FORBIDDEN_FAMILY:
-        parts.append(family_str(*w.family))
+        parts.append(catalog.family_str(*w.family))
     parts.extend(str(v) for v in w.vertices)
     return " ".join(parts) + "\n"
 
@@ -263,208 +262,22 @@ def _nested_neighborhoods(g):
     return True
 
 
-def _chordal_cliques(rows):
-    """The maximal cliques of a chordal graph as vertex bitmasks, or None
-    if the graph is not chordal.
-
-    Maximum cardinality search numbers next an unnumbered vertex with the
-    most numbered neighbors (the least such vertex).  The graph is chordal
-    iff the reverse numbering is a perfect elimination ordering (Tarjan &
-    Yannakakis 1984), that is iff each vertex's numbered neighbors E(v)
-    lie in N(p) + p for the last numbered of them, p.  Then the sets
-    E(v) + v include every maximal clique, and E(p) + p is not maximal
-    iff E(v) = E(p) + p for some v with that p (Blair & Peyton 1993).
-    O(n + m) bitmask operations.
-    """
-    n = len(rows)
-    weight = [0] * n
-    last = [-1] * n
-    buckets = [(1 << n) - 1]
-    top = 0
-    numbered = 0
-    order = []
-    maximal = [True] * n
-    clique = [0] * n
-    for _ in range(n):
-        while not buckets[top]:
-            top -= 1
-        low = buckets[top] & -buckets[top]
-        buckets[top] ^= low
-        v = low.bit_length() - 1
-        seen = rows[v] & numbered
-        p = last[v]
-        if p >= 0:
-            if seen & ~rows[p] & ~(1 << p):
-                return None
-            if weight[v] == weight[p] + 1:
-                maximal[p] = False
-        clique[v] = seen | low
-        order.append(v)
-        numbered |= low
-        for u in _bits(rows[v] & ~numbered):
-            k = weight[u]
-            buckets[k] ^= 1 << u
-            if k + 1 == len(buckets):
-                buckets.append(0)
-            buckets[k + 1] |= 1 << u
-            weight[u] = k + 1
-            last[u] = v
-        if top + 1 < len(buckets) and buckets[top + 1]:
-            top += 1
-    return [clique[v] for v in order if maximal[v]]
-
-
-def _clique_spans(rows, cliques):
-    """Order the maximal cliques so that the cliques holding each vertex
-    are consecutive, and return each vertex's (first, last) position in
-    that order; None if no such order exists, that is if the chordal
-    graph is not an interval graph (Gilmore & Hoffman 1964).
-
-    This is the consecutive-ones test by overlap components (Fulkerson &
-    Gross 1965).  A vertex's row is the set of cliques holding it; two
-    rows overlap if they meet and neither contains the other.  Inside a
-    component of the overlap relation, rows are added along overlaps and
-    each addition has one placement up to reversal, so the component's
-    order of classes (cliques in the same rows) is forced.  Rows of
-    different components are disjoint or nested, so each component's
-    cliques lie inside one class of every larger component they meet;
-    sorting each clique by its (component, class position) chain from
-    the largest component inward nests the components.  Each vertex's
-    span is checked for consecutiveness before it is returned; when
-    every row is already consecutive in the given clique order, that
-    order is kept.
-    O(n + m) operations on clique bitmasks, plus one sort.
-    """
-    n = len(rows)
-    k = len(cliques)
-    row = [0] * n
-    for i, c in enumerate(cliques):
-        for v in _bits(c):
-            row[v] |= 1 << i
-    if all(not (r + (r & -r)) & r for r in row):
-        # the search order of the cliques already works, as it mostly
-        # does on small graphs
-        return [((r & -r).bit_length() - 1, r.bit_length() - 1) for r in row]
-    # classes of cliques in a doubly linked list; ends[0] is the head of
-    # the component being built, ends[1] its tail
-    cls, nxt, prv, where = [], [], [], [0] * k
-    ends = [0, 0]
-
-    def link(mask, left, right):
-        c = len(cls)
-        cls.append(mask)
-        prv.append(left)
-        nxt.append(right)
-        if left < 0:
-            ends[0] = c
-        else:
-            nxt[left] = c
-        if right < 0:
-            ends[1] = c
-        else:
-            prv[right] = c
-        for i in _bits(mask):
-            where[i] = c
-
-    def split(c, r, before):
-        """Move the r-part of class c to a new class beside it."""
-        part = cls[c] & r
-        if part != cls[c]:
-            cls[c] ^= part
-            if before:
-                link(part, prv[c], c)
-            else:
-                link(part, c, nxt[c])
-
-    def add(r, union):
-        """Place row r, which overlaps a placed row; False if it cannot."""
-        touched = {where[i] for i in _bits(r & union)}
-        first = next(iter(touched))
-        while prv[first] in touched:
-            first = prv[first]
-        run = [first]
-        while nxt[run[-1]] in touched:
-            run.append(nxt[run[-1]])
-        if len(run) != len(touched) or any(cls[c] & ~r for c in run[1:-1]):
-            return False
-        first, last = run[0], run[-1]
-        new = r & ~union
-        right = left = False
-        if new:
-            right = last == ends[1] and (first == last or not cls[last] & ~r)
-            left = not right and first == ends[0] and (
-                first == last or not cls[first] & ~r)
-            if not (right or left):
-                return False
-        if first != last:
-            split(first, r, False)
-            split(last, r, True)
-        elif right or left:
-            split(first, r, left)
-        if right:
-            link(new, ends[1], -1)
-        elif left:
-            link(new, -1, ends[0])
-        return True
-
-    components = []
-    placed = set()
-    for v in range(n):
-        if row[v] in placed:
-            continue
-        placed.add(row[v])
-        link(row[v], -1, -1)
-        union = row[v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            r = row[u]
-            for w in _bits(rows[u]):
-                s = row[w]
-                if s in placed or not (s & ~r and r & ~s):
-                    continue
-                if not add(s, union):
-                    return None
-                placed.add(s)
-                union |= s
-                stack.append(w)
-        order = [ends[0]]
-        while nxt[order[-1]] >= 0:
-            order.append(nxt[order[-1]])
-        components.append((-union.bit_count(), len(order), order))
-    components.sort(key=lambda comp: comp[:2])
-    chain = [[] for _ in range(k)]
-    for cid, (_, _, order) in enumerate(components):
-        for pos, c in enumerate(order):
-            for i in _bits(cls[c]):
-                chain[i].append((cid, pos))
-    at = [0] * k
-    for pos, i in enumerate(sorted(range(k), key=chain.__getitem__)):
-        at[i] = pos
-    spans = []
-    for v in range(n):
-        ps = [at[i] for i in _bits(row[v])]
-        if max(ps) - min(ps) + 1 != len(ps):
-            return None
-        spans.append((min(ps), max(ps)))
-    return spans
-
-
 def _interval_certificate(g):
     """(spans, None) for an interval graph, with each vertex's span of
-    clique positions (``_clique_spans``), or (None, witness) otherwise.
+    clique positions (``chordal.clique_spans``), or (None, witness)
+    otherwise.
 
     A non-chordal graph gets ``find_chordless_cycle``'s cycle and a
     chordal non-member ``find_asteroidal_triple``'s triple: the witness
     that running the two searches in that order gives.  Near-linear up
     to the witness searches, which run only on non-members.
     """
-    cliques = _chordal_cliques(g.rows)
+    cliques = chordal.chordal_cliques(g.rows)
     if cliques is None:
         cycle = find_chordless_cycle(g)
         assert cycle is not None, "no chordless cycle in a non-chordal graph"
         return None, ObstructionWitness(IRREDUCIBLE_CYCLE, cycle)
-    spans = _clique_spans(g.rows, cliques)
+    spans = chordal.clique_spans(g.rows, cliques)
     if spans is not None:
         return spans, None
     triple = find_asteroidal_triple(g)
@@ -484,9 +297,9 @@ def recognize(shape, g):
     if shape == TREE:
         if _nested_neighborhoods(g):
             return None
-        chordal = _chordal_cliques(g.rows) is not None
-        for kind in ("L4",) if chordal else ("C4", "L4"):
-            emb = find_embedding(family_graph(kind), g, INDUCED)
+        is_chordal = chordal.chordal_cliques(g.rows) is not None
+        for kind in ("L4",) if is_chordal else ("C4", "L4"):
+            emb = find_embedding(catalog.family_graph(kind), g, INDUCED)
             if emb is not None:
                 return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping, (kind, None))
         raise AssertionError("no induced C4 or L4 beside unnested neighborhoods")

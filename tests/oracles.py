@@ -138,6 +138,39 @@ def brute_maximal_cliques(g):
     return sorted(cliques)
 
 
+def recursive_maximal_cliques(g, within=None):
+    """``enumerate_maximal_cliques`` as it was, recursing once per clique
+    vertex: Bron-Kerbosch with a pivot of most candidate neighbors."""
+    rows = g.rows
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        px = p | x
+        pivot = -1
+        best = -1
+        m = px
+        while m:
+            v = (m & -m).bit_length() - 1
+            score = (p & rows[v]).bit_count()
+            if score > best:
+                best, pivot = score, v
+            m &= m - 1
+        ext = p & ~rows[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            bit = 1 << v
+            expand(r | bit, p & rows[v], x & rows[v])
+            p &= ~bit
+            x |= bit
+            ext &= ext - 1
+
+    expand(0, (1 << g.n) - 1 if within is None else within, 0)
+    return sorted(tuple(v for v in range(g.n) if r >> v & 1) for r in out)
+
+
 def brute_interval_graph(g):
     """Is g an interval graph?  Try every distinct-endpoint assignment.
 

@@ -770,12 +770,12 @@ def test_options_and_positional_come_in_any_order(tmp_path, capsys):
 # module loading: each subcommand executes only the modules it uses
 # ---------------------------------------------------------------------------
 
-PACKAGE_MODULES = ("catalog", "graphs", "shapes", "necessary",
-                   "distributions", "ultragraph", "isomorphism",
+PACKAGE_MODULES = ("catalog", "chordal", "graphs", "shapes", "necessary",
+                   "distributions", "ultragraph", "tracecli", "isomorphism",
                    "obstructions", "intervals", "refinement", "fulldist")
 # the modules split off from graphs, shapes and distributions: served by
 # their old homes, never registered by the CLI
-SPLIT_OFF = PACKAGE_MODULES[6:]
+SPLIT_OFF = PACKAGE_MODULES[8:]
 
 # Prints the exit code and the package modules still unexecuted (lazy
 # modules change their class to ModuleType when they execute), after
@@ -819,31 +819,41 @@ def unexecuted_after(*argv):
 
 
 def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
+    # the catalog executes only where a family graph is built (a tree
+    # non-member's witness), the interval kernels only where an interval
+    # test or a chordality test runs; no graph command runs tracecli
     gf = write(tmp_path, "C4.graph", C4_TEXT)
-    left = ("necessary distributions ultragraph isomorphism obstructions "
-            "intervals refinement fulldist")
-    for shape in ("tree", "interval"):
-        assert (unexecuted_after("recognize", "--shape", shape, gf)
-                == "1 " + left)
-    assert unexecuted_after("realize", gf) == "1 " + left.replace(
+    left = ("necessary distributions ultragraph tracecli isomorphism "
+            "obstructions intervals refinement fulldist")
+    assert (unexecuted_after("recognize", "--shape", "tree", gf)
+            == "1 " + left)
+    assert (unexecuted_after("recognize", "--shape", "interval", gf)
+            == "1 catalog " + left)
+    assert unexecuted_after("realize", gf) == "1 catalog " + left.replace(
         " intervals", "")
+    tree_member = write(tmp_path, "P3.graph", "graph 3\ne 0 1\ne 1 2\n")
+    assert (unexecuted_after("recognize", "--shape", "tree", tree_member)
+            == "0 catalog chordal " + left)
     assert unexecuted_after("obstructions", "--shape", "tree",
                             "--max-n", "4") == (
-        "0 necessary distributions ultragraph intervals refinement fulldist")
+        "0 chordal necessary distributions ultragraph tracecli intervals "
+        "refinement fulldist")
 
 
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
-    got = unexecuted_after("necessary", "--shape", "tree", gf)
-    assert got == ("0 distributions ultragraph isomorphism obstructions "
-                   "intervals refinement fulldist")
+    left = ("distributions ultragraph tracecli isomorphism obstructions "
+            "intervals refinement fulldist")
+    assert unexecuted_after("necessary", "--shape", "tree", gf) == "0 " + left
+    assert (unexecuted_after("necessary", "--shape", "interval", gf)
+            == "0 catalog " + left)
 
 
 def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("trace-refine", tf)
-    assert got == ("0 catalog shapes necessary ultragraph isomorphism "
-                   "obstructions intervals fulldist")
+    assert got == ("0 catalog chordal shapes necessary ultragraph "
+                   "isomorphism obstructions intervals fulldist")
 
 
 # one index carrying the path 0-1-2-3: the chain condition and both
@@ -859,8 +869,8 @@ g2 0 : 0-1 1-2 2-3
 def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
         tmp_path):
     tf = write(tmp_path, "path.trace", PATH_TRACE)
-    left = ("shapes necessary ultragraph isomorphism obstructions intervals "
-            "refinement fulldist")
+    left = ("chordal shapes necessary ultragraph isomorphism obstructions "
+            "intervals refinement fulldist")
     assert unexecuted_after("trace-check", tf) == "1 " + left
     assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
                             tf) == "1 " + left
@@ -869,8 +879,45 @@ def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
 def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("ultragraph", "--extend-eta", tf)
-    assert got == ("0 catalog graphs shapes necessary isomorphism "
+    assert got == ("0 catalog chordal graphs shapes necessary isomorphism "
                    "obstructions intervals refinement fulldist")
+
+
+# Prints the package modules that recognize and realize requests executed.
+EXECUTED = """
+import sys, types
+from ugl.cli import main
+for argv in %r:
+    main(argv)
+print(*sorted(m for m, module in sys.modules.items()
+              if m.split(".")[0] == "ugl" and type(module) is types.ModuleType))
+"""
+
+
+def ast_nodes(module):
+    """The AST nodes of a module's source: what compiling it walks."""
+    import ast
+    import importlib.util
+    source = Path(importlib.util.find_spec(module).origin).read_text(
+        encoding="utf-8")
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def test_recognize_and_realize_compile_no_module_larger_than_graphs(
+        tmp_path):
+    # The compiler's transient memory grows with the largest module a
+    # request compiles (where no bytecode is cached), and that sets the
+    # request's peak RSS.
+    c4 = write(tmp_path, "C4.graph", C4_TEXT)
+    path = write(tmp_path, "P4.graph", PATH4_TEXT)
+    requests = [[cmd, "--shape", shape, g] for cmd in ("recognize",)
+                for shape in ("tree", "interval") for g in (c4, path)]
+    requests += [["realize", g] for g in (c4, path)]
+    executed = fresh_python(EXECUTED % (requests,)).split()
+    assert "ugl.graphs" in executed and "ugl.intervals" in executed
+    limit = ast_nodes("ugl.graphs")
+    sizes = {m: ast_nodes(m) for m in executed}
+    assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
 
 
 def test_library_property_check_loads_distributions_only():
@@ -912,6 +959,9 @@ def test_moved_names_stay_importable_where_they_were():
     for name in ("TREE", "INTERVAL", "check_shape", "family_graph",
                  "family_str", "parse_family", "shape_families"):
         assert getattr(ugl.shapes, name) is getattr(ugl.catalog, name)
+    # the shape names live in the package, which every request executes
+    for name in ("TREE", "INTERVAL", "SHAPES", "check_shape"):
+        assert getattr(ugl.catalog, name) is getattr(ugl, name)
     assert ugl.necessary.check_shape is ugl.catalog.check_shape
     with pytest.raises(AttributeError):
         ugl.distributions.recognize
@@ -921,7 +971,7 @@ def test_moved_names_stay_importable_where_they_were():
 
 
 # The names (dunders aside) these modules had before their cold halves
-# moved out that each still serves: its own, and the sixteen that the
+# moved out that each still serves: its own, and the twenty that the
 # bench reads through it.
 FORMER_NAMES = {
     "graphs": """CapabilityError EDGES_ONLY Embedding GRAPH_VERTEX_CAP Graph
@@ -930,8 +980,8 @@ FORMER_NAMES = {
         find_embedding format_graph iter_embeddings parse_graph""",
     "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INDUCED INTERVAL
         IRREDUCIBLE_CYCLE InputError IntervalModel ObstructionWitness TREE
-        WITNESS_KINDS _avoid_components _bits _chordal_cliques _clique_spans
-        _interval_certificate _nested_neighborhoods _reaches check_shape
+        WITNESS_KINDS _avoid_components _bits _interval_certificate
+        _nested_neighborhoods _reaches check_shape
         combinations family_graph family_str find_asteroidal_triple
         find_chordless_cycle find_embedding format_interval_model
         format_witness minimal_obstructions parse_family
@@ -948,8 +998,8 @@ FORMER_NAMES = {
     "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY
         IRREDUCIBLE_CYCLE InputError NecessarySet WORK_BUDGET
         _TREE_PATTERN_NON_EDGES _branch_bits _check_pairs
-        _minimal_completions _minimal_hits _sorted_pairs
-        catalog_necessary_set check_shape compute_flags
+        _minimal_completions _minimal_hits _sorted_pairs check_shape
+        compute_flags
         counterexample_checks family_necessary_set forced_edges
         format_necessary_set is_necessary minimal_necessary_sets
         necessary_by_enumeration necessity_constraints
@@ -976,9 +1026,10 @@ def bench_traced_names():
 
 def test_former_names_resolve_from_their_old_homes():
     import importlib
-    # the pair-mask helpers of graphs live in necessary, their one user
+    # the pair-mask helpers of graphs live in necessary, their one user,
+    # and shapes serves its family names from the catalog
     split_off = {m: importlib.import_module("ugl." + m)
-                 for m in SPLIT_OFF + ("necessary",)}
+                 for m in SPLIT_OFF + ("necessary", "catalog")}
     moved = set()
     for home, names in FORMER_NAMES.items():
         module = importlib.import_module("ugl." + home)
@@ -990,7 +1041,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 16
+    assert len(moved) == 20
     for home, names in bench_traced_names().items():
         for name in names:
             assert callable(getattr(importlib.import_module("ugl." + home),

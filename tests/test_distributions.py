@@ -37,6 +37,7 @@ from ugl.isomorphism import enumerate_graphs
 from ugl.necessary import family_necessary_set
 from ugl.refinement import (
     LosInstance,
+    enumerate_maximal_cliques,
     essential_range,
     find_multiplicative_refinement,
     format_trace,
@@ -55,6 +56,7 @@ from oracles import (all_subsets_from_conjugate, brute_pattern_violation,
                      frozenset_is_multiplicative_trace,
                      frozenset_multiplicative_refinement,
                      pairwise_check_properties,
+                     recursive_maximal_cliques,
                      recursive_multiplicative_refinement)
 
 
@@ -1052,6 +1054,38 @@ def test_refinement_search_depth_is_not_bounded_by_recursion():
     assert find_multiplicative_refinement(
         Trace(fam, 2, [set()] * n, [[]] * n)) is None
     t = Trace(fam, 2, [{0, 1}] * n, [[(0, 1)]] * n)
+    assert find_multiplicative_refinement(t) == t
+
+
+def test_maximal_cliques_match_the_recursive_oracle(tmp_path_factory):
+    # every graph with at most 7 vertices (one per class), whole and
+    # without each vertex, and every index graph of the bench traces
+    cases = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            full = (1 << n) - 1
+            for within in [None] + [full & ~(1 << v) for v in range(n)]:
+                assert (enumerate_maximal_cliques(g, within)
+                        == recursive_maximal_cliques(g, within)), (g, within)
+                cases += 1
+    for _, t in bench_traces(tmp_path_factory):
+        for mask, rows in zip(t.g1_masks, t.g2_rows):
+            g = Graph._from_rows(t.n_formulas, rows)
+            assert (enumerate_maximal_cliques(g, mask)
+                    == recursive_maximal_cliques(g, mask)), (t, mask)
+            cases += 1
+    assert cases > 8000
+
+
+def test_maximal_cliques_are_not_bounded_by_recursion():
+    # a clique deeper than the default recursion limit of 1000, which
+    # the recursive form could not expand
+    n = 1200
+    whole = (1 << n) - 1
+    g = Graph._from_rows(n, [whole & ~(1 << v) for v in range(n)])
+    assert enumerate_maximal_cliques(g) == [tuple(range(n))]
+    t = Trace(CoveringFamily.quorum(1, 1), n, [range(n)],
+              [combinations(range(n), 2)])
     assert find_multiplicative_refinement(t) == t
 
 

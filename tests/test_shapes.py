@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ugl.catalog import (INTERVAL, TREE, diagonal_violation, family_graph,
                          family_str, is_diagonal, parse_family,
                          shape_families)
+from ugl.chordal import chordal_cliques, clique_spans
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import Graph
 from ugl.intervals import (IntervalModel, format_interval_model,
@@ -19,7 +20,6 @@ from ugl.obstructions import (forest_comparability_classes,
 from ugl.refinement import enumerate_maximal_cliques
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
-                        _chordal_cliques, _clique_spans,
                         find_asteroidal_triple, find_chordless_cycle,
                         format_witness, recognize)
 from ugl import shapes
@@ -387,11 +387,11 @@ def test_clique_spans_under_shuffled_clique_orders():
             g = random_interval_graph(rng, rng.randint(1, 40))
         else:
             g = random_subtree_graph(rng, rng.randint(1, 24))
-        cliques = _chordal_cliques(g.rows)
+        cliques = chordal_cliques(g.rows)
         member = find_asteroidal_triple(g) is None
         for _ in range(3):
             rng.shuffle(cliques)
-            spans = _clique_spans(g.rows, cliques)
+            spans = clique_spans(g.rows, cliques)
             assert (spans is not None) == member, g.edges()
             if spans is None:
                 continue
