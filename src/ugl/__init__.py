@@ -10,7 +10,17 @@ built; setting or deleting one raises ``AttributeError``, and ``copy``,
 ``deepcopy`` and ``pickle`` rebuild it from its fields.  A ``_Value`` is
 also equal to any object of its type with equal fields, and hashes as
 the tuple of its fields; the other frozen objects compare by identity.
+
+Importing the package registers every module but ``cli`` in
+``sys.modules`` unexecuted and binds it here, so a module executes when
+one of its names is first used: each request, and each library call,
+compiles only what it runs.  The modules bind each other with
+``from . import <module>`` and read a name from its home where they use
+it.
 """
+
+import importlib.util
+import sys
 
 from .errors import InputError
 
@@ -71,3 +81,31 @@ class _Value(_Frozen):
 
     def __hash__(self):
         return hash(self._fields())
+
+
+def _register(name):
+    """ugl.<name>, in ``sys.modules`` and unexecuted until first use."""
+    spec = importlib.util.find_spec(__name__ + "." + name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# not cli: ``python -m ugl.cli`` warns when its module is already loaded
+for _name in ("catalog", "chordal", "distributions", "fulldist", "graphs",
+              "intervals", "isomorphism", "necessary", "obstructions",
+              "refinement", "shapes", "tracecli", "ultragraph"):
+    globals()[_name] = _register(_name)
+
+
+def _forward(module, moved):
+    """The ``__getattr__`` of a module that still serves names which moved
+    to a sibling: ``moved`` maps each to its home, which executes on
+    first use."""
+    def __getattr__(name):
+        if name not in moved:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (module, name))
+        return getattr(globals()[moved[name]], name)
+    return __getattr__

@@ -13,18 +13,15 @@ The trace conditions need only this data, not the recognizers, so it
 lives apart from them.  All of them ask one question of an index graph
 (``least_placement``): does a catalog host fit in, with its edges on
 edges and its curated pairs on non-edges?  Wolk's diagonal condition,
-hence the chain condition, is the ``L4`` entry.  Graph code is imported
-only where a graph is built.
+hence the chain condition, is the ``L4`` entry.
 
 The shape names and ``check_shape`` live in the package and are bound
-here too.  This module executes only where a family graph is built: a
-tree non-member's witness, the obstruction lists, the curated sets and
-the trace conditions.  An interval recognition, a realization and an
-interval necessary-set request never execute it.
+here too.  No interval recognition, realization or interval
+necessary-set request runs this module.
 """
 
-from . import INTERVAL, SHAPES, TREE, check_shape  # noqa: F401
-from .errors import InputError
+from . import INTERVAL, SHAPES, TREE, check_shape, graphs  # noqa: F401
+from .errors import InputError, parse_number
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +56,7 @@ def family_graph(kind, param=None):
     first base vertex; outer 3 adjacent to both hubs; outer 4 adjacent
     to hub 1 and the last base vertex.  3n+6 edges; V(1) is the 3-sun.
     """
-    from .graphs import Graph
-
+    Graph = graphs.Graph
     if kind in ("C4", "L4"):
         if param is not None:
             raise InputError("family %s takes no parameter" % kind)
@@ -115,9 +111,8 @@ def parse_family(token):
     if "(" in token and token.endswith(")"):
         kind, _, rest = token.partition("(")
         if kind in PARAMETRIC_FAMILIES:
-            try:
-                param = int(rest[:-1])
-            except ValueError:
+            param = parse_number(rest[:-1])
+            if param is None:
                 raise InputError("malformed family parameter in %r" % token)
             family_graph(kind, param)
             return kind, param
@@ -145,8 +140,9 @@ def shape_families(shape, max_vertices):
 # placements: the diagonal condition and the catalog inclusions
 # ---------------------------------------------------------------------------
 
-def least_placement(kind, param, graphs):
-    """Least (placement, index) of a catalog host over ``graphs``, or None.
+def least_placement(kind, param, index_graphs):
+    """Least (placement, index) of a catalog host over ``index_graphs``, or
+    None.
 
     A placement sends the host's edges to edges and the pairs of its
     ``catalog_necessary_set`` to non-edges.  ``iter_embeddings`` maps the
@@ -154,13 +150,12 @@ def least_placement(kind, param, graphs):
     so its first result is the graph's least placement; the minimum over
     the graphs is the least placement, then the least index carrying it.
     """
-    from .graphs import EDGES_ONLY, Graph, iter_embeddings
-
     _, host, (pairs, _) = catalog_necessary_set(kind, param)
-    avoid = Graph(host.n, pairs)
+    avoid = graphs.Graph(host.n, pairs)
     found = []
-    for a, g in enumerate(graphs):
-        x = next(iter_embeddings(host, g, EDGES_ONLY, avoid=avoid), None)
+    for a, g in enumerate(index_graphs):
+        x = next(graphs.iter_embeddings(host, g, graphs.EDGES_ONLY,
+                                        avoid=avoid), None)
         if x is not None:
             found.append((x, a))
     return min(found, default=None)

@@ -4,10 +4,8 @@ vertex's cliques are consecutive (Gilmore-Hoffman).
 
 Interval recognition and realization run both, and a tree recognition
 only its non-members' chordality test, so these live apart from the
-recognizers: a tree member's request never compiles them.  ``cli``
-registers this module unexecuted and ``shapes`` binds it once, so it
-executes on first use.  Both work on adjacency rows (``Graph.rows``)
-and clique bitmasks.
+recognizers: a tree member's request never compiles them.  Both work on
+adjacency rows (``Graph.rows``) and clique bitmasks.
 """
 
 from . import _bits

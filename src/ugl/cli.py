@@ -17,23 +17,16 @@ malformed argv prints ``error: ...`` naming the offending token on
 stderr and exits 2 with nothing on stdout; ``-h``/``--help`` prints the
 usage built from the same table on stdout and exits 0.  No argparse.
 
-Importing this module registers the package modules in sys.modules
-without executing them; each executes when a subcommand first uses it,
-so a run compiles only what it needs.  The cold halves of graphs,
-shapes and distributions live in modules of their own; the names that
-the bench times in the old homes are served there on first use.
-recognize --shape interval executes graphs, shapes and the interval
-kernels in chordal; a tree member executes graphs and shapes alone, and
-a tree non-member adds chordal and catalog (for its witness's family
-graph); realize adds intervals to the interval set; obstructions
-executes catalog, graphs, shapes, isomorphism and obstructions;
-necessary adds necessary to the recognize set of its shape.  The four
-trace commands' handlers live in tracecli, which no graph command
-executes: trace-check and trace-condition execute tracecli, catalog,
-graphs and distributions; trace-refine tracecli, graphs, distributions
-and refinement; ultragraph tracecli, distributions and ultragraph, and
-no graph code.  Every request executes the package ``__init__`` (the
-shape names the parser checks) and errors.
+A request executes only the package modules it uses: recognize
+--shape interval executes graphs, shapes and chordal; a tree member
+graphs and shapes alone, and a tree non-member adds chordal and catalog
+(for its witness's family graph); realize adds intervals to the
+interval set; obstructions executes catalog, graphs, shapes,
+isomorphism and obstructions; necessary adds necessary to the recognize
+set of its shape.  The trace commands' handlers live in tracecli:
+trace-check and trace-condition execute tracecli, catalog, graphs and
+distributions; trace-refine tracecli, graphs, distributions and
+refinement; ultragraph tracecli, distributions and ultragraph.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
 ``ugl`` script: it returns ``main()``'s exit code after freezing the
@@ -43,42 +36,12 @@ run it in-process.
 """
 
 import gc
-import importlib.util
 import os
 import sys
 from types import SimpleNamespace
 
-from . import SHAPES
-from .errors import CapabilityError, InputError, read_text
-
-
-def _lazy(name):
-    """Register ugl.<name> so that it executes on first attribute use.
-
-    A module already in sys.modules is returned as it is, so no class
-    is ever defined twice in one process."""
-    full = __package__ + "." + name
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-graphs = _lazy("graphs")
-shapes = _lazy("shapes")
-nec = _lazy("necessary")
-tracecli = _lazy("tracecli")
-# shapes binds catalog and chordal, tracecli distributions and ultragraph,
-# with ``from . import``: registered here first, each stays unexecuted
-# until a request uses it.
-for _name in ("catalog", "chordal", "distributions", "ultragraph"):
-    _lazy(_name)
-
+from . import SHAPES, graphs, necessary as nec, shapes, tracecli
+from .errors import CapabilityError, InputError, parse_number, read_text
 
 # Value kinds of the options: a store-true flag, a shape name, or a
 # nonnegative integer; any other kind is the metavar of a file path.
@@ -144,10 +107,11 @@ def parse_args(argv):
             if kind == SHAPE:
                 _check_choice(name, value, SHAPES)
             elif kind == COUNT:
-                if not value.isdecimal():
+                count = parse_number(value)
+                if count is None or count < 0:
                     raise InputError("argument %s: expected a nonnegative "
                                      "integer, got %r" % (name, value))
-                value = int(value)
+                value = count
             got[name] = value
     if extra:
         raise InputError("unrecognized arguments: %s" % " ".join(extra))

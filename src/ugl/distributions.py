@@ -23,18 +23,16 @@ Index sets are masks too: family generators and members, supports and
 the refinement search's state.  Two halves that no condition check runs
 live in modules of their own: the refinement search, Łoś instances,
 restriction and the trace writer in ``refinement``; full distributions,
-level maps and the property checks in ``fulldist``.  Only the five
-names the bench reads here stay importable from here, each executing
-its module on first use; every other name lives in its home alone.
+level maps and the property checks in ``fulldist``.  ``_MOVED`` serves
+the five of their names that the bench reads here.
 """
 
 from itertools import combinations
 
-from . import _Value, _freeze
-from .errors import CapabilityError, ConsistencyError, InputError
-
-# Graph and catalog code is imported in the functions that use it, so a
-# library run on distributions alone compiles nothing else.
+from . import (INTERVAL, _Value, _forward, _freeze, catalog, check_shape,
+               graphs, refinement)
+from .errors import (CapabilityError, ConsistencyError, InputError,
+                     parse_number)
 
 # Kept for the bench, which reads these names here (bench/check.py,
 # bench/child.py); trace-refine runs its two through here for the spans.
@@ -46,12 +44,7 @@ _MOVED = {
 }
 
 
-def __getattr__(name):
-    """A name that moved to a module of its own (the call form of ``from
-    .<home> import <name>``), executing it on first use."""
-    if name not in _MOVED:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
+__getattr__ = _forward(__name__, _MOVED)
 
 
 FORMULA_CAP = 12
@@ -256,9 +249,7 @@ class Trace(_Value):
         if len(g1) != n or len(g2) != n:
             raise InputError("g1/g2 must assign every index exactly once")
         if instance is not None:
-            from .refinement import LosInstance
-
-            if not isinstance(instance, LosInstance):
+            if not isinstance(instance, refinement.LosInstance):
                 raise InputError("instance must be a LosInstance")
             if instance.n_indices != n or instance.n_formulas != n_formulas:
                 raise InputError("instance dimensions do not match the trace")
@@ -316,9 +307,7 @@ def is_pair_adequate(t):
 
 def graph_sequence(t):
     """Per-index (vertex tuple, Graph) pairs; the graphs carry the g2 rows."""
-    from .graphs import Graph
-
-    return [(tuple(_bits(m)), Graph._from_rows(t.n_formulas, rs))
+    return [(tuple(_bits(m)), graphs.Graph._from_rows(t.n_formulas, rs))
             for m, rs in zip(t.g1_masks, t.g2_rows)]
 
 
@@ -336,8 +325,7 @@ def _index_graphs(source):
     """One graph on the formulas per index: a pair is an edge at alpha
     when alpha lies in its g2 support (trace) or its value (full
     distribution)."""
-    from .graphs import Graph
-
+    Graph = graphs.Graph
     if isinstance(source, Trace):
         return [Graph._from_rows(source.n_formulas, rs)
                 for rs in source.g2_rows]
@@ -359,9 +347,7 @@ def check_sop2_condition(source):
     the least ``L4`` placement: the least quadruple over all indices,
     then the least index carrying it.
     """
-    from .catalog import least_placement
-
-    return least_placement("L4", None, _index_graphs(source))
+    return catalog.least_placement("L4", None, _index_graphs(source))
 
 
 def check_necessary_conditions(t, shape):
@@ -378,18 +364,15 @@ def check_necessary_conditions(t, shape):
     FORMULA_CAP formulas; the ``tree`` hosts have four vertices, a
     polynomial search.  Accepts a trace or a full distribution.
     """
-    from .catalog import (INTERVAL, check_shape, family_str, least_placement,
-                          shape_families)
-
     check_shape(shape)
     if shape == INTERVAL and t.n_formulas > FORMULA_CAP:
         raise CapabilityError(
             "trace conditions bounded to %d formulas" % FORMULA_CAP)
-    graphs = _index_graphs(t)
-    for kind, param in shape_families(shape, t.n_formulas):
-        found = least_placement(kind, param, graphs)
+    index_graphs = _index_graphs(t)
+    for kind, param in catalog.shape_families(shape, t.n_formulas):
+        found = catalog.least_placement(kind, param, index_graphs)
         if found is not None:
-            return (family_str(kind, param),) + found
+            return (catalog.family_str(kind, param),) + found
     return None
 
 
@@ -447,17 +430,15 @@ def parse_trace(text):
                       for k in ("g1", "g2", "k1", "k2"))
     instance = None
     if rows["k1"] or rows["k2"]:
-        from .refinement import LosInstance
-
-        instance = LosInstance(n_formulas, k1, k2)
+        instance = refinement.LosInstance(n_formulas, k1, k2)
     return Trace(family, n_formulas, g1, g2, instance)
 
 
 def _parse_int(tok, line):
-    try:
-        return int(tok)
-    except ValueError:
+    n = parse_number(tok)
+    if n is None:
         raise InputError("malformed number %r in %r" % (tok, line))
+    return n
 
 
 def _build_family(n_indices, decl, members):

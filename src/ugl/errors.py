@@ -14,7 +14,8 @@ Three kinds of failure are distinguished everywhere:
   ultrafilter-style operations over a non-principal family).  Exit code 3.
 
 ``read_text`` reads the command line's input files, so a file that
-cannot be read or decoded is an ``InputError`` too.
+cannot be read or decoded is an ``InputError`` too.  ``parse_number``
+reads the number tokens of every text format.
 """
 
 
@@ -37,3 +38,16 @@ def read_text(path):
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError("cannot read %s: %s" % (path, err))
+
+
+def parse_number(tok):
+    """The integer a number token spells, or None if ``tok`` is none.  A
+    number token is an optional ``-`` and ASCII digits; ``int()`` reads
+    more (a ``+``, ``_`` separators, spaces, other scripts' digits)."""
+    if tok.isascii() and (tok.isdigit()
+                          or tok[:1] == "-" and tok[1:].isdigit()):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None

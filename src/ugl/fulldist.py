@@ -11,7 +11,7 @@ witness is the one a scan over frozensets finds; frozensets are built
 only for witnesses, ``at``, ``map``, mappings and level maps.  All of
 it is bounded to ``FORMULA_CAP`` formulas.  No CLI request runs this
 module; ``distributions`` serves ``extension_distribution`` and
-``check_properties`` to the bench, executing it on first use.
+``check_properties`` to the bench.
 """
 
 from itertools import combinations

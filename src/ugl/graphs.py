@@ -13,9 +13,8 @@ per-vertex adjacency bitmasks; the index sets of ``distributions``
 Induced subgraphs, canonical forms, isomorphism tests and one-per-class
 enumeration live in ``isomorphism``, which only the obstruction catalog
 runs; pair masks live in ``necessary`` and maximal clique enumeration
-in ``refinement``, their one users.  The five of their names that the
-bench times or reads here stay importable from here, each executing its
-module on first use; the rest are imported from their homes.
+in ``refinement``, their one users.  ``_MOVED`` serves the five of their
+names that the bench times or reads here.
 
 Graphs and embeddings are immutable values (``ugl._Value``: frozen
 fields, equality and hashing by field, copy and pickle), and every
@@ -24,8 +23,8 @@ operation is a pure function.
 
 from itertools import combinations, compress
 
-from . import _Value, _freeze
-from .errors import CapabilityError, InputError
+from . import _Value, _forward, _freeze
+from .errors import CapabilityError, InputError, parse_number
 
 GRAPH_VERTEX_CAP = 10000
 
@@ -38,12 +37,7 @@ _MOVED = {**dict.fromkeys(("canonical_key", "enumerate_graphs",
           "enumerate_maximal_cliques": "refinement"}
 
 
-def __getattr__(name):
-    """A name that moved to a module of its own (the call form of ``from
-    .<home> import <name>``), executing it on first use."""
-    if name not in _MOVED:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
+__getattr__ = _forward(__name__, _MOVED)
 
 
 class Graph(_Value):
@@ -144,9 +138,8 @@ def parse_graph(text):
                 raise InputError("duplicate graph header")
             if len(parts) != 2:
                 raise InputError("malformed graph header: %r" % raw.strip())
-            try:
-                n = int(parts[1])
-            except ValueError:
+            n = parse_number(parts[1])
+            if n is None:
                 raise InputError("malformed vertex count: %r" % parts[1])
             if n < 0:
                 raise InputError("negative vertex count")
@@ -159,9 +152,8 @@ def parse_graph(text):
                 raise InputError("edge before graph header")
             if len(parts) != 3:
                 raise InputError("malformed edge line: %r" % raw.strip())
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
+            u, v = parse_number(parts[1]), parse_number(parts[2])
+            if u is None or v is None:
                 raise InputError("malformed edge line: %r" % raw.strip())
             if u == v:
                 raise InputError("loop at vertex %d" % u)
@@ -263,24 +255,34 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
     adj_before = [[i for i in range(k) if hrows[k] >> i & 1] for k in range(h.n)]
     forbid_before = [[i for i in range(k) if forbid[k] >> i & 1]
                      for k in range(h.n)]
+    # depth-first on an explicit stack: level k holds the candidates of
+    # pattern vertex k not yet tried, and used the images of levels < k
     mapping = [0] * h.n
-
-    def rec(k, used):
-        if k == h.n:
-            yield tuple(mapping)
-            return
-        cands = allowed[k] & ~used
-        for i in adj_before[k]:
-            cands &= grows[mapping[i]]
-        for i in forbid_before[k]:
-            cands &= ~grows[mapping[i]]
-        while cands:
+    level = [allowed[0]] + [0] * (h.n - 1)
+    last = h.n - 1
+    k = used = 0
+    while True:
+        cands = level[k]
+        if cands:
             low = cands & -cands
+            level[k] = cands ^ low
             mapping[k] = low.bit_length() - 1
-            yield from rec(k + 1, used | low)
-            cands ^= low
-
-    yield from rec(0, 0)
+            if k == last:
+                yield tuple(mapping)
+                continue
+            used |= low
+            k += 1
+            cands = allowed[k] & ~used
+            for i in adj_before[k]:
+                cands &= grows[mapping[i]]
+            for i in forbid_before[k]:
+                cands &= ~grows[mapping[i]]
+            level[k] = cands
+        elif k:
+            k -= 1
+            used ^= 1 << mapping[k]
+        else:
+            return
 
 
 def find_embedding(h, g, mode):

@@ -10,7 +10,7 @@ serves its names.
 from itertools import combinations
 
 from . import _Value, _freeze
-from .errors import InputError
+from .errors import InputError, parse_number
 from .shapes import _interval_certificate
 
 
@@ -60,9 +60,8 @@ def parse_interval_model(text, distinct=False):
         parts = line.split()
         if parts[0] != "i" or len(parts) != 4:
             raise InputError("malformed interval line %r" % line)
-        try:
-            v, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
+        v, a, b = map(parse_number, parts[1:])
+        if None in (v, a, b):
             raise InputError("malformed interval line %r" % line)
         if v in rows:
             raise InputError("duplicate interval for vertex %d" % v)

@@ -45,8 +45,8 @@ claim and is skipped by verification.
 
 from functools import cache
 
-from . import _Value, _freeze, check_shape
-from .errors import CapabilityError, InputError
+from . import _Value, _freeze, catalog, check_shape
+from .errors import CapabilityError, InputError, parse_number
 from .graphs import INDUCED, iter_embeddings
 from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 
@@ -55,9 +55,8 @@ from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
 # distinct mask it reaches and, per node of its hitting-set branching,
 # one per completion the node carries.  The search charges one unit per
 # host pair up front (so no host of more than 362 vertices reaches its
-# automorphism scan, which recurses once per vertex), then one per
-# automorphism and one per mask it recognizes.  README "Bounds" lists
-# what fits.
+# automorphism scan), then one per automorphism and one per mask it
+# recognizes.  README "Bounds" lists what fits.
 WORK_BUDGET = 1 << 16
 
 FLAG_NAMES = ("necessary", "submin", "mincard", "unique")
@@ -113,12 +112,9 @@ def parse_necessary_set(text):
                 raise InputError("repeated B line")
             edges = []
             for tok in parts[1:]:
-                a, sep, b = tok.partition("-")
-                if not sep:
-                    raise InputError("malformed pair token %r" % tok)
-                try:
-                    pair = (int(a), int(b))
-                except ValueError:
+                a, _, b = tok.partition("-")
+                pair = (parse_number(a), parse_number(b))
+                if None in pair:
                     raise InputError("malformed pair token %r" % tok)
                 edges.append(pair)
         elif parts[0] == "flags":
@@ -497,10 +493,6 @@ def verify_claims(shape, h, ns):
 
 def family_necessary_set(kind, param=None):
     """The curated necessary set of a catalog family as (shape, host,
-    NecessarySet); the data and its flags are ``catalog_necessary_set``'s.
-    The catalog is imported here alone, so an interval request never
-    executes it (a tree non-member's witness builds a family graph)."""
-    from .catalog import catalog_necessary_set
-
-    shape, host, (pairs, flags) = catalog_necessary_set(kind, param)
+    NecessarySet); the data and its flags are ``catalog_necessary_set``'s."""
+    shape, host, (pairs, flags) = catalog.catalog_necessary_set(kind, param)
     return shape, host, NecessarySet(pairs, flags)

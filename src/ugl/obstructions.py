@@ -16,7 +16,7 @@ the recognizers; ``shapes`` serves its names.
 from itertools import combinations
 
 from .catalog import check_shape, family_graph, parse_family, shape_families
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, parse_number
 from .graphs import INDUCED, Embedding, Graph
 from .isomorphism import canonical_key, graph_from_canonical_key
 from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE,
@@ -39,9 +39,8 @@ def parse_witness(text):
             raise InputError("forbidden-family witness needs a family token")
         family = parse_family(rest[0])
         rest = rest[1:]
-    try:
-        vertices = [int(t) for t in rest]
-    except ValueError:
+    vertices = [parse_number(t) for t in rest]
+    if None in vertices:
         raise InputError("malformed witness vertices in %r" % text)
     return ObstructionWitness(kind, vertices, family)
 

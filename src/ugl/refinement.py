@@ -11,14 +11,13 @@ cliques of the index graphs (Bron-Kerbosch with pivoting).  Restriction
 to the essential range, rebuilding a trace from its graph sequence and
 the trace text writer live here too.  The search keeps one index mask
 per formula and listed pair as its supports.  ``distributions`` serves
-the search, ``is_refinement`` and the writer for the bench, and
-``graphs`` the clique enumeration; either executes this module on
-first use.
+the search, ``is_refinement`` and the writer to the bench, and
+``graphs`` the clique enumeration.
 """
 
 from itertools import combinations
 
-from . import _Value, _freeze
+from . import _Value, _freeze, graphs
 from .distributions import (PRINCIPAL, QUORUM, Trace, _Rows, _bits, _edges,
                             _graphs, _has, _mask, adequacy_report,
                             is_pair_adequate)
@@ -166,10 +165,8 @@ def _clique_choices(t, alpha):
     are monotone in each K_alpha, so any witness assignment enlarges to
     one made of maximal cliques.
     """
-    from .graphs import Graph
-
-    return enumerate_maximal_cliques(
-        Graph._from_rows(t.n_formulas, t.g2_rows[alpha]), t.g1_masks[alpha])
+    g = graphs.Graph._from_rows(t.n_formulas, t.g2_rows[alpha])
+    return enumerate_maximal_cliques(g, t.g1_masks[alpha])
 
 
 def find_multiplicative_refinement(t):

@@ -23,18 +23,15 @@ depend on how membership was decided: each is the first one in the
 fixed order of its search.
 
 The maximal cliques of a chordal graph and their consecutive order live
-in ``chordal``, which a tree member's recognition never runs.  The
-interval models and realization live in ``intervals``; the minimal
-obstructions, the rooted forests and the witness parser in
-``obstructions``.  No recognition request runs either, so each executes
-only when one of its names is first used here.  Six of their names stay
-importable from here: the four that cli's realize and obstructions run
-through here, where the bench times them, and the two parsers that the
-bench checker reads.  The shape names live in the package.  The
-obstruction families live in ``catalog``, which executes only where a
-family graph is built (a tree non-member's witness); the four family
-names the bench reads here are served from it on first use.  Like these
-rows, the covering families of ``distributions`` are bitmasks.
+in ``chordal``, which a tree member's recognition never runs, and the
+obstruction families in ``catalog``, which only a tree non-member's
+witness needs here.  The interval models and realization live in
+``intervals``, the minimal obstructions, the rooted forests and the
+witness parser in ``obstructions``; no recognition runs either.
+``_MOVED`` serves ten of their names here: the four that cli's realize
+and obstructions run through here, where the bench times them, and six
+that the bench reads.  Like these rows, the covering families of
+``distributions`` are bitmasks.
 """
 
 from itertools import combinations
@@ -42,8 +39,8 @@ from itertools import combinations
 # cli registers catalog and chordal unexecuted, so each executes where
 # it is first used: catalog where a family graph is built, chordal where
 # an interval test or a tree non-member's chordality test runs
-from . import (INTERVAL, TREE, _bits, _Value, _freeze, catalog, check_shape,
-               chordal)
+from . import (INTERVAL, TREE, _bits, _forward, _Value, _freeze, catalog,
+               check_shape, chordal, obstructions)
 from .errors import InputError
 from .graphs import INDUCED, find_embedding
 
@@ -60,12 +57,7 @@ _MOVED = {
 }
 
 
-def __getattr__(name):
-    """A name that moved to a module of its own (the call form of ``from
-    .<home> import <name>``), executing it on first use."""
-    if name not in _MOVED:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(__import__(_MOVED[name], globals(), None, (name,), 1), name)
+__getattr__ = _forward(__name__, _MOVED)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +218,7 @@ class ObstructionWitness(_Value):
     def checks(self, g):
         """Re-verify this certificate against g from scratch.  No request
         runs this, so the check lives in ``obstructions``."""
-        from .obstructions import witness_checks
-
-        return witness_checks(self, g)
+        return obstructions.witness_checks(self, g)
 
 
 def format_witness(w):

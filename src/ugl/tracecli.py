@@ -1,8 +1,8 @@
 """The trace subcommands of the ugl command: trace-check, trace-refine,
 trace-condition and ultragraph.
 
-``cli`` parses the argv and dispatches here through ``HANDLERS``; it
-registers this module unexecuted, so only a trace command compiles it.
+``cli`` parses the argv and dispatches here through ``HANDLERS``, so
+only a trace command compiles this module.
 Each handler takes the parsed argv and the output stream and returns
 the exit code, as cli's own handlers do.
 """

@@ -23,8 +23,9 @@ the componentwise reading of edges is not sound.
 
 from itertools import combinations, product
 
-from . import _Frozen, _Value, _freeze
-from .errors import CapabilityError, ConsistencyError, InputError
+from . import _Frozen, _Value, _freeze, graphs
+from .errors import (CapabilityError, ConsistencyError, InputError,
+                     parse_number)
 from .distributions import PRINCIPAL, Trace, _bits, _has
 
 MATERIALIZE_CAP = 10 ** 6
@@ -81,17 +82,13 @@ class ReducedProduct(_Frozen):
 
     def to_graph(self):
         """The materialized product as (Graph, vertex order); capped."""
-        # the only graph code here, so that the ultragraph command
-        # compiles none
-        from .graphs import Graph
-
         vs = self.vertices()
         pos = {v: i for i, v in enumerate(vs)}
         edges = []
         for tu, tv in combinations(vs, 2):
             if self.has_edge(tu, tv):
                 edges.append((pos[tu], pos[tv]))
-        return Graph(len(vs), edges), vs
+        return graphs.Graph(len(vs), edges), vs
 
     def edge_count(self):
         """The number of edges.  Two tuples adjacent at every core index
@@ -240,10 +237,9 @@ def parse_internal_set(text):
         toks = line.split()
         if toks[0] != "K" or len(toks) < 3 or toks[2] != ":":
             raise InputError("malformed internal-set line %r" % line)
-        try:
-            alpha = int(toks[1])
-            vs = [int(x) for x in toks[3:]]
-        except ValueError:
+        alpha = parse_number(toks[1])
+        vs = [parse_number(x) for x in toks[3:]]
+        if alpha is None or None in vs:
             raise InputError("malformed number in %r" % line)
         if alpha in parts:
             raise InputError("duplicate internal-set line for index %d" % alpha)

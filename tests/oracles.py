@@ -80,8 +80,11 @@ def brute_embeddings(h, g, mode, bijective=False):
 
 def degree_scan_iter_embeddings(h, g, mode, bijective=False, avoid=None):
     """``graphs.iter_embeddings`` as it was before its set-up bucketed the
-    vertices by degree: one ``degree`` call per vertex of g and one scan
-    of every vertex per host vertex.  Shares the Graph type only."""
+    vertices by degree (one ``degree`` call per vertex of g and one scan
+    of every vertex per host vertex) and before its search ran on an
+    explicit stack: one generator frame per pattern vertex, so a pattern
+    of about 1,000 vertices exceeds the recursion limit.  Shares the
+    Graph type only."""
     if bijective and h.n != g.n:
         return
     if h.n > g.n:

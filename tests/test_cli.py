@@ -656,6 +656,7 @@ MALFORMED = [
     (["realize"], "graphfile"),
     (["obstructions", "--max-n", "4"], "--shape"),
     (["obstructions", "--shape", "forest", "--max-n", "4"], "forest"),
+    (["obstructions", "--shape", "tree", "--max-n", "\u0664"], "\u0664"),
     (["obstructions", "--shape", "tree", "--max-n", "4", "--jobs", "2"],
      "--jobs"),
     (["obstructions", "--shape", "tree", "--max-n", "4", "G"], "G"),
@@ -774,7 +775,7 @@ PACKAGE_MODULES = ("catalog", "chordal", "graphs", "shapes", "necessary",
                    "distributions", "ultragraph", "tracecli", "isomorphism",
                    "obstructions", "intervals", "refinement", "fulldist")
 # the modules split off from graphs, shapes and distributions: served by
-# their old homes, never registered by the CLI
+# their old homes
 SPLIT_OFF = PACKAGE_MODULES[8:]
 
 # Prints the exit code and the package modules still unexecuted (lazy
@@ -920,15 +921,40 @@ def test_recognize_and_realize_compile_no_module_larger_than_graphs(
     assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
 
 
+# Prints the package modules executed (registered ones change their
+# class to ModuleType when they execute) after a library script.
+EXECUTED_BY = """
+%s
+import sys, types
+print(*sorted(m for m, module in sys.modules.items()
+              if m.startswith("ugl.") and type(module) is types.ModuleType))
+"""
+
+
 def test_library_property_check_loads_distributions_only():
-    got = fresh_python(
-        "import sys\n"
+    got = fresh_python(EXECUTED_BY % (
         "import ugl.distributions as dist\n"
         "t = dist.parse_trace(%r)\n"
-        "dist.check_properties(dist.extension_distribution(t))\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('ugl.')))"
-        % GOOD_TRACE)
+        "dist.check_properties(dist.extension_distribution(t))"
+        % GOOD_TRACE))
     assert got == "ugl.distributions ugl.errors ugl.fulldist"
+
+
+def test_library_calls_without_cli_execute_only_what_they_use():
+    # a module imported alone leaves the siblings it names unexecuted
+    # until it uses them
+    got = fresh_python(EXECUTED_BY % (
+        "import ugl.shapes\n"
+        "from ugl.graphs import Graph\n"
+        "assert ugl.shapes.recognize('tree', Graph(3, [(0, 1), (1, 2)]))"
+        " is None"))
+    assert got == "ugl.errors ugl.graphs ugl.shapes"
+    got = fresh_python(EXECUTED_BY % (
+        "from ugl.graphs import Graph\n"
+        "from ugl.necessary import minimal_necessary_sets\n"
+        "assert minimal_necessary_sets('interval', Graph(4, %r))"
+        % ([(0, 1), (1, 2), (2, 3), (0, 3)],)))
+    assert got == "ugl.chordal ugl.errors ugl.graphs ugl.necessary ugl.shapes"
 
 
 def test_complete_twelve_formula_property_check_is_fast():
@@ -1049,16 +1075,13 @@ def test_former_names_resolve_from_their_old_homes():
 
 
 def test_import_registers_every_module_unexecuted():
-    got = fresh_python(
-        "import sys, types\n"
+    got = fresh_python(EXECUTED_BY % (
+        "import sys\n"
         "import ugl.cli\n"
-        "print(*[m for m in ('cli',) + %r if 'ugl.' + m in sys.modules],\n"
-        "      sum(type(sys.modules['ugl.' + m]) is types.ModuleType\n"
-        "          for m in %r if 'ugl.' + m in sys.modules),\n"
-        "      *[m for m in ('argparse', 'gettext') if m in sys.modules])"
-        % (PACKAGE_MODULES, PACKAGE_MODULES))
-    registered = [m for m in PACKAGE_MODULES if m not in SPLIT_OFF]
-    assert got == "cli " + " ".join(registered) + " 0"
+        "assert all('ugl.' + m in sys.modules for m in %r)\n"
+        "assert not {'argparse', 'gettext'} & set(sys.modules)"
+        % (PACKAGE_MODULES,)))
+    assert got == "ugl.cli ugl.errors"
 
 
 def test_cli_uses_a_module_imported_before_it():

@@ -415,6 +415,15 @@ def test_parse_missing_rows_default_empty():
     "indices 2\nformulas 2\nfamily explicit\n",
     "indices 2\nformulas 2\nfamily quorum 1\nindices 2\n",
     "indices 2\nformulas 2\nfamily quorum 1\nk1 0 : 0\nk2 1 : 0-1\n",
+    # number tokens are an optional "-" and ASCII digits
+    "indices \u0662\nformulas 2\nfamily quorum 1\n",
+    "indices 2\nformulas +2\nfamily quorum 1\n",
+    "indices 2\nformulas 2\nfamily quorum 1_0\n",
+    "indices 2\nformulas 2\nfamily principal \u0660\n",
+    "indices 2\nformulas 2\nfamily explicit\nmember +0\n",
+    "indices 2\nformulas 2\nfamily quorum 1\ng1 +0 : 0\n",
+    "indices 2\nformulas 2\nfamily quorum 1\ng1 0 : 0 \u0661\n",
+    "indices 2\nformulas 2\nfamily quorum 1\ng1 0 : 0 1\ng2 0 : 0-+1\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(InputError):

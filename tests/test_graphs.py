@@ -104,6 +104,13 @@ def test_graph_parser_accepts_comments():
     "graph 3\ngraph 3",
     "graph x",
     "",
+    # number tokens are an optional "-" and ASCII digits
+    "graph 1_0\ne +0 \u0663",
+    "graph +4",
+    "graph \u0664",
+    "graph 4\ne +0 3",
+    "graph 4\ne 0 \u0663",
+    "graph 4\ne 0 3_0",
 ])
 def test_graph_parser_rejects_malformed_input(text):
     with pytest.raises(InputError):
@@ -331,6 +338,33 @@ def test_iter_embeddings_on_an_edgeless_graph_skips_its_vertices():
 def test_iter_embeddings_avoid_rejects_other_vertex_sets():
     with pytest.raises(InputError):
         list(iter_embeddings(L4, C4, EDGES_ONLY, avoid=Graph(3)))
+
+
+def test_iter_embeddings_yields_like_the_recursive_form():
+    # every class with <= 7 vertices onto itself (its automorphisms) and
+    # as the index graph of the curated C4 and L4 placements, in both
+    # modes: the stack search yields what one frame per vertex yielded
+    from ugl.catalog import catalog_necessary_set
+    placements = []
+    for kind in ("C4", "L4"):
+        _, host, (pairs, _) = catalog_necessary_set(kind)
+        placements.append((host, False, Graph(host.n, pairs)))
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for h, bijective, avoid in [(g, True, None)] + placements:
+                for mode in (EDGES_ONLY, INDUCED):
+                    args = (h, g, mode, bijective, avoid)
+                    assert (list(iter_embeddings(*args)) == list(
+                        oracles.degree_scan_iter_embeddings(*args))), args
+
+
+def test_find_embedding_of_a_long_path_into_itself_is_the_identity():
+    # one search level per pattern vertex: the recursive form raised
+    # RecursionError from about 1,000 vertices
+    n = 1500
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    for mode in (EDGES_ONLY, INDUCED):
+        assert find_embedding(path, path, mode).mapping == tuple(range(n))
 
 
 def test_automorphisms():

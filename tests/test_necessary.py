@@ -74,6 +74,10 @@ def test_set_file_round_trip():
     "B 0-2\nflags shiny=1",
     "B 0-2\nflags necessary=1 necessary=1",
     "Q 0-2\nflags necessary=1",
+    # number tokens are an optional "-" and ASCII digits
+    "B 0-\u0662 +1-3\nflags necessary=1 submin=0 mincard=0 unique=0",
+    "B +0-2\nflags necessary=0 submin=0 mincard=0 unique=0",
+    "B 0-2_0\nflags necessary=0 submin=0 mincard=0 unique=0",
 ])
 def test_set_file_rejects(text):
     with pytest.raises(InputError):
@@ -269,12 +273,14 @@ def test_constraints_branch_on_witness_pairs(monkeypatch):
     # no automorphism or canonical-form code runs: the call leaves the
     # isomorphism module unexecuted
     got = fresh_python(
-        "import sys\n"
+        "import sys, types\n"
         "from ugl.graphs import Graph\n"
         "from ugl.catalog import TREE\n"
         "from ugl.necessary import necessity_constraints\n"
         "got = necessity_constraints(TREE, Graph(8, %r))\n"
-        "print(len(got), 'ugl.isomorphism' in sys.modules)" % (C4.edges(),))
+        "print(len(got),\n"
+        "      type(sys.modules['ugl.isomorphism']) is types.ModuleType)"
+        % (C4.edges(),))
     assert got == "2 False"
     assert [m.edges for m in minimal_necessary_sets(TREE, host)] == [
         ((0, 2), (1, 3))]

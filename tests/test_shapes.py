@@ -90,7 +90,8 @@ def test_family_token_round_trip(token):
 
 
 @pytest.mark.parametrize("token", ["", "III", "III()", "III(3)", "IV(1)",
-                                   "V(0)", "C4(2)", "W(4)", "III(x)"])
+                                   "V(0)", "C4(2)", "W(4)", "III(x)",
+                                   "III(+5)", "III(\u0665)", "III(5_0)"])
 def test_family_token_rejects(token):
     with pytest.raises(InputError):
         parse_family(token)
@@ -222,6 +223,7 @@ def test_witness_text_round_trip(w, line):
 @pytest.mark.parametrize("line", [
     "", "w", "w cycles 0 1", "w irreducible-cycle 0 x",
     "w forbidden-family", "w forbidden-family Q 0 1",
+    "w irreducible-cycle 0 1 2 \u0663", "w irreducible-cycle +0 1 2 3",
 ])
 def test_witness_parse_rejects(line):
     with pytest.raises(InputError):
@@ -473,6 +475,10 @@ def test_interval_model_text_round_trip():
         parse_interval_model("i 0 0 1\ni 0 2 3\n")
     with pytest.raises(InputError):
         parse_interval_model("i 1 0 1\n")
+    # number tokens are an optional "-" and ASCII digits
+    for text in ("i \u0660 0 1\n", "i 0 +0 1\n", "i 0 0 1_0\n"):
+        with pytest.raises(InputError):
+            parse_interval_model(text)
     with pytest.raises(InputError):
         parse_interval_model("j 0 0 1\n")
 

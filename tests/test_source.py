@@ -16,9 +16,6 @@ SELF_CALLS = {
     "obstructions._forest_graph.walk": "capped",
     "obstructions._rooted_trees.fill": "capped",
     "obstructions.forest_comparability_classes.fill": "capped",
-    # one generator frame per pattern vertex: the one recursion still as
-    # deep as its input
-    "graphs.iter_embeddings.rec": "input-deep",
 }
 
 

@@ -206,6 +206,9 @@ def test_internal_set_text_round_trip():
     "K 0 : 0\nK 0 : 1\n",
     "K x : 0\n",
     "J 0 : 0\n",
+    # number tokens are an optional "-" and ASCII digits
+    "K \u0660 : 0\n",
+    "K 0 : +0\n",
 ])
 def test_internal_set_parse_rejects(text):
     with pytest.raises(InputError):
