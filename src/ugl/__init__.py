@@ -93,8 +93,9 @@ def _register(name):
 
 
 # not cli: ``python -m ugl.cli`` warns when its module is already loaded
-for _name in ("catalog", "chordal", "distributions", "fulldist", "graphs",
-              "intervals", "isomorphism", "necessary", "obstructions",
+for _name in ("catalog", "chordal", "completions", "covering",
+              "distributions", "fulldist", "graphs", "intervals",
+              "isomorphism", "lifting", "necessary", "obstructions",
               "refinement", "shapes", "tracecli", "ultragraph"):
     globals()[_name] = _register(_name)
 

@@ -17,7 +17,8 @@ module; ``distributions`` serves ``extension_distribution`` and
 from itertools import combinations
 
 from . import _Frozen, _Value, _freeze
-from .distributions import FORMULA_CAP, _bits, _checked_mask, _edges, _mask
+from .covering import _bits, _checked_mask, _edges, _mask
+from .distributions import FORMULA_CAP
 from .errors import CapabilityError, InputError
 
 

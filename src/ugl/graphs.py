@@ -12,9 +12,9 @@ per-vertex adjacency bitmasks; the index sets of ``distributions``
 
 Induced subgraphs, canonical forms, isomorphism tests and one-per-class
 enumeration live in ``isomorphism``, which only the obstruction catalog
-runs; pair masks live in ``necessary`` and maximal clique enumeration
-in ``refinement``, their one users.  ``_MOVED`` serves the five of their
-names that the bench times or reads here.
+runs; pair masks live in ``completions`` and maximal clique
+enumeration in ``refinement``, their one users.  ``_MOVED`` serves the
+five of their names that the bench times or reads here.
 
 Graphs and embeddings are immutable values (``ugl._Value``: frozen
 fields, equality and hashing by field, copy and pickle), and every
@@ -23,7 +23,7 @@ operation is a pure function.
 
 from itertools import combinations, compress
 
-from . import _Value, _forward, _freeze
+from . import _Value, _bits, _forward, _freeze
 from .errors import CapabilityError, InputError, parse_number
 
 GRAPH_VERTEX_CAP = 10000
@@ -237,9 +237,10 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
         yield ()
         return
     hrows, grows = h.rows, g.rows
-    forbid = h.complement().rows if mode == INDUCED else (0,) * h.n
-    if avoid is not None:
-        forbid = [f | a for f, a in zip(forbid, avoid.rows)]
+    induced = mode == INDUCED
+    avoided = (0,) * h.n if avoid is None else avoid.rows
+    forbid = ([f | a for f, a in zip(h.complement().rows, avoided)]
+              if induced else avoided)
     # an image needs a neighbour per h-neighbour and a non-neighbour per
     # forbidden partner.  The vertices of g are bucketed by degree, and
     # only the non-isolated ones are visited one by one, so an edgeless g
@@ -252,9 +253,14 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
     allowed = [sum(m for d, m in by_degree.items()
                    if r.bit_count() <= d < g.n - f.bit_count())
                for r, f in zip(hrows, forbid)]
-    adj_before = [[i for i in range(k) if hrows[k] >> i & 1] for k in range(h.n)]
-    forbid_before = [[i for i in range(k) if forbid[k] >> i & 1]
-                     for k in range(h.n)]
+    # the earlier neighbours and avoided partners of each vertex, one
+    # entry per edge.  In INDUCED mode an image must also miss the images
+    # of the earlier non-neighbours: a popped candidate, adjacent to the
+    # images of its earlier neighbours, must be adjacent to no other
+    # image of an earlier vertex.
+    adj_before, avoid_before = ([list(_bits(r & (1 << k) - 1))
+                                 for k, r in enumerate(rows)]
+                                for rows in (hrows, avoided))
     # depth-first on an explicit stack: level k holds the candidates of
     # pattern vertex k not yet tried, and used the images of levels < k
     mapping = [0] * h.n
@@ -267,6 +273,9 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
             low = cands & -cands
             level[k] = cands ^ low
             mapping[k] = low.bit_length() - 1
+            if induced and ((grows[mapping[k]] & used).bit_count()
+                            != len(adj_before[k])):
+                continue
             if k == last:
                 yield tuple(mapping)
                 continue
@@ -275,7 +284,7 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
             cands = allowed[k] & ~used
             for i in adj_before[k]:
                 cands &= grows[mapping[i]]
-            for i in forbid_before[k]:
+            for i in avoid_before[k]:
                 cands &= ~grows[mapping[i]]
             level[k] = cands
         elif k:

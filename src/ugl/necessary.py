@@ -41,14 +41,22 @@ proper subset is necessary), ``mincard`` (no smaller necessary set
 exists), ``unique`` (the only necessary set of minimum size).  In a
 stored set file a flag value 1 is a claim that must verify; 0 makes no
 claim and is skipped by verification.
+
+The pair masks, the check of candidate pairs, the spend, the
+witness-pair branching, the sweep and its hitting sets live in
+``completions``; the two routes, the flags and the set format live
+here.
 """
 
 from functools import cache
 
 from . import _Value, _freeze, catalog, check_shape
-from .errors import CapabilityError, InputError, parse_number
+from .completions import (_Spend, _branch_bits, _check_pairs,
+                          _minimal_completions, _minimal_hits, _non_edges,
+                          _pairs, _sorted_pairs)
+from .errors import InputError, parse_number
 from .graphs import INDUCED, iter_embeddings
-from .shapes import FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE, recognize
+from .shapes import recognize
 
 # Work bound of one request, shared by every sweep and search it runs.
 # The sweep charges one unit per host non-edge up front, then one per
@@ -135,100 +143,9 @@ def parse_necessary_set(text):
     return NecessarySet(edges, flags)
 
 
-def _check_pairs(h, edges):
-    for u, v in edges:
-        if not (0 <= u < v < h.n):
-            raise InputError("pair (%d, %d) out of range" % (u, v))
-        if h.has_edge(u, v):
-            raise InputError("pair (%d, %d) is an edge of the host" % (u, v))
-
-
-# ---------------------------------------------------------------------------
-# pair masks: sets of host non-edges as bits, in column order
-# ---------------------------------------------------------------------------
-
-def _non_edges(h):
-    """The host's non-edges (i, j), i < j, in column order, and the bit
-    of each, keyed by (i, j) and by (j, i)."""
-    ne = []
-    for j, row in enumerate(h.rows):
-        m = ~row & (1 << j) - 1
-        while m:
-            low = m & -m
-            ne.append((low.bit_length() - 1, j))
-            m ^= low
-    idx = {}
-    for k, (i, j) in enumerate(ne):
-        idx[i, j] = idx[j, i] = k
-    return ne, idx
-
-
-def _pairs(ne, mask):
-    """The pairs of a mask over the non-edges ne, by ascending bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(ne[low.bit_length() - 1])
-        mask ^= low
-    return out
-
-
-class _Spend:
-    """The units of work one request has spent against ``WORK_BUDGET``."""
-
-    units = 0
-
-    def charge(self, units):
-        self.units += units
-        if self.units > WORK_BUDGET:
-            raise CapabilityError(
-                "necessary-set enumeration bounded to %d units of work"
-                % WORK_BUDGET)
-
-
 # ---------------------------------------------------------------------------
 # enumeration route
 # ---------------------------------------------------------------------------
-
-def _minimal_completions(shape, h, spend):
-    """The host non-edges, and the masks of the pairs added by the
-    inclusion-minimal member supergraphs of h.
-
-    A level-order sweep by the number of added pairs, from E(H).  A
-    member is recorded; a non-member branches on the ``_branch_bits``
-    of its witness, because every member above it fills one of them
-    (Cai 1996).  So each minimal completion S is reached through masks
-    below S, which are non-members by minimality.  A mask above a
-    recorded member is skipped, and in level order the recorded members
-    are exactly the minimal ones.
-    """
-    check_shape(shape)
-    spend.charge(h.n * (h.n - 1) // 2 - h.edge_count())
-    ne, idx = _non_edges(h)
-    found, level = [], {0}
-    while level:
-        wider, members = set(), []
-        for mask in level:
-            if any(m & mask == m for m in found):
-                continue
-            w = recognize(shape, h.with_edges(_pairs(ne, mask)))
-            if w is None:
-                members.append(mask)
-                continue
-            before = len(wider)
-            wider.update(mask | 1 << p
-                         for p in _branch_bits(h.n, idx, mask, 0, w))
-            spend.charge(len(wider) - before)
-        found += members
-        level = wider
-    return ne, found
-
-
-def _sorted_pairs(ne, masks):
-    """Pair masks as tuples of pairs, sorted by (size, pairs)."""
-    return sorted((tuple(sorted(_pairs(ne, m))) for m in masks),
-                  key=lambda s: (len(s), s))
-
 
 def necessity_constraints(shape, h):
     """The inclusion-minimal used sets over all completions of the host.
@@ -249,50 +166,6 @@ def necessary_by_enumeration(shape, h, edges):
     _check_pairs(h, edges)
     b = set(edges)
     return all(b & s for s in necessity_constraints(shape, h))
-
-
-def _minimal_hits(shape, h, spend):
-    """All minimal hitting sets of the minimal completions, sorted.
-
-    Minimal-transversal branching (Murakami & Uno 2014) on the pairs of
-    the first completion the current choice misses; the child taking the
-    i-th such pair may not take a later one, so each choice is visited
-    once.  A choice is pruned once one of its pairs has no private
-    completion (one the choice meets only there), as no wider choice is
-    then minimal.  Each choice carries the completions it misses or
-    meets once; one met twice is neither missed nor private again.  Each
-    node is charged the completions it carries.
-    """
-    ne, family = _minimal_completions(shape, h, spend)
-    hits = []
-    stack = [(0, -1, family)]
-    while stack:
-        chosen, allowed, live = stack.pop()
-        spend.charge(len(live))
-        missed, private = None, {}
-        for f in live:
-            hit = f & chosen
-            if hit:
-                private[hit] = private.get(hit, f) & f
-            elif missed is None:
-                missed = f
-        if missed is None:
-            hits.append(chosen)
-            continue
-        # A pair in every private completion of a chosen pair would
-        # leave that pair with none.
-        blocked = 0
-        for common in private.values():
-            blocked |= common
-        rest, branch = allowed & ~missed, missed & allowed
-        while branch:
-            bit = branch & -branch
-            branch ^= bit
-            if not bit & blocked:
-                stack.append((chosen | bit, rest,
-                              [f for f in live if not (f & chosen and f & bit)]))
-            rest |= bit
-    return _sorted_pairs(ne, hits)
 
 
 def minimal_necessary_sets(shape, h):
@@ -316,35 +189,6 @@ def minimal_necessary_sets(shape, h):
 # ---------------------------------------------------------------------------
 # search route
 # ---------------------------------------------------------------------------
-
-_TREE_PATTERN_NON_EDGES = {"C4": ((0, 2), (1, 3)), "L4": ((0, 2), (0, 3), (1, 3))}
-
-
-def _branch_bits(n, idx, mask, banned, witness):
-    """Pair positions whose addition can destroy the witness.
-
-    A chordless cycle survives any addition except a chord; an
-    asteroidal triple survives any addition not incident to it (the
-    triple stays independent and the connecting paths only gain edges);
-    an induced 4-cycle or 4-path survives unless one of its missing
-    pairs is filled.  So every member above ``mask`` avoiding ``banned``
-    contains one of the returned pairs.  A host edge has no position in
-    ``idx``, as it is always present.
-    """
-    vs = witness.vertices
-    if witness.kind == FORBIDDEN_FAMILY:
-        pattern = _TREE_PATTERN_NON_EDGES[witness.family[0]]
-        pairs = [(vs[u], vs[v]) for u, v in pattern]
-    elif witness.kind == IRREDUCIBLE_CYCLE:
-        k = len(vs)
-        pairs = [(vs[i], vs[j])
-                 for i in range(k) for j in range(i + 2, k - (i == 0))]
-    else:
-        pairs = [(x, y) for x in vs for y in range(n) if y != x]
-    cands = {idx.get(p, -1) for p in pairs}
-    free = ~(mask | banned)
-    return sorted(p for p in cands if p >= 0 and free >> p & 1)
-
 
 def necessity_counterexample(shape, h, edges, spend=None):
     """None when the set is necessary, else a completion that avoids it.

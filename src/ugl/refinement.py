@@ -17,10 +17,10 @@ the search, ``is_refinement`` and the writer to the bench, and
 
 from itertools import combinations
 
-from . import _Value, _freeze, graphs
-from .distributions import (PRINCIPAL, QUORUM, Trace, _Rows, _bits, _edges,
-                            _graphs, _has, _mask, adequacy_report,
-                            is_pair_adequate)
+from . import _Value, _freeze, distributions, graphs
+from .covering import (PRINCIPAL, QUORUM, _Rows, _bits, _edges, _graphs,
+                       _has, _mask)
+from .distributions import Trace, is_pair_adequate
 from .errors import ConsistencyError, InputError
 
 
@@ -71,7 +71,7 @@ def from_graph_sequence(family, n_formulas, seq, instance=None,
         g2.append(g.rows)
     t = Trace(family, n_formulas, g1, _Rows(g2), instance)
     if require_adequate:
-        bad_b, bad_p = adequacy_report(t)
+        bad_b, bad_p = distributions.adequacy_report(t)
         if bad_b or bad_p:
             raise ConsistencyError(
                 "sequence not pair-adequate: formulas %r, pairs %r"

@@ -11,8 +11,8 @@ from itertools import combinations, product
 
 from ugl.catalog import INTERVAL, TREE, family_graph, is_diagonal
 from ugl.cli import main
+from ugl.covering import CoveringFamily
 from ugl.distributions import (
-    CoveringFamily,
     Trace,
     check_sop2_condition,
     graph_sequence,

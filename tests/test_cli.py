@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ugl.cli import main
-from ugl.distributions import CoveringFamily, Trace, parse_trace
+from ugl.covering import CoveringFamily
+from ugl.distributions import Trace, parse_trace
 from ugl.graphs import Graph, format_graph, parse_graph
 from ugl.intervals import parse_interval_model
 from ugl.obstructions import parse_witness
@@ -773,10 +774,12 @@ def test_options_and_positional_come_in_any_order(tmp_path, capsys):
 
 PACKAGE_MODULES = ("catalog", "chordal", "graphs", "shapes", "necessary",
                    "distributions", "ultragraph", "tracecli", "isomorphism",
-                   "obstructions", "intervals", "refinement", "fulldist")
+                   "obstructions", "intervals", "refinement", "fulldist",
+                   "covering", "lifting", "completions")
 # the modules split off from graphs, shapes and distributions: served by
 # their old homes
-SPLIT_OFF = PACKAGE_MODULES[8:]
+SPLIT_OFF = ("isomorphism", "obstructions", "intervals", "refinement",
+             "fulldist")
 
 # Prints the exit code and the package modules still unexecuted (lazy
 # modules change their class to ModuleType when they execute), after
@@ -825,7 +828,8 @@ def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
     # test or a chordality test runs; no graph command runs tracecli
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("necessary distributions ultragraph tracecli isomorphism "
-            "obstructions intervals refinement fulldist")
+            "obstructions intervals refinement fulldist covering lifting "
+            "completions")
     assert (unexecuted_after("recognize", "--shape", "tree", gf)
             == "1 " + left)
     assert (unexecuted_after("recognize", "--shape", "interval", gf)
@@ -838,13 +842,13 @@ def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
     assert unexecuted_after("obstructions", "--shape", "tree",
                             "--max-n", "4") == (
         "0 chordal necessary distributions ultragraph tracecli intervals "
-        "refinement fulldist")
+        "refinement fulldist covering lifting completions")
 
 
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("distributions ultragraph tracecli isomorphism obstructions "
-            "intervals refinement fulldist")
+            "intervals refinement fulldist covering lifting")
     assert unexecuted_after("necessary", "--shape", "tree", gf) == "0 " + left
     assert (unexecuted_after("necessary", "--shape", "interval", gf)
             == "0 catalog " + left)
@@ -854,7 +858,8 @@ def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("trace-refine", tf)
     assert got == ("0 catalog chordal shapes necessary ultragraph "
-                   "isomorphism obstructions intervals fulldist")
+                   "isomorphism obstructions intervals fulldist lifting "
+                   "completions")
 
 
 # one index carrying the path 0-1-2-3: the chain condition and both
@@ -871,7 +876,7 @@ def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
         tmp_path):
     tf = write(tmp_path, "path.trace", PATH_TRACE)
     left = ("chordal shapes necessary ultragraph isomorphism obstructions "
-            "intervals refinement fulldist")
+            "intervals refinement fulldist lifting completions")
     assert unexecuted_after("trace-check", tf) == "1 " + left
     assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
                             tf) == "1 " + left
@@ -881,7 +886,8 @@ def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     got = unexecuted_after("ultragraph", "--extend-eta", tf)
     assert got == ("0 catalog chordal graphs shapes necessary isomorphism "
-                   "obstructions intervals refinement fulldist")
+                   "obstructions intervals refinement fulldist lifting "
+                   "completions")
 
 
 # Prints the package modules that recognize and realize requests executed.
@@ -908,7 +914,8 @@ def test_recognize_and_realize_compile_no_module_larger_than_graphs(
         tmp_path):
     # The compiler's transient memory grows with the largest module a
     # request compiles (where no bytecode is cached), and that sets the
-    # request's peak RSS.
+    # request's peak RSS.  The other subcommands the benchmark runs, and
+    # its library property check, are held to the same limit.
     c4 = write(tmp_path, "C4.graph", C4_TEXT)
     path = write(tmp_path, "P4.graph", PATH4_TEXT)
     requests = [[cmd, "--shape", shape, g] for cmd in ("recognize",)
@@ -916,6 +923,23 @@ def test_recognize_and_realize_compile_no_module_larger_than_graphs(
     requests += [["realize", g] for g in (c4, path)]
     executed = fresh_python(EXECUTED % (requests,)).split()
     assert "ugl.graphs" in executed and "ugl.intervals" in executed
+    tf = write(tmp_path, "good.trace", GOOD_TRACE)
+    sf = write(tmp_path, "C4.set",
+               "B 0-2 1-3\nflags necessary=1 submin=1 mincard=1 unique=1\n")
+    requests = [["trace-check", tf],
+                ["trace-condition", "--sop2", "--shape", "interval", tf],
+                ["trace-refine", tf], ["ultragraph", "--extend-eta", tf],
+                ["necessary", "--shape", "tree", c4, "--verify", sf],
+                ["necessary", "--shape", "tree", c4, "--all-minimal"],
+                ["obstructions", "--shape", "interval", "--max-n", "6"]]
+    executed += fresh_python(EXECUTED % (requests,)).split()
+    executed += fresh_python(EXECUTED_BY % (
+        "import ugl.distributions as dist\n"
+        "t = dist.parse_trace(%r)\n"
+        "dist.check_properties(dist.extension_distribution(t))"
+        % GOOD_TRACE)).split()
+    assert {"ugl.distributions", "ugl.ultragraph", "ugl.necessary",
+            "ugl.completions", "ugl.covering", "ugl.fulldist"} <= set(executed)
     limit = ast_nodes("ugl.graphs")
     sizes = {m: ast_nodes(m) for m in executed}
     assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
@@ -937,7 +961,7 @@ def test_library_property_check_loads_distributions_only():
         "t = dist.parse_trace(%r)\n"
         "dist.check_properties(dist.extension_distribution(t))"
         % GOOD_TRACE))
-    assert got == "ugl.distributions ugl.errors ugl.fulldist"
+    assert got == "ugl.covering ugl.distributions ugl.errors ugl.fulldist"
 
 
 def test_library_calls_without_cli_execute_only_what_they_use():
@@ -954,7 +978,8 @@ def test_library_calls_without_cli_execute_only_what_they_use():
         "from ugl.necessary import minimal_necessary_sets\n"
         "assert minimal_necessary_sets('interval', Graph(4, %r))"
         % ([(0, 1), (1, 2), (2, 3), (0, 3)],)))
-    assert got == "ugl.chordal ugl.errors ugl.graphs ugl.necessary ugl.shapes"
+    assert got == ("ugl.chordal ugl.completions ugl.errors ugl.graphs "
+                   "ugl.necessary ugl.shapes")
 
 
 def test_complete_twelve_formula_property_check_is_fast():
@@ -964,8 +989,9 @@ def test_complete_twelve_formula_property_check_is_fast():
         "from itertools import combinations\n"
         "from time import perf_counter\n"
         "import ugl.distributions as dist\n"
+        "from ugl.covering import CoveringFamily\n"
         "pairs = list(combinations(range(12), 2))\n"
-        "t = dist.Trace(dist.CoveringFamily.quorum(8, 1), 12,\n"
+        "t = dist.Trace(CoveringFamily.quorum(8, 1), 12,\n"
         "               [range(12)] * 8, [pairs] * 8)\n"
         "start = perf_counter()\n"
         "rep = dist.check_properties(dist.extension_distribution(t))\n"
@@ -996,9 +1022,9 @@ def test_moved_names_stay_importable_where_they_were():
             module.recognize_everything
 
 
-# The names (dunders aside) these modules had before their cold halves
-# moved out that each still serves: its own, and the twenty that the
-# bench reads through it.
+# The names (dunders aside) that each module serves: its own, and the
+# twenty that the bench reads through an old home.  A name that moved
+# without a bench reader is listed under its new home alone.
 FORMER_NAMES = {
     "graphs": """CapabilityError EDGES_ONLY Embedding GRAPH_VERTEX_CAP Graph
         INDUCED InputError automorphisms canonical_form canonical_key
@@ -1013,41 +1039,54 @@ FORMER_NAMES = {
         format_witness minimal_obstructions parse_family
         parse_interval_model parse_witness realize_intervals recognize
         shape_families""",
-    "distributions": """CapabilityError ConsistencyError CoveringFamily
-        EXPLICIT FORMULA_CAP InputError PRINCIPAL QUORUM TRACE_FORMULA_CAP
-        TRACE_INDEX_CAP Trace _build_family _collect_rows _index_graphs
-        _parse_int adequacy_report check_necessary_conditions
-        check_properties check_sop2_condition combinations
-        extension_distribution find_multiplicative_refinement format_trace
-        graph_sequence is_multiplicative_trace is_pair_adequate
-        is_refinement pair_support parse_trace singleton_support""",
-    "necessary": """CapabilityError FLAG_NAMES FORBIDDEN_FAMILY
-        IRREDUCIBLE_CYCLE InputError NecessarySet WORK_BUDGET
-        _TREE_PATTERN_NON_EDGES _branch_bits _check_pairs
-        _minimal_completions _minimal_hits _sorted_pairs check_shape
-        compute_flags
-        counterexample_checks family_necessary_set forced_edges
-        format_necessary_set is_necessary minimal_necessary_sets
-        necessary_by_enumeration necessity_constraints
-        necessity_counterexample parse_necessary_set recognize
-        verify_claims""",
+    "distributions": """CapabilityError FORMULA_CAP InputError
+        TRACE_FORMULA_CAP TRACE_INDEX_CAP Trace _collect_rows _index_graphs
+        adequacy_report check_necessary_conditions check_properties
+        check_sop2_condition combinations extension_distribution
+        find_multiplicative_refinement format_trace graph_sequence
+        is_multiplicative_trace is_pair_adequate is_refinement pair_support
+        parse_trace singleton_support""",
+    "covering": """CoveringFamily EXPLICIT PRINCIPAL QUORUM _Rows _bits
+        _build_family _checked_mask _edges _graphs _has _mask _parse_int""",
+    "necessary": """FLAG_NAMES InputError NecessarySet WORK_BUDGET
+        check_shape compute_flags counterexample_checks
+        family_necessary_set forced_edges format_necessary_set is_necessary
+        minimal_necessary_sets necessary_by_enumeration
+        necessity_constraints necessity_counterexample parse_necessary_set
+        recognize verify_claims""",
+    "completions": """_Spend _TREE_PATTERN_NON_EDGES _branch_bits
+        _check_pairs _minimal_completions _minimal_hits _non_edges _pairs
+        _sorted_pairs""",
     "ultragraph": """CapabilityError ConsistencyError InputError InternalSet
-        LiftedMap MATERIALIZE_CAP PRINCIPAL ReducedProduct Trace
-        _grow_clique build clique_transversal_trace combinations eta
-        eta_clique_witness eta_extension extend_to_internal_clique
-        format_internal_set format_product_vertex lift_map
+        MATERIALIZE_CAP PRINCIPAL ReducedProduct Trace _grow_clique build
+        combinations eta eta_clique_witness eta_extension
+        extend_to_internal_clique format_internal_set format_product_vertex
         parse_internal_set product""",
+    "lifting": """LiftedMap clique_transversal_trace lift_map""",
 }
 
 
-def bench_traced_names():
-    """The ``TRACED`` table of the benchmark's request child."""
+def bench_names():
+    """What the benchmark reads from the package: the ``TRACED`` table of
+    its request child (module -> the functions it wraps), and, read from
+    the syntax trees of ``bench/*.py``, the names that each
+    ``from ugl... import`` takes (module -> names)."""
+    import ast
     import importlib.util
-    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
-    spec = importlib.util.spec_from_file_location("bench_child", path)
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_child",
+                                                  bench / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    return child.TRACED
+    traced = {"ugl." + home: names for home, names in child.TRACED.items()}
+    imported = {}
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and not node.level
+                    and node.module.split(".")[0] == "ugl"):
+                imported.setdefault(node.module, set()).update(
+                    alias.name for alias in node.names)
+    return traced, imported
 
 
 def test_former_names_resolve_from_their_old_homes():
@@ -1068,10 +1107,40 @@ def test_former_names_resolve_from_their_old_homes():
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
     assert len(moved) == 20
-    for home, names in bench_traced_names().items():
+    for module, names in bench_names()[0].items():
         for name in names:
-            assert callable(getattr(importlib.import_module("ugl." + home),
-                                    name)), (home, name)
+            assert callable(getattr(importlib.import_module(module),
+                                    name)), (module, name)
+
+
+def test_bench_imports_resolve_where_the_bench_reads_them():
+    import importlib
+    imported = bench_names()[1]
+    # check.py reads trace, graph, necessity, shape and product names
+    assert {"ugl.distributions", "ugl.graphs", "ugl.necessary", "ugl.shapes",
+            "ugl.ultragraph"} <= set(imported)
+    for module, names in imported.items():
+        for name in names:
+            assert hasattr(importlib.import_module(module), name), (module,
+                                                                    name)
+
+
+def test_untraced_modules_call_traced_functions_through_their_homes():
+    # The bench's tracer replaces a traced function in the modules of its
+    # TRACED table only, so a module outside it that bound one by name
+    # would call it unseen.  A module that defines one (a home its old
+    # home forwards to) is the exception.
+    import importlib
+    traced = bench_names()[0]
+    for other in PACKAGE_MODULES:
+        module = importlib.import_module("ugl." + other)
+        if module.__name__ in traced:
+            continue
+        for home, names in traced.items():
+            for name in names:
+                fn = getattr(importlib.import_module(home), name)
+                if vars(module).get(name) is fn:
+                    assert fn.__module__ == module.__name__, (other, name)
 
 
 def test_import_registers_every_module_unexecuted():

@@ -9,8 +9,8 @@ import pytest
 
 import ugl.distributions as D
 from ugl.catalog import INTERVAL, TREE, family_str, shape_families
+from ugl.covering import CoveringFamily
 from ugl.distributions import (
-    CoveringFamily,
     Trace,
     adequacy_report,
     check_necessary_conditions,

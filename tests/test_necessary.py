@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugl import necessary
+from ugl import completions, necessary, shapes
 from ugl.catalog import INTERVAL, TREE, family_graph
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import Graph
@@ -245,11 +245,12 @@ def test_minimal_sets_match_subset_sweep():
         assert got == oracles.brute_minimal_hits(shape, h), (shape, h)
 
 
-def counting(monkeypatch, *names):
+def counting(monkeypatch, module, *names):
+    """Counts of the calls made to the named functions of the module."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        real = getattr(necessary, name)
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -257,19 +258,21 @@ def counting(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(necessary, name, counted(name))
+        monkeypatch.setattr(module, name, counted(name))
     return calls
 
 
 def test_constraints_branch_on_witness_pairs(monkeypatch):
     # The 4-cycle's diagonals are the only branches; the four isolated
-    # vertices add 20 non-edges that are never tried.
-    calls = counting(monkeypatch, "recognize", "iter_embeddings")
+    # vertices add 20 non-edges that are never tried.  The sweep
+    # recognizes through shapes, the automorphism scan is necessary's.
+    calls = counting(monkeypatch, shapes, "recognize")
+    scans = counting(monkeypatch, necessary, "iter_embeddings")
     host = Graph(8, C4.edges())
     assert necessity_constraints(TREE, host) == [frozenset({(0, 2)}),
                                                  frozenset({(1, 3)})]
-    assert calls["recognize"] <= 3
-    assert calls["iter_embeddings"] == 0
+    assert 0 < calls["recognize"] <= 3
+    assert scans["iter_embeddings"] == 0
     # no automorphism or canonical-form code runs: the call leaves the
     # isomorphism module unexecuted
     got = fresh_python(
@@ -452,7 +455,7 @@ def test_work_budget(monkeypatch):
     # A 20-cycle branches on 170 chords, and its chorded cycles branch
     # again: the sweep runs out of budget after about 1,500 recognize
     # calls.
-    calls = counting(monkeypatch, "recognize")
+    calls = counting(monkeypatch, shapes, "recognize")
     cycle = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
     with pytest.raises(CapabilityError):
         minimal_necessary_sets(INTERVAL, cycle)
@@ -479,8 +482,8 @@ def test_hitting_set_nodes_are_charged_by_their_completions():
     sets = minimal_necessary_sets(TREE, disjoint_c4s(8))
     assert [ns.edges for ns in sets] == [
         ((4 * i, 4 * i + 2), (4 * i + 1, 4 * i + 3)) for i in range(8)]
-    spend = necessary._Spend()
-    _, family = necessary._minimal_completions(TREE, disjoint_c4s(9), spend)
+    spend = completions._Spend()
+    _, family = completions._minimal_completions(TREE, disjoint_c4s(9), spend)
     assert len(family) == 512
     assert spend.units + len(family) < necessary.WORK_BUDGET
     with pytest.raises(CapabilityError):
@@ -488,8 +491,8 @@ def test_hitting_set_nodes_are_charged_by_their_completions():
 
 
 def test_search_charges_host_pairs_automorphisms_and_masks(monkeypatch):
-    calls = counting(monkeypatch, "recognize")
-    spend = necessary._Spend()
+    calls = counting(monkeypatch, necessary, "recognize")
+    spend = completions._Spend()
     assert necessity_counterexample(INTERVAL, C4, [(0, 2)], spend) is not None
     # 6 pairs, the 8 automorphisms of the 4-cycle, then the masks
     assert spend.units == 6 + 8 + calls["recognize"]

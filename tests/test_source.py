@@ -49,3 +49,15 @@ def self_calling_functions():
 
 def test_only_the_listed_functions_call_themselves():
     assert self_calling_functions() == set(SELF_CALLS)
+
+
+# No module compiles into more syntax tree nodes than this: a fresh
+# interpreter's peak memory follows the largest module it compiles.
+NODE_CAP = 2000
+
+
+def test_no_module_exceeds_the_node_cap():
+    sizes = {path.stem: sum(1 for _ in ast.walk(ast.parse(
+                 path.read_text(encoding="utf-8"))))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {m: n for m, n in sizes.items() if n > NODE_CAP} == {}

@@ -10,14 +10,16 @@ import pytest
 
 import ugl
 from ugl import _Frozen, _Value
-from ugl.distributions import CoveringFamily, Trace
+from ugl.covering import CoveringFamily
+from ugl.distributions import Trace
 from ugl.fulldist import check_properties, extension_distribution
 from ugl.graphs import INDUCED, Embedding, Graph
 from ugl.intervals import IntervalModel
 from ugl.necessary import NecessarySet, format_necessary_set
 from ugl.refinement import LosInstance
 from ugl.shapes import IRREDUCIBLE_CYCLE, ObstructionWitness
-from ugl.ultragraph import InternalSet, build, lift_map
+from ugl.lifting import lift_map
+from ugl.ultragraph import InternalSet, build
 
 
 def _trace():
