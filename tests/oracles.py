@@ -8,6 +8,7 @@ shares) so that agreement is meaningful.
 
 from itertools import combinations, permutations
 
+from ugl import _bits, chordal
 from ugl.catalog import INTERVAL, family_graph
 from ugl.distributions import Trace
 from ugl.errors import ConsistencyError, InputError
@@ -633,6 +634,171 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
     witness = recognize(INTERVAL, g)
     assert witness is not None, "realization failed on an interval graph"
     return witness
+
+
+def row_mask_clique_spans(rows, cliques):
+    """``chordal.clique_spans`` as it was when it built every vertex's
+    row of clique positions as a bitmask before anything else: the
+    consecutive-ones test by overlap components, keeping the given
+    clique order when every row is already consecutive in it.  It
+    shares ``_bits`` with the package.
+    """
+    n = len(rows)
+    k = len(cliques)
+    row = [0] * n
+    for i, c in enumerate(cliques):
+        for v in _bits(c):
+            row[v] |= 1 << i
+    if all(not (r + (r & -r)) & r for r in row):
+        # the search order of the cliques already works, as it mostly
+        # does on small graphs
+        return [((r & -r).bit_length() - 1, r.bit_length() - 1) for r in row]
+    # classes of cliques in a doubly linked list; ends[0] is the head of
+    # the component being built, ends[1] its tail
+    cls, nxt, prv, where = [], [], [], [0] * k
+    ends = [0, 0]
+
+    def link(mask, left, right):
+        c = len(cls)
+        cls.append(mask)
+        prv.append(left)
+        nxt.append(right)
+        if left < 0:
+            ends[0] = c
+        else:
+            nxt[left] = c
+        if right < 0:
+            ends[1] = c
+        else:
+            prv[right] = c
+        for i in _bits(mask):
+            where[i] = c
+
+    def split(c, r, before):
+        """Move the r-part of class c to a new class beside it."""
+        part = cls[c] & r
+        if part != cls[c]:
+            cls[c] ^= part
+            if before:
+                link(part, prv[c], c)
+            else:
+                link(part, c, nxt[c])
+
+    def add(r, union):
+        """Place row r, which overlaps a placed row; False if it cannot."""
+        touched = {where[i] for i in _bits(r & union)}
+        first = next(iter(touched))
+        while prv[first] in touched:
+            first = prv[first]
+        run = [first]
+        while nxt[run[-1]] in touched:
+            run.append(nxt[run[-1]])
+        if len(run) != len(touched) or any(cls[c] & ~r for c in run[1:-1]):
+            return False
+        first, last = run[0], run[-1]
+        new = r & ~union
+        right = left = False
+        if new:
+            right = last == ends[1] and (first == last or not cls[last] & ~r)
+            left = not right and first == ends[0] and (
+                first == last or not cls[first] & ~r)
+            if not (right or left):
+                return False
+        if first != last:
+            split(first, r, False)
+            split(last, r, True)
+        elif right or left:
+            split(first, r, left)
+        if right:
+            link(new, ends[1], -1)
+        elif left:
+            link(new, -1, ends[0])
+        return True
+
+    components = []
+    placed = set()
+    for v in range(n):
+        if row[v] in placed:
+            continue
+        placed.add(row[v])
+        link(row[v], -1, -1)
+        union = row[v]
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            r = row[u]
+            for w in _bits(rows[u]):
+                s = row[w]
+                if s in placed or not (s & ~r and r & ~s):
+                    continue
+                if not add(s, union):
+                    return None
+                placed.add(s)
+                union |= s
+                stack.append(w)
+        order = [ends[0]]
+        while nxt[order[-1]] >= 0:
+            order.append(nxt[order[-1]])
+        components.append((-union.bit_count(), len(order), order))
+    components.sort(key=lambda comp: comp[:2])
+    chain = [[] for _ in range(k)]
+    for cid, (_, _, order) in enumerate(components):
+        for pos, c in enumerate(order):
+            for i in _bits(cls[c]):
+                chain[i].append((cid, pos))
+    at = [0] * k
+    for pos, i in enumerate(sorted(range(k), key=chain.__getitem__)):
+        at[i] = pos
+    spans = []
+    for v in range(n):
+        ps = [at[i] for i in _bits(row[v])]
+        if max(ps) - min(ps) + 1 != len(ps):
+            return None
+        spans.append((min(ps), max(ps)))
+    return spans
+
+
+def list_realize_intervals(g, distinct_endpoints=False):
+    """``realize_intervals`` as it was when it listed each clique
+    position's opening and closing vertices and built the model through
+    the checking constructor.  It shares ``chordal_cliques`` and, for a
+    non-member's witness, ``recognize`` with the package (read through
+    their modules, so a test that replaces the one replaces both), and
+    orders the cliques with ``row_mask_clique_spans``.
+    """
+    cliques = chordal.chordal_cliques(g.rows)
+    spans = None if cliques is None else row_mask_clique_spans(g.rows, cliques)
+    if spans is None:
+        return recognize(INTERVAL, g)
+    n = g.n
+    opens = [[] for _ in range(n)]
+    closes = [[] for _ in range(n)]
+    for v, (first, last) in enumerate(spans):
+        opens[first].append(v)
+        closes[last].append(v)
+    left = [0] * n
+    right = [0] * n
+    pos = 0
+    for p in range(n):
+        for v in opens[p]:
+            left[v] = pos
+            pos += 1
+        for v in closes[p]:
+            right[v] = pos
+            pos += 1
+    return IntervalModel(n, list(zip(left, right)), distinct_endpoints)
+
+
+def pairwise_model_checks(m, g):
+    """``IntervalModel.checks`` by testing every pair of vertices."""
+    if m.n != g.n:
+        return False
+    iv = m.intervals
+    for u, v in combinations(range(g.n), 2):
+        meets = max(iv[u][0], iv[v][0]) < min(iv[u][1], iv[v][1])
+        if meets != g.has_edge(u, v):
+            return False
+    return True
 
 
 def all_subsets_from_conjugate(levels):

@@ -1,6 +1,10 @@
+import importlib.util
 import random
 import sys
+import time
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from ugl.catalog import (INTERVAL, TREE, diagonal_violation, family_graph,
                          shape_families)
 from ugl.chordal import chordal_cliques, clique_spans
 from ugl.errors import CapabilityError, InputError
-from ugl.graphs import Graph
+from ugl.graphs import Graph, parse_graph
 from ugl.intervals import (IntervalModel, format_interval_model,
                            parse_interval_model, realize_intervals)
 from ugl.isomorphism import enumerate_graphs, induced_subgraph, is_isomorphic
@@ -22,11 +26,13 @@ from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
                         find_asteroidal_triple, find_chordless_cycle,
                         format_witness, recognize)
-from ugl import shapes
+from ugl import chordal, shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,
-                     enumerated_minimal_obstructions, loop_diagonal_violation,
-                     recursive_chordless_cycle, search_recognize)
+                     enumerated_minimal_obstructions, list_realize_intervals,
+                     loop_diagonal_violation, pairwise_model_checks,
+                     recursive_chordless_cycle, row_mask_clique_spans,
+                     search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -37,6 +43,23 @@ def graphs_up_to(max_n):
     for n in range(max_n + 1):
         for g in enumerate_graphs(n):
             yield g
+
+
+def bench_graphs(tmp_path_factory, seeds=range(1, 6)):
+    """Every graph of the recognize rounds of the given bench seeds, as
+    ``bench/gen.py`` writes them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = []
+    for seed in seeds:
+        outdir = tmp_path_factory.mktemp("recognize-%d" % seed)
+        names = {a[1:] for req in gen.write_inputs("recognize", seed, outdir)
+                 for a in req["argv"] if a.startswith("@")}
+        out += [parse_graph((outdir / name).read_text(encoding="utf-8"))
+                for name in sorted(names)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +423,110 @@ def test_clique_spans_under_shuffled_clique_orders():
             for u, v in combinations(range(g.n), 2):
                 meet = max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1])
                 assert meet == g.has_edge(u, v), g.edges()
+
+
+def shuffled_cliques(rounds):
+    """``chordal_cliques`` with its result shuffled, the same way for the
+    same rows in the same round (``rounds[0]``)."""
+    search = chordal.chordal_cliques
+
+    def cliques(rows):
+        got = search(rows)
+        if got is not None:
+            random.Random("%d %r" % (rounds[0], rows)).shuffle(got)
+        return got
+    return cliques
+
+
+def consecutive(rows, cliques):
+    """Whether each vertex's cliques are consecutive in the given order."""
+    for v in range(len(rows)):
+        at = [i for i, c in enumerate(cliques) if c >> v & 1]
+        if at[-1] - at[0] + 1 != len(at):
+            return False
+    return True
+
+
+def test_clique_spans_match_the_row_mask_oracle(tmp_path_factory):
+    rng = random.Random(24)
+    cases = [g for g in graphs_up_to(7) if chordal_cliques(g.rows) is not None]
+    assert len(cases) == 532
+    cases += bench_graphs(tmp_path_factory)
+    paths = {True: 0, False: 0}
+    for g in cases:
+        cliques = chordal_cliques(g.rows)
+        if cliques is None:
+            continue
+        for shuffle in range(4 if g.n <= 7 else 2):
+            if shuffle:
+                rng.shuffle(cliques)
+            paths[consecutive(g.rows, cliques)] += 1
+            assert (clique_spans(g.rows, cliques)
+                    == row_mask_clique_spans(g.rows, cliques)), g.edges()
+    # both the kept order and the overlap-component placement ran
+    assert min(paths.values()) > 100, paths
+
+
+def test_realize_matches_the_list_oracle(tmp_path_factory, monkeypatch):
+    cases = list(graphs_up_to(7)) + bench_graphs(tmp_path_factory)
+    rounds = [0]
+    monkeypatch.setattr(chordal, "chordal_cliques", shuffled_cliques(rounds))
+    models = 0
+    for rounds[0] in range(3):
+        for g in cases:
+            for distinct in (False, True):
+                got = realize_intervals(g, distinct)
+                assert got == list_realize_intervals(g, distinct), g.edges()
+                if isinstance(got, IntervalModel):
+                    # built without the constructor: it would accept it
+                    assert IntervalModel(g.n, got.intervals, got.distinct) == got
+                    models += 1
+    assert models > 1000
+
+
+def test_model_checks_match_the_pairwise_oracle():
+    # every realized model of 7 or fewer vertices, and every model one
+    # endpoint shift away from it, against the graph it was realized for
+    checked = failed = 0
+    for g in graphs_up_to(7):
+        m = realize_intervals(g)
+        if not isinstance(m, IntervalModel):
+            continue
+        assert m.checks(g) and pairwise_model_checks(m, g)
+        for v in range(g.n):
+            for side in (0, 1):
+                for step in (-1, 1):
+                    iv = [list(ab) for ab in m.intervals]
+                    iv[v][side] += step
+                    if iv[v][0] >= iv[v][1]:
+                        continue
+                    shifted = IntervalModel(g.n, iv)
+                    want = pairwise_model_checks(shifted, g)
+                    assert shifted.checks(g) == want, (g.edges(), iv)
+                    checked += 1
+                    failed += not want
+    assert checked > 10000 and 0 < failed < checked
+
+
+def test_interval_recognition_memory_and_checks_time():
+    # the parsed 10,000-vertex path: recognition and realization use
+    # lists of n ints beside the rows and the clique masks, and the
+    # model's check is near-linear
+    g = parse_graph("graph 10000\n" + "".join(
+        "e %d %d\n" % (i, i + 1) for i in range(9999)))
+    for call in (lambda: recognize(INTERVAL, g),
+                 lambda: realize_intervals(g)):
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 << 20, peak
+    assert got.intervals[:2] == ((0, 2), (1, 4))
+    start = time.perf_counter()
+    assert got.checks(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_interval_path_does_not_recurse():

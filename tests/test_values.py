@@ -158,3 +158,16 @@ def test_internal_set_needs_exactly_one_part_per_core_index():
     for parts in ({0: {0}}, {0: {0}, 1: {1}, 2: {2}}):
         with pytest.raises(ugl.errors.InputError, match="one part per core"):
             InternalSet((0, 1), parts)
+
+
+@pytest.mark.parametrize("intervals,bad", [
+    ([(0.2, 1.9), (1.5, 3.7)], "0.2"),
+    ([("0", " 1 ")], "'0'"),
+    ([(0, 2), (1, 3.0)], "3.0"),
+])
+def test_interval_endpoints_must_be_ints(intervals, bad):
+    # int() would truncate 0.2 and 1.9 to (0, 1), and read " 1 " as 1
+    with pytest.raises(ugl.errors.InputError,
+                       match=r"^interval endpoint %s is not an integer$"
+                       % bad.replace(".", r"\.")):
+        IntervalModel(len(intervals), intervals)
