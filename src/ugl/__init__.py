@@ -93,10 +93,11 @@ def _register(name):
 
 
 # not cli: ``python -m ugl.cli`` warns when its module is already loaded
-for _name in ("catalog", "chordal", "completions", "covering",
-              "distributions", "fulldist", "graphs", "intervals",
-              "isomorphism", "lifting", "necessary", "obstructions",
-              "refinement", "shapes", "tracecli", "ultragraph"):
+for _name in ("catalog", "chordal", "completions", "consecutive", "covering",
+              "distributions", "embeddings", "fulldist", "graphs",
+              "intervals", "isomorphism", "levels", "lifting", "necessary",
+              "obstructions", "refinement", "shapes", "tracecli",
+              "ultragraph"):
     globals()[_name] = _register(_name)
 
 

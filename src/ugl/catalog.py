@@ -20,7 +20,8 @@ here too.  No interval recognition, realization or interval
 necessary-set request runs this module.
 """
 
-from . import INTERVAL, SHAPES, TREE, check_shape, graphs  # noqa: F401
+from . import (INTERVAL, SHAPES, TREE, check_shape,  # noqa: F401
+               embeddings, graphs)
 from .errors import InputError, parse_number
 
 
@@ -154,8 +155,8 @@ def least_placement(kind, param, index_graphs):
     avoid = graphs.Graph(host.n, pairs)
     found = []
     for a, g in enumerate(index_graphs):
-        x = next(graphs.iter_embeddings(host, g, graphs.EDGES_ONLY,
-                                        avoid=avoid), None)
+        x = next(embeddings.iter_embeddings(host, g, graphs.EDGES_ONLY,
+                                            avoid=avoid), None)
         if x is not None:
             found.append((x, a))
     return min(found, default=None)

@@ -5,15 +5,20 @@ vertex's cliques are consecutive (Gilmore-Hoffman).
 Interval recognition and realization run both, and a tree recognition
 only its non-members' chordality test, so these live apart from the
 recognizers: a tree member's request never compiles them.  Both work on
-adjacency rows (``Graph.rows``) and clique bitmasks.
+adjacency rows (``Graph.rows``) and on cliques kept as (lowest vertex,
+bitmask shifted down by it), so a clique weighs as much as the span of
+its vertices, not as the graph.  Where the search order of the cliques
+leaves some vertex's cliques apart, the consecutive-ones placement in
+``consecutive`` reorders them; only such inputs compile it.
 """
 
-from . import _bits
+from . import _bits, consecutive
 
 
 def chordal_cliques(rows):
-    """The maximal cliques of a chordal graph as vertex bitmasks, or None
-    if the graph is not chordal.
+    """The maximal cliques of a chordal graph, or None if the graph is
+    not chordal.  A clique is a pair (lo, mask): lo is its lowest vertex,
+    and vertex lo + i lies in it iff bit i of mask is set.
 
     Maximum cardinality search numbers next an unnumbered vertex with the
     most numbered neighbors (the least such vertex).  The graph is chordal
@@ -46,7 +51,9 @@ def chordal_cliques(rows):
                 return None
             if weight[v] == weight[p] + 1:
                 maximal[p] = False
-        clique[v] = seen | low
+        c = seen | low
+        lo = (c & -c).bit_length() - 1
+        clique[v] = (lo, c >> lo)
         order.append(v)
         numbered |= low
         for u in _bits(rows[v] & ~numbered):
@@ -63,34 +70,24 @@ def chordal_cliques(rows):
 
 
 def clique_spans(rows, cliques):
-    """Order the maximal cliques so that the cliques holding each vertex
-    are consecutive, and return each vertex's (first, last) position in
-    that order; None if no such order exists, that is if the chordal
-    graph is not an interval graph (Gilmore & Hoffman 1964).
+    """Order the maximal cliques (``chordal_cliques``' pairs) so that the
+    cliques holding each vertex are consecutive, and return each
+    vertex's (first, last) position in that order; None if no such order
+    exists, that is if the chordal graph is not an interval graph
+    (Gilmore & Hoffman 1964).
 
-    This is the consecutive-ones test by overlap components (Fulkerson &
-    Gross 1965).  A vertex's row is the set of cliques holding it; two
-    rows overlap if they meet and neither contains the other.  Inside a
-    component of the overlap relation, rows are added along overlaps and
-    each addition has one placement up to reversal, so the component's
-    order of classes (cliques in the same rows) is forced.  Rows of
-    different components are disjoint or nested, so each component's
-    cliques lie inside one class of every larger component they meet;
-    sorting each clique by its (component, class position) chain from
-    the largest component inward nests the components.  Each vertex's
-    span is checked for consecutiveness before it is returned.  When
-    each vertex's cliques are already consecutive in the given order, as
-    they mostly are, one pass over the cliques keeps that order: O(n + m)
-    steps and two lists of n ints.  Otherwise the placement takes O(n +
-    m) operations on k-bit rows, plus one sort.
+    When each vertex's cliques are already consecutive in the given
+    order, as they mostly are, one pass over the cliques keeps that
+    order: O(n + m) steps and two lists of n ints.  Otherwise
+    ``consecutive.overlap_spans`` places them by overlap components.
     """
     n = len(rows)
-    k = len(cliques)
     first = [-1] * n
     last = [-1] * n
     gap = False
-    for i, c in enumerate(cliques):
+    for i, (lo, c) in enumerate(cliques):
         for v in _bits(c):
+            v += lo
             if first[v] < 0:
                 first[v] = i
             elif last[v] != i - 1:
@@ -98,110 +95,4 @@ def clique_spans(rows, cliques):
             last[v] = i
     if not gap:
         return list(zip(first, last))
-    row = [0] * n
-    for i, c in enumerate(cliques):
-        for v in _bits(c):
-            row[v] |= 1 << i
-    # classes of cliques in a doubly linked list; ends[0] is the head of
-    # the component being built, ends[1] its tail
-    cls, nxt, prv, where = [], [], [], [0] * k
-    ends = [0, 0]
-
-    def link(mask, left, right):
-        c = len(cls)
-        cls.append(mask)
-        prv.append(left)
-        nxt.append(right)
-        if left < 0:
-            ends[0] = c
-        else:
-            nxt[left] = c
-        if right < 0:
-            ends[1] = c
-        else:
-            prv[right] = c
-        for i in _bits(mask):
-            where[i] = c
-
-    def split(c, r, before):
-        """Move the r-part of class c to a new class beside it."""
-        part = cls[c] & r
-        if part != cls[c]:
-            cls[c] ^= part
-            if before:
-                link(part, prv[c], c)
-            else:
-                link(part, c, nxt[c])
-
-    def add(r, union):
-        """Place row r, which overlaps a placed row; False if it cannot."""
-        touched = {where[i] for i in _bits(r & union)}
-        first = next(iter(touched))
-        while prv[first] in touched:
-            first = prv[first]
-        run = [first]
-        while nxt[run[-1]] in touched:
-            run.append(nxt[run[-1]])
-        if len(run) != len(touched) or any(cls[c] & ~r for c in run[1:-1]):
-            return False
-        first, last = run[0], run[-1]
-        new = r & ~union
-        right = left = False
-        if new:
-            right = last == ends[1] and (first == last or not cls[last] & ~r)
-            left = not right and first == ends[0] and (
-                first == last or not cls[first] & ~r)
-            if not (right or left):
-                return False
-        if first != last:
-            split(first, r, False)
-            split(last, r, True)
-        elif right or left:
-            split(first, r, left)
-        if right:
-            link(new, ends[1], -1)
-        elif left:
-            link(new, -1, ends[0])
-        return True
-
-    components = []
-    placed = set()
-    for v in range(n):
-        if row[v] in placed:
-            continue
-        placed.add(row[v])
-        link(row[v], -1, -1)
-        union = row[v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            r = row[u]
-            for w in _bits(rows[u]):
-                s = row[w]
-                if s in placed or not (s & ~r and r & ~s):
-                    continue
-                if not add(s, union):
-                    return None
-                placed.add(s)
-                union |= s
-                stack.append(w)
-        order = [ends[0]]
-        while nxt[order[-1]] >= 0:
-            order.append(nxt[order[-1]])
-        components.append((-union.bit_count(), len(order), order))
-    components.sort(key=lambda comp: comp[:2])
-    chain = [[] for _ in range(k)]
-    for cid, (_, _, order) in enumerate(components):
-        for pos, c in enumerate(order):
-            for i in _bits(cls[c]):
-                chain[i].append((cid, pos))
-    at = [0] * k
-    for pos, i in enumerate(sorted(range(k), key=chain.__getitem__)):
-        at[i] = pos
-    spans = []
-    for v in range(n):
-        ps = [at[i] for i in _bits(row[v])]
-        if max(ps) - min(ps) + 1 != len(ps):
-            return None
-        spans.append((min(ps), max(ps)))
-    return spans
+    return consecutive.overlap_spans(rows, cliques)

@@ -18,15 +18,19 @@ stderr and exits 2 with nothing on stdout; ``-h``/``--help`` prints the
 usage built from the same table on stdout and exits 0.  No argparse.
 
 A request executes only the package modules it uses: recognize
---shape interval executes graphs, shapes and chordal; a tree member
-graphs and shapes alone, and a tree non-member adds chordal and catalog
-(for its witness's family graph); realize adds intervals to the
-interval set; obstructions executes catalog, graphs, shapes,
-isomorphism and obstructions; necessary adds necessary to the recognize
-set of its shape.  The trace commands' handlers live in tracecli:
-trace-check and trace-condition execute tracecli, catalog, graphs and
-distributions; trace-refine tracecli, graphs, distributions and
-refinement; ultragraph tracecli, distributions and ultragraph.
+--shape interval executes graphs, shapes and chordal, and consecutive
+too where the maximal cliques, in the order they are found, hold some
+vertex's cliques apart; a tree member executes graphs and shapes
+alone, and a tree non-member adds chordal, catalog and embeddings (to
+place its witness's family graph); realize adds intervals to the
+interval set; obstructions executes catalog, embeddings, graphs,
+shapes, isomorphism and obstructions; necessary adds necessary,
+completions and embeddings to the recognize set of its shape.  The
+trace commands' handlers live in tracecli: trace-check and
+trace-condition execute tracecli, catalog, covering, embeddings, graphs
+and distributions; trace-refine tracecli, covering, graphs,
+distributions and refinement; ultragraph tracecli, covering,
+distributions and ultragraph.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
 ``ugl`` script: it returns ``main()``'s exit code after freezing the

@@ -28,8 +28,9 @@ importable from there.
 
 from itertools import combinations
 
+from .embeddings import iter_embeddings
 from .errors import CapabilityError, InputError
-from .graphs import INDUCED, Graph, iter_embeddings
+from .graphs import INDUCED, Graph
 
 ENUMERATION_CAP = 8
 

@@ -55,7 +55,8 @@ from .completions import (_Spend, _branch_bits, _check_pairs,
                           _minimal_completions, _minimal_hits, _non_edges,
                           _pairs, _sorted_pairs)
 from .errors import InputError, parse_number
-from .graphs import INDUCED, iter_embeddings
+from .embeddings import iter_embeddings
+from .graphs import INDUCED
 from .shapes import recognize
 
 # Work bound of one request, shared by every sweep and search it runs.

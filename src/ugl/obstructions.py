@@ -16,8 +16,9 @@ the recognizers; ``shapes`` serves its names.
 from itertools import combinations
 
 from .catalog import check_shape, family_graph, parse_family, shape_families
+from .embeddings import Embedding
 from .errors import CapabilityError, InputError, parse_number
-from .graphs import INDUCED, Embedding, Graph
+from .graphs import INDUCED, Graph
 from .isomorphism import canonical_key, graph_from_canonical_key
 from .shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY, IRREDUCIBLE_CYCLE,
                      WITNESS_KINDS, ObstructionWitness, _avoid_components)

@@ -11,10 +11,10 @@ from itertools import combinations, permutations
 from ugl import _bits, chordal
 from ugl.catalog import INTERVAL, family_graph
 from ugl.distributions import Trace
+from ugl.embeddings import iter_embeddings
 from ugl.errors import ConsistencyError, InputError
 from ugl.fulldist import FullDistribution, PropertyReport, all_subsets
-from ugl.graphs import (EDGES_ONLY, INDUCED, Graph, find_embedding,
-                        iter_embeddings)
+from ugl.graphs import EDGES_ONLY, INDUCED, Graph, find_embedding
 from ugl.intervals import IntervalModel
 from ugl.isomorphism import enumerate_graphs, induced_subgraph
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
@@ -80,7 +80,7 @@ def brute_embeddings(h, g, mode, bijective=False):
 
 
 def degree_scan_iter_embeddings(h, g, mode, bijective=False, avoid=None):
-    """``graphs.iter_embeddings`` as it was before its set-up bucketed the
+    """``embeddings.iter_embeddings`` as it was before its set-up bucketed the
     vertices by degree (one ``degree`` call per vertex of g and one scan
     of every vertex per host vertex) and before its search ran on an
     explicit stack: one generator frame per pattern vertex, so a pattern
@@ -636,18 +636,62 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
     return witness
 
 
+def mask_chordal_cliques(rows):
+    """``chordal.chordal_cliques`` as it was when it kept each clique as
+    a full-width vertex bitmask: maximum cardinality search, the same
+    cliques in the same order.  It shares ``_bits`` with the package.
+    """
+    n = len(rows)
+    weight = [0] * n
+    last = [-1] * n
+    buckets = [(1 << n) - 1]
+    top = 0
+    numbered = 0
+    order = []
+    maximal = [True] * n
+    clique = [0] * n
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
+        seen = rows[v] & numbered
+        p = last[v]
+        if p >= 0:
+            if seen & ~rows[p] & ~(1 << p):
+                return None
+            if weight[v] == weight[p] + 1:
+                maximal[p] = False
+        clique[v] = seen | low
+        order.append(v)
+        numbered |= low
+        for u in _bits(rows[v] & ~numbered):
+            k = weight[u]
+            buckets[k] ^= 1 << u
+            if k + 1 == len(buckets):
+                buckets.append(0)
+            buckets[k + 1] |= 1 << u
+            weight[u] = k + 1
+            last[u] = v
+        if top + 1 < len(buckets) and buckets[top + 1]:
+            top += 1
+    return [clique[v] for v in order if maximal[v]]
+
+
 def row_mask_clique_spans(rows, cliques):
     """``chordal.clique_spans`` as it was when it built every vertex's
     row of clique positions as a bitmask before anything else: the
     consecutive-ones test by overlap components, keeping the given
-    clique order when every row is already consecutive in it.  It
-    shares ``_bits`` with the package.
+    clique order when every row is already consecutive in it.  It reads
+    the cliques as ``chordal_cliques`` returns them, (lowest vertex,
+    shifted mask) pairs, and shares ``_bits`` with the package.
     """
     n = len(rows)
     k = len(cliques)
     row = [0] * n
-    for i, c in enumerate(cliques):
-        for v in _bits(c):
+    for i, (lo, c) in enumerate(cliques):
+        for v in _bits(c << lo):
             row[v] |= 1 << i
     if all(not (r + (r & -r)) & r for r in row):
         # the search order of the cliques already works, as it mostly

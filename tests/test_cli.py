@@ -21,6 +21,8 @@ from ugl.obstructions import parse_witness
 from ugl.refinement import format_trace, is_refinement
 from ugl.ultragraph import build, parse_internal_set
 
+from test_source import NODE_CAP
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,6 +38,10 @@ def write(tmp_path, name, text):
 
 C4_TEXT = "graph 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n"
 PATH4_TEXT = "graph 4\ne 0 1\ne 1 2\ne 2 3\n"
+# an interval graph (the path 2-3-5-4-1 with 0 on 5) whose maximal
+# cliques, in the order the chordality search finds them, hold 5 at the
+# first, second and fourth place: the clique order needs reordering
+GAP_TEXT = "graph 6\ne 0 5\ne 1 4\ne 2 3\ne 3 5\ne 4 5\n"
 
 QUORUM_CEX_TRACE = """indices 3
 formulas 3
@@ -775,11 +781,13 @@ def test_options_and_positional_come_in_any_order(tmp_path, capsys):
 PACKAGE_MODULES = ("catalog", "chordal", "graphs", "shapes", "necessary",
                    "distributions", "ultragraph", "tracecli", "isomorphism",
                    "obstructions", "intervals", "refinement", "fulldist",
-                   "covering", "lifting", "completions")
-# the modules split off from graphs, shapes and distributions: served by
-# their old homes
+                   "covering", "lifting", "completions", "embeddings",
+                   "consecutive", "levels")
+# the modules split off from graphs, shapes, chordal, distributions and
+# fulldist: the first five serve the bench's names through their old
+# homes, the last three serve nothing there
 SPLIT_OFF = ("isomorphism", "obstructions", "intervals", "refinement",
-             "fulldist")
+             "fulldist", "embeddings", "consecutive", "levels")
 
 # Prints the exit code and the package modules still unexecuted (lazy
 # modules change their class to ModuleType when they execute), after
@@ -823,32 +831,36 @@ def unexecuted_after(*argv):
 
 
 def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
-    # the catalog executes only where a family graph is built (a tree
-    # non-member's witness), the interval kernels only where an interval
-    # test or a chordality test runs; no graph command runs tracecli
+    # the catalog and the embedding search execute only where a family
+    # graph is placed (a tree non-member's witness), the interval kernels
+    # only where an interval test or a chordality test runs, and the
+    # consecutive-ones placement only where the clique order leaves a
+    # gap; no graph command runs tracecli
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("necessary distributions ultragraph tracecli isomorphism "
             "obstructions intervals refinement fulldist covering lifting "
             "completions")
     assert (unexecuted_after("recognize", "--shape", "tree", gf)
-            == "1 " + left)
+            == "1 " + left + " consecutive levels")
     assert (unexecuted_after("recognize", "--shape", "interval", gf)
-            == "1 catalog " + left)
+            == "1 catalog " + left + " embeddings consecutive levels")
     assert unexecuted_after("realize", gf) == "1 catalog " + left.replace(
-        " intervals", "")
+        " intervals", "") + " embeddings consecutive levels"
     tree_member = write(tmp_path, "P3.graph", "graph 3\ne 0 1\ne 1 2\n")
     assert (unexecuted_after("recognize", "--shape", "tree", tree_member)
-            == "0 catalog chordal " + left)
+            == "0 catalog chordal " + left + " embeddings consecutive levels")
     assert unexecuted_after("obstructions", "--shape", "tree",
                             "--max-n", "4") == (
         "0 chordal necessary distributions ultragraph tracecli intervals "
-        "refinement fulldist covering lifting completions")
+        "refinement fulldist covering lifting completions consecutive "
+        "levels")
 
 
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("distributions ultragraph tracecli isomorphism obstructions "
-            "intervals refinement fulldist covering lifting")
+            "intervals refinement fulldist covering lifting consecutive "
+            "levels")
     assert unexecuted_after("necessary", "--shape", "tree", gf) == "0 " + left
     assert (unexecuted_after("necessary", "--shape", "interval", gf)
             == "0 catalog " + left)
@@ -859,7 +871,7 @@ def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     got = unexecuted_after("trace-refine", tf)
     assert got == ("0 catalog chordal shapes necessary ultragraph "
                    "isomorphism obstructions intervals fulldist lifting "
-                   "completions")
+                   "completions embeddings consecutive levels")
 
 
 # one index carrying the path 0-1-2-3: the chain condition and both
@@ -876,7 +888,8 @@ def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
         tmp_path):
     tf = write(tmp_path, "path.trace", PATH_TRACE)
     left = ("chordal shapes necessary ultragraph isomorphism obstructions "
-            "intervals refinement fulldist lifting completions")
+            "intervals refinement fulldist lifting completions consecutive "
+            "levels")
     assert unexecuted_after("trace-check", tf) == "1 " + left
     assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
                             tf) == "1 " + left
@@ -887,7 +900,7 @@ def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
     got = unexecuted_after("ultragraph", "--extend-eta", tf)
     assert got == ("0 catalog chordal graphs shapes necessary isomorphism "
                    "obstructions intervals refinement fulldist lifting "
-                   "completions")
+                   "completions embeddings consecutive levels")
 
 
 # Prints the package modules that recognize and realize requests executed.
@@ -910,19 +923,25 @@ def ast_nodes(module):
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
-def test_recognize_and_realize_compile_no_module_larger_than_graphs(
-        tmp_path):
+def test_recognize_and_realize_compile_no_module_larger_than_cli(tmp_path):
     # The compiler's transient memory grows with the largest module a
     # request compiles (where no bytecode is cached), and that sets the
-    # request's peak RSS.  The other subcommands the benchmark runs, and
-    # its library property check, are held to the same limit.
+    # request's peak RSS.  Every request compiles cli, so a recognize or
+    # realize request compiles nothing larger; the other subcommands the
+    # benchmark runs, and its library property check, stay under the
+    # package's node cap.
     c4 = write(tmp_path, "C4.graph", C4_TEXT)
     path = write(tmp_path, "P4.graph", PATH4_TEXT)
+    gap = write(tmp_path, "gap.graph", GAP_TEXT)
     requests = [[cmd, "--shape", shape, g] for cmd in ("recognize",)
-                for shape in ("tree", "interval") for g in (c4, path)]
-    requests += [["realize", g] for g in (c4, path)]
+                for shape in ("tree", "interval") for g in (c4, path, gap)]
+    requests += [["realize", g] for g in (c4, path, gap)]
     executed = fresh_python(EXECUTED % (requests,)).split()
-    assert "ugl.graphs" in executed and "ugl.intervals" in executed
+    assert {"ugl.cli", "ugl.graphs", "ugl.intervals", "ugl.embeddings",
+            "ugl.consecutive"} <= set(executed)
+    limit = ast_nodes("ugl.cli")
+    sizes = {m: ast_nodes(m) for m in executed}
+    assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     sf = write(tmp_path, "C4.set",
                "B 0-2 1-3\nflags necessary=1 submin=1 mincard=1 unique=1\n")
@@ -940,9 +959,27 @@ def test_recognize_and_realize_compile_no_module_larger_than_graphs(
         % GOOD_TRACE)).split()
     assert {"ugl.distributions", "ugl.ultragraph", "ugl.necessary",
             "ugl.completions", "ugl.covering", "ugl.fulldist"} <= set(executed)
-    limit = ast_nodes("ugl.graphs")
     sizes = {m: ast_nodes(m) for m in executed}
-    assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
+    assert {m: n for m, n in sizes.items() if n > NODE_CAP} == {}
+
+
+def test_interval_members_run_the_clique_placement_only_on_a_gap(tmp_path):
+    # an interval member places no family graph, so it never executes
+    # the embedding search; the consecutive-ones placement executes
+    # only where the search order of the cliques leaves a gap.  (The
+    # tests above pin the embedding search for tree members and
+    # non-members, necessary and the non-chordal C4.)
+    p4 = write(tmp_path, "P4.graph", PATH4_TEXT)
+    gap = write(tmp_path, "gap.graph", GAP_TEXT)
+
+    def executed(*argv):
+        code, *left = unexecuted_after(*argv).split()
+        return code, {"embeddings", "consecutive"} - set(left)
+
+    for g, placed in ((p4, set()), (gap, {"consecutive"})):
+        assert (executed("recognize", "--shape", "interval", g)
+                == ("0", placed))
+        assert executed("realize", g) == ("0", placed)
 
 
 # Prints the package modules executed (registered ones change their
@@ -978,8 +1015,8 @@ def test_library_calls_without_cli_execute_only_what_they_use():
         "from ugl.necessary import minimal_necessary_sets\n"
         "assert minimal_necessary_sets('interval', Graph(4, %r))"
         % ([(0, 1), (1, 2), (2, 3), (0, 3)],)))
-    assert got == ("ugl.chordal ugl.completions ugl.errors ugl.graphs "
-                   "ugl.necessary ugl.shapes")
+    assert got == ("ugl.chordal ugl.completions ugl.embeddings ugl.errors "
+                   "ugl.graphs ugl.necessary ugl.shapes")
 
 
 def test_complete_twelve_formula_property_check_is_fast():
@@ -1020,16 +1057,30 @@ def test_moved_names_stay_importable_where_they_were():
     for module in (ugl.graphs, ugl.shapes):
         with pytest.raises(AttributeError):
             module.recognize_everything
+    # the embedding search, the clique placement and the level maps are
+    # read from their own modules, and no old home forwards to them
+    import ugl.chordal
+    import ugl.fulldist
+    for module, name in ((ugl.graphs, "Embedding"),
+                         (ugl.graphs, "iter_embeddings"),
+                         (ugl.chordal, "overlap_spans"),
+                         (ugl.fulldist, "conjugate"),
+                         (ugl.fulldist, "distribution_from_conjugate"),
+                         (ugl.fulldist, "graphlike_extension")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 # The names (dunders aside) that each module serves: its own, and the
 # twenty that the bench reads through an old home.  A name that moved
 # without a bench reader is listed under its new home alone.
 FORMER_NAMES = {
-    "graphs": """CapabilityError EDGES_ONLY Embedding GRAPH_VERTEX_CAP Graph
-        INDUCED InputError automorphisms canonical_form canonical_key
-        combinations enumerate_graphs enumerate_maximal_cliques
-        find_embedding format_graph iter_embeddings parse_graph""",
+    "graphs": """CapabilityError EDGES_ONLY GRAPH_VERTEX_CAP Graph INDUCED
+        InputError automorphisms canonical_form canonical_key combinations
+        enumerate_graphs enumerate_maximal_cliques find_embedding
+        format_graph parse_graph""",
+    "embeddings": "Embedding iter_embeddings",
+    "levels": "conjugate distribution_from_conjugate graphlike_extension",
     "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INDUCED INTERVAL
         IRREDUCIBLE_CYCLE InputError IntervalModel ObstructionWitness TREE
         WITNESS_KINDS _avoid_components _bits _interval_certificate

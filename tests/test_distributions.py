@@ -27,13 +27,12 @@ from ugl.fulldist import (
     FullDistribution,
     all_subsets,
     check_properties,
-    conjugate,
-    distribution_from_conjugate,
     extension_distribution,
-    graphlike_extension,
 )
 from ugl.graphs import Graph
 from ugl.isomorphism import enumerate_graphs
+from ugl.levels import (conjugate, distribution_from_conjugate,
+                        graphlike_extension)
 from ugl.necessary import family_necessary_set
 from ugl.refinement import (
     LosInstance,

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugl.embeddings import Embedding, iter_embeddings
 from ugl.errors import CapabilityError, InputError
-from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Embedding,
-                        Graph, find_embedding, format_graph, iter_embeddings,
-                        parse_graph)
+from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Graph,
+                        find_embedding, format_graph, parse_graph)
 from ugl.isomorphism import (automorphisms, canonical_form, canonical_graph,
                              canonical_key, enumerate_graphs,
                              graph_from_canonical_key, induced_subgraph,

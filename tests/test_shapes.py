@@ -30,9 +30,9 @@ from ugl import chordal, shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,
                      enumerated_minimal_obstructions, list_realize_intervals,
-                     loop_diagonal_violation, pairwise_model_checks,
-                     recursive_chordless_cycle, row_mask_clique_spans,
-                     search_recognize)
+                     loop_diagonal_violation, mask_chordal_cliques,
+                     pairwise_model_checks, recursive_chordless_cycle,
+                     row_mask_clique_spans, search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -439,12 +439,35 @@ def shuffled_cliques(rounds):
 
 
 def consecutive(rows, cliques):
-    """Whether each vertex's cliques are consecutive in the given order."""
+    """Whether each vertex's cliques are consecutive in the given order
+    (of ``chordal_cliques``' (lowest vertex, shifted mask) pairs)."""
     for v in range(len(rows)):
-        at = [i for i, c in enumerate(cliques) if c >> v & 1]
+        at = [i for i, (lo, c) in enumerate(cliques) if c << lo >> v & 1]
         if at[-1] - at[0] + 1 != len(at):
             return False
     return True
+
+
+def test_chordal_cliques_match_the_full_mask_oracle(tmp_path_factory):
+    # the same cliques in the same order, each as (lowest vertex, mask
+    # shifted down by it)
+    rng = random.Random(25)
+    cases = list(graphs_up_to(7)) + bench_graphs(tmp_path_factory)
+    cases += [random_interval_graph(rng, rng.randint(1, 60))
+              for _ in range(100)]
+    cases += [random_subtree_graph(rng, rng.randint(1, 24))
+              for _ in range(100)]
+    chordal_graphs = 0
+    for g in cases:
+        got = chordal_cliques(g.rows)
+        want = mask_chordal_cliques(g.rows)
+        if want is None:
+            assert got is None, g.edges()
+            continue
+        chordal_graphs += 1
+        assert all(c & 1 for _, c in got), g.edges()
+        assert [c << lo for lo, c in got] == want, g.edges()
+    assert chordal_graphs > 700
 
 
 def test_clique_spans_match_the_row_mask_oracle(tmp_path_factory):
@@ -510,8 +533,8 @@ def test_model_checks_match_the_pairwise_oracle():
 
 def test_interval_recognition_memory_and_checks_time():
     # the parsed 10,000-vertex path: recognition and realization use
-    # lists of n ints beside the rows and the clique masks, and the
-    # model's check is near-linear
+    # lists of n ints beside the rows, each clique weighs as much as its
+    # span of vertices, and the model's check is near-linear
     g = parse_graph("graph 10000\n" + "".join(
         "e %d %d\n" % (i, i + 1) for i in range(9999)))
     for call in (lambda: recognize(INTERVAL, g),
@@ -522,7 +545,7 @@ def test_interval_recognition_memory_and_checks_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 << 20, peak
+        assert peak <= 3 << 20, peak
     assert got.intervals[:2] == ((0, 2), (1, 4))
     start = time.perf_counter()
     assert got.checks(g)

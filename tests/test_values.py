@@ -13,7 +13,8 @@ from ugl import _Frozen, _Value
 from ugl.covering import CoveringFamily
 from ugl.distributions import Trace
 from ugl.fulldist import check_properties, extension_distribution
-from ugl.graphs import INDUCED, Embedding, Graph
+from ugl.embeddings import Embedding
+from ugl.graphs import INDUCED, Graph
 from ugl.intervals import IntervalModel
 from ugl.necessary import NecessarySet, format_necessary_set
 from ugl.refinement import LosInstance
