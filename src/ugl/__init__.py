@@ -95,7 +95,7 @@ def _register(name):
 # not cli: ``python -m ugl.cli`` warns when its module is already loaded
 for _name in ("catalog", "chordal", "completions", "consecutive", "covering",
               "distributions", "embeddings", "fulldist", "graphs",
-              "intervals", "isomorphism", "levels", "lifting", "necessary",
+              "intervals", "isomorphism", "lifting", "necessary",
               "obstructions", "refinement", "shapes", "tracecli",
               "ultragraph"):
     globals()[_name] = _register(_name)

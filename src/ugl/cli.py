@@ -28,9 +28,9 @@ shapes, isomorphism and obstructions; necessary adds necessary,
 completions and embeddings to the recognize set of its shape.  The
 trace commands' handlers live in tracecli: trace-check and
 trace-condition execute tracecli, catalog, covering, embeddings, graphs
-and distributions; trace-refine tracecli, covering, graphs,
-distributions and refinement; ultragraph tracecli, covering,
-distributions and ultragraph.
+and distributions; trace-refine tracecli, covering, distributions,
+refinement and, on a pair-adequate trace, graphs; ultragraph tracecli,
+covering, distributions and ultragraph.
 
 ``run()`` is the process entry of ``python -m ugl.cli`` and of the
 ``ugl`` script: it returns ``main()``'s exit code after freezing the
@@ -162,11 +162,11 @@ def _cmd_recognize(args, out):
 def _cmd_realize(args, out):
     g = graphs.parse_graph(read_text(args.graphfile))
     got = shapes.realize_intervals(g, args.distinct_endpoints)
-    if isinstance(got, shapes.IntervalModel):
-        out.write(shapes.format_interval_model(got))
-        return 0
-    out.write(shapes.format_witness(got))
-    return 1
+    if isinstance(got, shapes.ObstructionWitness):
+        out.write(shapes.format_witness(got))
+        return 1
+    out.write(shapes.format_interval_model(got))
+    return 0
 
 
 def _cmd_obstructions(args, out):

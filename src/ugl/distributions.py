@@ -33,7 +33,7 @@ from . import (INTERVAL, _Value, _forward, _freeze, catalog, check_shape,
                graphs, refinement)
 from .covering import (CoveringFamily, _bits, _build_family, _edges, _graphs,
                        _has, _mask, _parse_int)
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, content_lines
 
 # Kept for the bench, which reads these names here (bench/check.py,
 # bench/child.py); trace-refine runs its two through here for the spans.
@@ -221,10 +221,7 @@ def parse_trace(text):
     fam_decl = None
     members = []
     rows = {"g1": {}, "g2": {}, "k1": {}, "k2": {}}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         parts = line.split(None, 3)
         head = parts[0]
         if head in rows:

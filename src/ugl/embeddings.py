@@ -4,9 +4,10 @@ search that yields every embedding in lexicographic order.
 Edges-only and induced modes, optionally with pairs that must map to
 non-edges.  ``graphs.find_embedding`` takes the first, least witness
 from here; the tree non-member's witness, the catalog placements, the
-automorphism scans of ``necessary`` and ``isomorphism`` and the
-obstruction re-verification run this module, and no interval or
-realize request, nor a tree member's recognition, compiles it.
+automorphism scans of ``necessary`` and ``isomorphism`` (embeddings
+onto a graph of the pattern's size, so bijections) and the obstruction
+re-verification run this module, and no interval or realize request,
+nor a tree member's recognition, compiles it.
 """
 
 from itertools import combinations, compress
@@ -45,7 +46,7 @@ class Embedding(_Value):
         return True
 
 
-def iter_embeddings(h, g, mode, bijective=False, avoid=None):
+def iter_embeddings(h, g, mode, avoid=None):
     """Yield injective embeddings h -> g as mapping tuples, ascending.
 
     Every edge of h maps to an edge of g.  In ``INDUCED`` mode every
@@ -61,8 +62,6 @@ def iter_embeddings(h, g, mode, bijective=False, avoid=None):
         raise InputError("unknown embedding mode %r" % mode)
     if avoid is not None and avoid.n != h.n:
         raise InputError("avoid graph must share the pattern's vertices")
-    if bijective and h.n != g.n:
-        return
     if h.n > g.n:
         return
     if h.n == 0:

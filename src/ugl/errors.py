@@ -14,8 +14,8 @@ Three kinds of failure are distinguished everywhere:
   ultrafilter-style operations over a non-principal family).  Exit code 3.
 
 ``read_text`` reads the command line's input files, so a file that
-cannot be read or decoded is an ``InputError`` too.  ``parse_number``
-reads the number tokens of every text format.
+cannot be read or decoded is an ``InputError`` too.  ``content_lines``
+and ``parse_number`` read the lines and number tokens of every format.
 """
 
 
@@ -38,6 +38,12 @@ def read_text(path):
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError("cannot read %s: %s" % (path, err))
+
+
+def content_lines(text):
+    """The stripped lines of a text, less blank lines and ``#`` comments."""
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
 
 
 def parse_number(tok):

@@ -1,23 +1,23 @@
-"""Full distributions and the property checks.
+"""Full distributions, their level maps, and the property checks.
 
 A *full distribution* maps every subset of the formula set to a set of
 indices, shrinking as the subset grows; it keeps one index bitmask per
-formula bitmask (``masks``, 2^n ints).  A trace extends to the subsets
-of g1(alpha) all of whose pairs lie in g2(alpha), and the distributions
-built that way are exactly the graph-like ones.  The checks walk
-formula masks in ``all_subsets`` order, so each first witness is the
-one a scan over frozensets finds; frozensets are built only for
-witnesses, ``at``, ``map`` and mappings.  All of it is bounded to
-``FORMULA_CAP`` formulas.  No CLI request runs this module;
-``distributions`` serves ``extension_distribution`` and
-``check_properties`` to the bench.  The level maps (the conjugate
-construction) live in ``levels``, which the property checks never run.
+formula bitmask (``masks``, 2^n ints).  Level n sends alpha to the
+size-n subsets whose value contains alpha.  A trace extends to the
+subsets of g1(alpha) all of whose pairs lie in g2(alpha), and the
+distributions built that way are exactly the graph-like ones.  The
+checks walk formula masks in ``all_subsets`` order, so each first
+witness is the one a scan over frozensets finds; frozensets are built
+only for witnesses, ``at``, ``map``, mappings and level maps.  All of
+it is bounded to ``FORMULA_CAP`` formulas.  No CLI request runs this
+module; ``distributions`` serves ``extension_distribution`` and
+``check_properties`` to the bench, and no request runs the level maps.
 """
 
 from itertools import combinations
 
 from . import _Frozen, _Value, _freeze
-from .covering import _bits, _checked_mask, _edges
+from .covering import _bits, _checked_mask, _edges, _mask
 from .distributions import FORMULA_CAP
 from .errors import CapabilityError, InputError
 
@@ -95,6 +95,68 @@ class FullDistribution(_Value):
     def __repr__(self):
         return "FullDistribution(%d formulas, %d indices)" % (
             self.n_formulas, self.n_indices)
+
+
+def conjugate(f):
+    """Level maps of a full distribution: level n sends each index to
+    the size-n formula sets whose value contains it, n = 0..n_formulas."""
+    levels = [[[] for _ in range(f.n_indices)]
+              for _ in range(f.n_formulas + 1)]
+    for d in _by_size(f.n_formulas):
+        members = _set(d)
+        for a in _bits(f.masks[d]):
+            levels[len(members)][a].append(members)
+    return [tuple(map(frozenset, lv)) for lv in levels]
+
+
+def distribution_from_conjugate(levels):
+    """Rebuild the full distribution determined by level maps.
+
+    The sets must lie in range(n_formulas), n_formulas being the number
+    of levels less one.  The levels must be downward hereditary: a set
+    present at level n needs all its size-m subsets present at level m;
+    the first violation is reported as (index, set, m).  Checked level by
+    level on formula masks, a set is hereditary iff its one-smaller
+    subsets are present one level down; only a set failing that is
+    scanned in full, for the report.
+    """
+    if not levels or not levels[0]:
+        raise InputError("levels must cover at least one index")
+    n_formulas = len(levels) - 1
+    n_indices = len(levels[0])
+    if any(len(lv) != n_indices for lv in levels):
+        raise InputError("levels must agree on the index count")
+    present = [set() for _ in range(n_indices)]
+    for n, lv in enumerate(levels):
+        for a in range(n_indices):
+            for d in lv[a]:
+                if len(d) != n:
+                    raise InputError(
+                        "level %d holds a size-%d set at index %d" % (n, len(d), a))
+                dm = _checked_mask(
+                    d, n_formulas, "level %d set at index %d:" % (n, a))
+                s = _bits(dm)
+                if any(dm ^ 1 << x not in present[a] for x in s):
+                    m, sub = next((m, sub) for m in range(n)
+                                  for sub in combinations(s, m)
+                                  if _mask(sub) not in present[a])
+                    raise InputError(
+                        "levels not hereditary at index %d: %r present but %r "
+                        "missing at level %d" % (a, s, list(sub), m))
+                present[a].add(dm)
+    return FullDistribution(n_formulas, n_indices, {
+        _set(d): [a for a, ds in enumerate(present) if d in ds]
+        for d in range(1 << n_formulas)})
+
+
+def graphlike_extension(t):
+    """Level maps generated by a trace.
+
+    Level n at alpha holds the size-n subsets of g1(alpha) all of whose
+    pairs are g2(alpha) edges; levels 1 and 2 reproduce g1 and g2, and
+    the empty set is present everywhere at level 0.
+    """
+    return conjugate(extension_distribution(t))
 
 
 def extension_distribution(t):

@@ -26,7 +26,7 @@ operation is a pure function.
 from itertools import combinations
 
 from . import _Value, _forward, _freeze, embeddings
-from .errors import CapabilityError, InputError, parse_number
+from .errors import CapabilityError, InputError, content_lines, parse_number
 
 GRAPH_VERTEX_CAP = 10000
 
@@ -131,15 +131,13 @@ def parse_graph(text):
     """
     n = None
     rows = None
-    for raw in text.splitlines():
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
+    for line in content_lines(text):
+        parts = line.split()
         if parts[0] == "graph":
             if n is not None:
                 raise InputError("duplicate graph header")
             if len(parts) != 2:
-                raise InputError("malformed graph header: %r" % raw.strip())
+                raise InputError("malformed graph header: %r" % line)
             n = parse_number(parts[1])
             if n is None:
                 raise InputError("malformed vertex count: %r" % parts[1])
@@ -153,10 +151,10 @@ def parse_graph(text):
             if n is None:
                 raise InputError("edge before graph header")
             if len(parts) != 3:
-                raise InputError("malformed edge line: %r" % raw.strip())
+                raise InputError("malformed edge line: %r" % line)
             u, v = parse_number(parts[1]), parse_number(parts[2])
             if u is None or v is None:
-                raise InputError("malformed edge line: %r" % raw.strip())
+                raise InputError("malformed edge line: %r" % line)
             if u == v:
                 raise InputError("loop at vertex %d" % u)
             if not (0 <= u < n and 0 <= v < n):

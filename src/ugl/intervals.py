@@ -10,7 +10,7 @@ serves its names.
 from bisect import bisect_right
 
 from . import _Value, _bits, _freeze
-from .errors import InputError, parse_number
+from .errors import InputError, content_lines, parse_number
 from .shapes import _interval_certificate
 
 
@@ -62,10 +62,7 @@ def format_interval_model(m):
 
 def parse_interval_model(text, distinct=False):
     rows = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if parts[0] != "i" or len(parts) != 4:
             raise InputError("malformed interval line %r" % line)

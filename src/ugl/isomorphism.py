@@ -17,9 +17,9 @@ neighborhood.  Each parent tries one mask per orbit of its automorphism
 group; a child is kept only when its new vertex has the largest
 (degree, neighbour degree sum) pair, which some vertex of every class
 has, so the sweep stays exhaustive (canonical deletion, McKay 1998).
-Kept children are deduplicated by a bijective embedding test within
-buckets of equal invariants, and the canonical form runs once per
-class, for its key.
+Kept children are deduplicated by an isomorphism test (an induced
+embedding between graphs of one size) within buckets of equal
+invariants, and the canonical form runs once per class, for its key.
 
 Enumeration is capped at n <= 8.  Only ``obstructions`` runs this
 module, for canonical keys; ``graphs`` serves its names, so they stay
@@ -177,14 +177,14 @@ def is_isomorphic(a, b):
         return False
     if a.degree_sequence() != b.degree_sequence():
         return False
-    for _ in iter_embeddings(a, b, INDUCED, bijective=True):
+    for _ in iter_embeddings(a, b, INDUCED):
         return True
     return False
 
 
 def automorphisms(g):
     """All automorphisms of g as mapping tuples, ascending."""
-    return list(iter_embeddings(g, g, INDUCED, bijective=True))
+    return list(iter_embeddings(g, g, INDUCED))
 
 
 # ---------------------------------------------------------------------------

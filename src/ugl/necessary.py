@@ -54,7 +54,7 @@ from . import _Value, _freeze, catalog, check_shape
 from .completions import (_Spend, _branch_bits, _check_pairs,
                           _minimal_completions, _minimal_hits, _non_edges,
                           _pairs, _sorted_pairs)
-from .errors import InputError, parse_number
+from .errors import InputError, content_lines, parse_number
 from .embeddings import iter_embeddings
 from .graphs import INDUCED
 from .shapes import recognize
@@ -111,10 +111,7 @@ def format_necessary_set(ns):
 def parse_necessary_set(text):
     edges = None
     flags = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if parts[0] == "B":
             if edges is not None:
@@ -210,7 +207,7 @@ def necessity_counterexample(shape, h, edges, spend=None):
     spend.charge(h.n * (h.n - 1) // 2)
     ne, idx = _non_edges(h)
     banned = psi = None
-    for phi in iter_embeddings(h, h, INDUCED, bijective=True):
+    for phi in iter_embeddings(h, h, INDUCED):
         spend.charge(1)
         mask = sum(1 << idx[phi[u], phi[v]] for u, v in edges)
         if banned is None or mask < banned:

@@ -15,7 +15,7 @@ the search, ``is_refinement`` and the writer to the bench, and
 ``graphs`` the clique enumeration.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import _Value, _freeze, distributions, graphs
 from .covering import (PRINCIPAL, QUORUM, _Rows, _bits, _edges, _graphs,
@@ -179,26 +179,35 @@ def find_multiplicative_refinement(t):
     indices).  Each formula, and each pair of some g2, keeps its support
     as an index mask: a push sets the index bit on the supports its
     clique covers and a pop clears it, and each distinct support is
-    tested once per node.  Any other pair lies in no clique, so its
-    support stays empty.  The search keeps its own stack, so any number
-    of indices fits.  None means the exhaustive search proved no
-    assignment covers everything.
+    tested once per node.  A support lies inside the indices where the
+    formula is a vertex, or the pair an edge, so a pair of no g2, or such
+    a coverable support outside the family, is refused before any search.
+    The search keeps its own stack, so any number of indices fits.  None
+    means the exhaustive search proved no assignment covers everything.
     """
     n = t.n_indices
     nb = t.n_formulas
-    choices = [_clique_choices(t, a) for a in range(n)]
     member = t.family.is_member_mask
-    formulas = [0] * nb
-    pairs = dict.fromkeys(set().union(*map(_edges, set(t.g2_rows))), 0)
-    uncovered = len(pairs) < nb * (nb - 1) // 2
+    # the coverable supports, read once per distinct (vertices, rows)
+    shared = {}
+    for a, key in enumerate(zip(t.g1_masks, t.g2_rows)):
+        shared.setdefault(key, []).append(a)
+    support = {}
+    for (vertices, rows), at in shared.items():
+        m = _mask(at)
+        for x in [*_bits(vertices), *_edges(rows)]:
+            support[x] = support.get(x, 0) | m
+    if (len(support) < nb + nb * (nb - 1) // 2
+            or not all(map(member, set(support.values())))):
+        return None
+    choices = [_clique_choices(t, a) for a in range(n)]
+    support = dict.fromkeys(support, 0)
     everything = (1 << n) - 1
     assigned = []
 
     def toggle(clique, bit):
-        for v in clique:
-            formulas[v] ^= bit
-        for p in combinations(clique, 2):
-            pairs[p] ^= bit
+        for x in chain(clique, combinations(clique, 2)):
+            support[x] ^= bit
 
     # tried[a]: how many cliques of index a the search has tried
     tried = [0] * n
@@ -214,9 +223,7 @@ def find_multiplicative_refinement(t):
         toggle(clique, 1 << a)
         assigned.append(clique)
         rest = everything >> (a + 1) << (a + 1)
-        supports = {*formulas, *pairs.values()}
-        if uncovered:
-            supports.add(0)
+        supports = set(support.values())
         if not all(member(s | rest) for s in supports):
             toggle(assigned.pop(), 1 << a)
         elif a + 1 < n:

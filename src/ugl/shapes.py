@@ -28,9 +28,9 @@ obstruction families in ``catalog``, which only a tree non-member's
 witness needs here.  The interval models and realization live in
 ``intervals``, the minimal obstructions, the rooted forests and the
 witness parser in ``obstructions``; no recognition runs either.
-``_MOVED`` serves ten of their names here: the four that cli's realize
-and obstructions run through here, where the bench times them, and six
-that the bench reads.  Like these rows, the covering families of
+``_MOVED`` serves nine of their names here: the three that cli's
+realize and obstructions run through here, where the bench times them,
+and six that the bench reads.  Like these rows, the covering families of
 ``distributions`` are bitmasks.
 """
 
@@ -48,9 +48,8 @@ from .graphs import INDUCED, find_embedding
 # bench/child.py TRACED times them; bench/check.py and bench/gen.py read
 # the parsers and the catalog names.
 _MOVED = {
-    **dict.fromkeys(("IntervalModel", "format_interval_model",
-                     "parse_interval_model", "realize_intervals"),
-                    "intervals"),
+    **dict.fromkeys(("format_interval_model", "parse_interval_model",
+                     "realize_intervals"), "intervals"),
     **dict.fromkeys(("parse_witness", "minimal_obstructions"), "obstructions"),
     **dict.fromkeys(("family_graph", "family_str", "parse_family",
                      "shape_families"), "catalog"),

@@ -29,7 +29,7 @@ from . import _Frozen, _Value, _freeze, graphs
 from .covering import PRINCIPAL, _bits, _has
 from .distributions import Trace
 from .errors import (CapabilityError, ConsistencyError, InputError,
-                     parse_number)
+                     content_lines, parse_number)
 
 MATERIALIZE_CAP = 10 ** 6
 
@@ -233,10 +233,7 @@ def format_internal_set(s):
 def parse_internal_set(text):
     core = []
     parts = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         toks = line.split()
         if toks[0] != "K" or len(toks) < 3 or toks[2] != ":":
             raise InputError("malformed internal-set line %r" % line)

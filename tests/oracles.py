@@ -58,11 +58,9 @@ def brute_classes(n):
     return seen
 
 
-def brute_embeddings(h, g, mode, bijective=False):
+def brute_embeddings(h, g, mode):
     """All injective embeddings h -> g by filtering raw injections."""
     out = []
-    if bijective and h.n != g.n:
-        return out
     for chosen in permutations(range(g.n), h.n):
         ok = True
         for u, v in combinations(range(h.n), 2):
@@ -79,15 +77,13 @@ def brute_embeddings(h, g, mode, bijective=False):
     return out
 
 
-def degree_scan_iter_embeddings(h, g, mode, bijective=False, avoid=None):
+def degree_scan_iter_embeddings(h, g, mode, avoid=None):
     """``embeddings.iter_embeddings`` as it was before its set-up bucketed the
     vertices by degree (one ``degree`` call per vertex of g and one scan
     of every vertex per host vertex) and before its search ran on an
     explicit stack: one generator frame per pattern vertex, so a pattern
     of about 1,000 vertices exceeds the recursion limit.  Shares the
     Graph type only."""
-    if bijective and h.n != g.n:
-        return
     if h.n > g.n:
         return
     if h.n == 0:
@@ -380,7 +376,7 @@ def recursive_counterexample(shape, h, edges):
     n = h.n
     idx = {p: i for i, p in enumerate(pair_order(n))}
     banned = psi = None
-    for phi in iter_embeddings(h, h, INDUCED, bijective=True):
+    for phi in iter_embeddings(h, h, INDUCED):
         mask = 0
         for u, v in edges:
             a, b = phi[u], phi[v]
@@ -425,7 +421,7 @@ def brute_constraints(shape, h):
         g2 = h.with_edges(added)
         if recognize(shape, g2) is not None:
             continue
-        for psi in iter_embeddings(h, g2, EDGES_ONLY, bijective=True):
+        for psi in iter_embeddings(h, g2, EDGES_ONLY):
             used = []
             for u, v in ne:
                 a, b = psi[u], psi[v]

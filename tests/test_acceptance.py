@@ -20,12 +20,12 @@ from ugl.distributions import (
     is_pair_adequate,
     parse_trace,
 )
-from ugl.fulldist import all_subsets, check_properties, extension_distribution
+from ugl.fulldist import (all_subsets, check_properties, conjugate,
+                          distribution_from_conjugate, extension_distribution)
 from ugl.graphs import INDUCED, Graph, find_embedding
 from ugl.intervals import (format_interval_model, parse_interval_model,
                            realize_intervals)
 from ugl.isomorphism import canonical_key, enumerate_graphs
-from ugl.levels import conjugate, distribution_from_conjugate
 from ugl.necessary import family_necessary_set, verify_claims
 from ugl.obstructions import (forest_comparability_classes,
                               minimal_obstructions, parse_witness)

@@ -556,6 +556,27 @@ def test_trace_refine_lists_only_pairs_of_some_index_graph(tmp_path):
     assert (got.returncode, got.stdout, got.stderr) == (1, "none\n", "")
 
 
+def test_trace_refine_refuses_an_uncoverable_pair_before_searching(tmp_path):
+    # K6 less a perfect matching at 16 indices, less 0-2 at the last one,
+    # under the family of sets holding index 15: 0-1 lies in no g2 and
+    # 0-2 is an edge outside every member, so no refinement exists.  A
+    # search over the first 15 indices' 8 maximal cliques each ran for
+    # minutes
+    lines = ["indices 16", "formulas 6", "family principal 15"]
+    for a in range(16):
+        lines.append("g1 %d : 0 1 2 3 4 5" % a)
+        lines.append("g2 %d : " % a + " ".join(
+            "%d-%d" % p for p in combinations(range(6), 2)
+            if p not in ((0, 1), (2, 3), (4, 5)) and (a < 15 or p != (0, 2))))
+    tf = write(tmp_path, "k6x16.trace", "\n".join(lines) + "\n")
+    start = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "ugl.cli", "trace-refine", tf],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (got.returncode, got.stdout, got.stderr) == (1, "none\n", "")
+
+
 def test_trace_refine_emits_refinement(tmp_path, capsys):
     tf = write(tmp_path, "good.trace", GOOD_TRACE)
     code, out, _ = run(capsys, "trace-refine", tf)
@@ -782,12 +803,12 @@ PACKAGE_MODULES = ("catalog", "chordal", "graphs", "shapes", "necessary",
                    "distributions", "ultragraph", "tracecli", "isomorphism",
                    "obstructions", "intervals", "refinement", "fulldist",
                    "covering", "lifting", "completions", "embeddings",
-                   "consecutive", "levels")
-# the modules split off from graphs, shapes, chordal, distributions and
-# fulldist: the first five serve the bench's names through their old
-# homes, the last three serve nothing there
+                   "consecutive")
+# the modules split off from graphs, shapes, chordal and distributions:
+# the first five serve the bench's names through their old homes, the
+# last two serve nothing there
 SPLIT_OFF = ("isomorphism", "obstructions", "intervals", "refinement",
-             "fulldist", "embeddings", "consecutive", "levels")
+             "fulldist", "embeddings", "consecutive")
 
 # Prints the exit code and the package modules still unexecuted (lazy
 # modules change their class to ModuleType when they execute), after
@@ -841,26 +862,24 @@ def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
             "obstructions intervals refinement fulldist covering lifting "
             "completions")
     assert (unexecuted_after("recognize", "--shape", "tree", gf)
-            == "1 " + left + " consecutive levels")
+            == "1 " + left + " consecutive")
     assert (unexecuted_after("recognize", "--shape", "interval", gf)
-            == "1 catalog " + left + " embeddings consecutive levels")
+            == "1 catalog " + left + " embeddings consecutive")
     assert unexecuted_after("realize", gf) == "1 catalog " + left.replace(
-        " intervals", "") + " embeddings consecutive levels"
+        " intervals", "") + " embeddings consecutive"
     tree_member = write(tmp_path, "P3.graph", "graph 3\ne 0 1\ne 1 2\n")
     assert (unexecuted_after("recognize", "--shape", "tree", tree_member)
-            == "0 catalog chordal " + left + " embeddings consecutive levels")
+            == "0 catalog chordal " + left + " embeddings consecutive")
     assert unexecuted_after("obstructions", "--shape", "tree",
                             "--max-n", "4") == (
         "0 chordal necessary distributions ultragraph tracecli intervals "
-        "refinement fulldist covering lifting completions consecutive "
-        "levels")
+        "refinement fulldist covering lifting completions consecutive")
 
 
 def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("distributions ultragraph tracecli isomorphism obstructions "
-            "intervals refinement fulldist covering lifting consecutive "
-            "levels")
+            "intervals refinement fulldist covering lifting consecutive")
     assert unexecuted_after("necessary", "--shape", "tree", gf) == "0 " + left
     assert (unexecuted_after("necessary", "--shape", "interval", gf)
             == "0 catalog " + left)
@@ -871,7 +890,7 @@ def test_trace_refine_leaves_necessary_and_ultragraph_unexecuted(tmp_path):
     got = unexecuted_after("trace-refine", tf)
     assert got == ("0 catalog chordal shapes necessary ultragraph "
                    "isomorphism obstructions intervals fulldist lifting "
-                   "completions embeddings consecutive levels")
+                   "completions embeddings consecutive")
 
 
 # one index carrying the path 0-1-2-3: the chain condition and both
@@ -888,8 +907,7 @@ def test_trace_conditions_leave_recognizers_and_necessary_unexecuted(
         tmp_path):
     tf = write(tmp_path, "path.trace", PATH_TRACE)
     left = ("chordal shapes necessary ultragraph isomorphism obstructions "
-            "intervals refinement fulldist lifting completions consecutive "
-            "levels")
+            "intervals refinement fulldist lifting completions consecutive")
     assert unexecuted_after("trace-check", tf) == "1 " + left
     assert unexecuted_after("trace-condition", "--sop2", "--shape", "tree",
                             tf) == "1 " + left
@@ -900,7 +918,7 @@ def test_ultragraph_leaves_graph_code_unexecuted(tmp_path):
     got = unexecuted_after("ultragraph", "--extend-eta", tf)
     assert got == ("0 catalog chordal graphs shapes necessary isomorphism "
                    "obstructions intervals refinement fulldist lifting "
-                   "completions embeddings consecutive levels")
+                   "completions embeddings consecutive")
 
 
 # Prints the package modules that recognize and realize requests executed.
@@ -1057,22 +1075,20 @@ def test_moved_names_stay_importable_where_they_were():
     for module in (ugl.graphs, ugl.shapes):
         with pytest.raises(AttributeError):
             module.recognize_everything
-    # the embedding search, the clique placement and the level maps are
-    # read from their own modules, and no old home forwards to them
+    # the embedding search and the clique placement are read from their
+    # own modules, and no old home forwards to them, nor shapes to the
+    # interval model type
     import ugl.chordal
-    import ugl.fulldist
     for module, name in ((ugl.graphs, "Embedding"),
                          (ugl.graphs, "iter_embeddings"),
                          (ugl.chordal, "overlap_spans"),
-                         (ugl.fulldist, "conjugate"),
-                         (ugl.fulldist, "distribution_from_conjugate"),
-                         (ugl.fulldist, "graphlike_extension")):
+                         (ugl.shapes, "IntervalModel")):
         with pytest.raises(AttributeError):
             getattr(module, name)
 
 
 # The names (dunders aside) that each module serves: its own, and the
-# twenty that the bench reads through an old home.  A name that moved
+# nineteen that the bench reads through an old home.  A name that moved
 # without a bench reader is listed under its new home alone.
 FORMER_NAMES = {
     "graphs": """CapabilityError EDGES_ONLY GRAPH_VERTEX_CAP Graph INDUCED
@@ -1080,9 +1096,9 @@ FORMER_NAMES = {
         enumerate_graphs enumerate_maximal_cliques find_embedding
         format_graph parse_graph""",
     "embeddings": "Embedding iter_embeddings",
-    "levels": "conjugate distribution_from_conjugate graphlike_extension",
+    "fulldist": "conjugate distribution_from_conjugate graphlike_extension",
     "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INDUCED INTERVAL
-        IRREDUCIBLE_CYCLE InputError IntervalModel ObstructionWitness TREE
+        IRREDUCIBLE_CYCLE InputError ObstructionWitness TREE
         WITNESS_KINDS _avoid_components _bits _interval_certificate
         _nested_neighborhoods _reaches check_shape
         combinations family_graph family_str find_asteroidal_triple
@@ -1157,7 +1173,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 20
+    assert len(moved) == 19
     for module, names in bench_names()[0].items():
         for name in names:
             assert callable(getattr(importlib.import_module(module),

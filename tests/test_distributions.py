@@ -27,12 +27,13 @@ from ugl.fulldist import (
     FullDistribution,
     all_subsets,
     check_properties,
+    conjugate,
+    distribution_from_conjugate,
     extension_distribution,
+    graphlike_extension,
 )
 from ugl.graphs import Graph
 from ugl.isomorphism import enumerate_graphs
-from ugl.levels import (conjugate, distribution_from_conjugate,
-                        graphlike_extension)
 from ugl.necessary import family_necessary_set
 from ugl.refinement import (
     LosInstance,
@@ -1048,11 +1049,37 @@ def test_refinement_matches_recursive_oracle_on_bench_traces(
         assert got == recursive_multiplicative_refinement(t)
         assert got == frozenset_multiplicative_refinement(t)
         found += got is not None
-        # pairs in no g2, which the search checks all at once
+        # pairs in no g2, which the search refuses before it starts
         nb = t.n_formulas
         uncovered += len(set().union(*t.g2)) < nb * (nb - 1) // 2
     assert 0 < found < len(traces)
     assert 0 < uncovered < len(traces)
+
+
+def test_refinement_refuses_uncoverable_traces_before_searching(
+        monkeypatch):
+    # random traces with at most 8 formulas, adequate or not: the answer
+    # is the recursive search's, and a trace whose formulas or pairs
+    # cannot be covered by a family member is refused before any clique
+    # is enumerated
+    import ugl.refinement
+    searched = []
+    choices = ugl.refinement._clique_choices
+    monkeypatch.setattr(ugl.refinement, "_clique_choices",
+                        lambda t, a: searched.append(a) or choices(t, a))
+    rng = random.Random(2626)
+    outcomes = set()
+    for _ in range(400):
+        t = random_trace(rng, rng.randrange(1, 6), rng.randrange(0, 9),
+                         p_vertex=rng.choice((0.7, 1.0)),
+                         p_edge=rng.choice((0.6, 0.9)))
+        del searched[:]
+        got = find_multiplicative_refinement(t)
+        assert got == recursive_multiplicative_refinement(t)
+        adequate = not any(adequacy_report(t))
+        assert bool(searched) == adequate
+        outcomes.add((adequate, got is None))
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def test_refinement_search_depth_is_not_bounded_by_recursion():
