@@ -27,7 +27,7 @@ distributions, level maps and the property checks in ``fulldist``.
 here.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import (INTERVAL, _Value, _forward, _freeze, catalog, check_shape,
                graphs, refinement)
@@ -116,18 +116,30 @@ def adequacy_report(t):
     """(bad_formulas, bad_pairs), each sorted: the formulas and pairs
     whose supports, as index masks, miss the family; a pair in no g2 has
     the empty support.  Both are empty iff the trace is pair-adequate."""
-    member = t.family.is_member_mask
-    masks, rows = t.g1_masks, t.g2_rows
-    listed = set().union(*map(_edges, set(rows)))
-    return ([b for b in range(t.n_formulas) if not member(
-                _mask([a for a, m in enumerate(masks) if m >> b & 1]))],
-            [p for p in combinations(range(t.n_formulas), 2) if not member(
-                _mask([a for a, rs in enumerate(rows) if rs[p[0]] >> p[1] & 1])
-                if p in listed else 0)])
+    return tuple(map(list, _misses(t)))
 
 
 def is_pair_adequate(t):
-    return not any(adequacy_report(t))
+    return next(chain(*_misses(t)), None) is None
+
+
+def _misses(t):
+    """The formulas, then the pairs, whose supports miss the family, as
+    two lazy ascending iterators; supports are read once per distinct
+    (g1 mask, g2 rows) index graph, and each is tested once."""
+    shared = {}
+    for a, key in enumerate(zip(t.g1_masks, t.g2_rows)):
+        shared.setdefault(key, []).append(a)
+    support = {}
+    for (vertices, rows), at in shared.items():
+        m = _mask(at)
+        for x in chain(_bits(vertices), _edges(rows)):
+            support[x] = support.get(x, 0) | m
+    missed = {s for s in {0, *support.values()}
+              if not t.family.is_member_mask(s)}
+    return ((b for b in range(t.n_formulas) if support.get(b, 0) in missed),
+            (p for p in combinations(range(t.n_formulas), 2)
+             if support.get(p, 0) in missed))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def read_text(path):
 
 def content_lines(text):
     """The stripped lines of a text, less blank lines and ``#`` comments."""
-    return [line for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")]
+    return (line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#"))
 
 
 def parse_number(tok):

@@ -10,7 +10,7 @@ genuine covering problem and can fail.  Its choices are the maximal
 cliques of the index graphs (Bron-Kerbosch with pivoting).  Restriction
 to the essential range, rebuilding a trace from its graph sequence and
 the trace text writer live here too.  The search keeps one index mask
-per formula and listed pair as its supports.  ``distributions`` serves
+per formula and pair as its supports.  ``distributions`` serves
 the search, ``is_refinement`` and the writer to the bench, and
 ``graphs`` the clique enumeration.
 """
@@ -173,35 +173,25 @@ def find_multiplicative_refinement(t):
     """A per-index clique sub-trace covering all formulas and pairs, or None.
 
     Backtracks over maximal-clique choices in index order, cliques in
-    ascending order, so the first solution is the lexicographically
-    least; after each choice every formula and pair is checked for a
+    ascending order, so the first solution is the lexicographically least;
+    after each choice every formula and pair is checked for a
     still-reachable family member (known support plus all undecided
-    indices).  Each formula, and each pair of some g2, keeps its support
-    as an index mask: a push sets the index bit on the supports its
-    clique covers and a pop clears it, and each distinct support is
-    tested once per node.  A support lies inside the indices where the
-    formula is a vertex, or the pair an edge, so a pair of no g2, or such
-    a coverable support outside the family, is refused before any search.
-    The search keeps its own stack, so any number of indices fits.  None
-    means the exhaustive search proved no assignment covers everything.
+    indices).  Each formula and pair keeps its support as an index mask: a
+    push sets the index bit on the supports its clique covers and a pop
+    clears it, and each distinct support is tested once per node.  A
+    refinement's supports lie inside the trace's, and families are upward
+    closed, so a trace that is not pair-adequate is refused before any
+    search.  The search keeps its own stack, so any number of indices
+    fits.  None means the exhaustive search proved no assignment covers
+    everything.
     """
+    if not is_pair_adequate(t):
+        return None
     n = t.n_indices
     nb = t.n_formulas
     member = t.family.is_member_mask
-    # the coverable supports, read once per distinct (vertices, rows)
-    shared = {}
-    for a, key in enumerate(zip(t.g1_masks, t.g2_rows)):
-        shared.setdefault(key, []).append(a)
-    support = {}
-    for (vertices, rows), at in shared.items():
-        m = _mask(at)
-        for x in [*_bits(vertices), *_edges(rows)]:
-            support[x] = support.get(x, 0) | m
-    if (len(support) < nb + nb * (nb - 1) // 2
-            or not all(map(member, set(support.values())))):
-        return None
     choices = [_clique_choices(t, a) for a in range(n)]
-    support = dict.fromkeys(support, 0)
+    support = dict.fromkeys(chain(range(nb), combinations(range(nb), 2)), 0)
     everything = (1 << n) - 1
     assigned = []
 

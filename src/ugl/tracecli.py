@@ -41,10 +41,8 @@ def _cmd_trace_check(args, out):
     bad_b, bad_p = dist.adequacy_report(t)
     ok = not bad_b and not bad_p
     out.write("adequate %s\n" % ("yes" if ok else "no"))
-    for b in bad_b:
-        out.write("inadequate-formula %d\n" % b)
-    for p in bad_p:
-        out.write("inadequate-pair %d-%d\n" % p)
+    out.writelines("inadequate-formula %d\n" % b for b in bad_b)
+    out.writelines("inadequate-pair %d-%d\n" % p for p in bad_p)
     out.write("multiplicative %s\n"
               % ("yes" if dist.is_multiplicative_trace(t) else "no"))
     if not _report_sop2(sop2, out):

@@ -833,6 +833,7 @@ def test_trace_routines_match_the_frozenset_oracles():
         multiplicative = is_multiplicative_trace(t)
         assert multiplicative == frozenset_is_multiplicative_trace(t)
         assert adequacy_report(t) == frozenset_adequacy_report(t)
+        assert is_pair_adequate(t) == (not any(frozenset_adequacy_report(t)))
         found = find_multiplicative_refinement(t)
         assert found == frozenset_multiplicative_refinement(t)
         assert found == recursive_multiplicative_refinement(t)
