@@ -35,7 +35,9 @@ def check_shape(shape):
 
 
 def _bits(mask):
-    """The positions of the set bits of ``mask``, ascending."""
+    """The positions of the set bits of ``mask``, ascending.  Each step
+    costs the mask's width, so this reader serves sparse masks: cliques,
+    vertex sets and sparse adjacency rows (``covering._row_bits``)."""
     while mask:
         low = mask & -mask
         mask ^= low

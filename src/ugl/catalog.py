@@ -171,10 +171,6 @@ def diagonal_violation(g):
     return None if found is None else found[0]
 
 
-def is_diagonal(g):
-    return diagonal_violation(g) is None
-
-
 # ---------------------------------------------------------------------------
 # curated necessary sets
 # ---------------------------------------------------------------------------

@@ -23,33 +23,15 @@ invariants, and the canonical form runs once per class, for its key.
 
 Enumeration is capped at n <= 8.  Only ``obstructions`` runs this
 module, for canonical keys; ``graphs`` serves its names, so they stay
-importable from there.
+importable from there.  ``enumerate_graphs`` and ``automorphisms`` run
+in no request: the benchmark's traced round wraps them.
 """
-
-from itertools import combinations
 
 from .embeddings import iter_embeddings
 from .errors import CapabilityError, InputError
 from .graphs import INDUCED, Graph
 
 ENUMERATION_CAP = 8
-
-
-def induced_subgraph(g, vertices):
-    """Induced subgraph on ``vertices``, relabeled 0.. in ascending order.
-
-    Out-of-range or repeated vertices are input errors.
-    """
-    vs = sorted(vertices)
-    if len(set(vs)) != len(vs):
-        raise InputError("repeated vertex in induced subgraph selection")
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise InputError("vertex %r out of range" % (v,))
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u, v in combinations(vs, 2) if g.has_edge(u, v)]
-    return Graph(len(vs), edges)
-
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +135,6 @@ def _stabilizer_orbits(n, gammas, prefix):
 
 def canonical_key(g):
     return (g.n, canonical_form(g)[0])
-
-
-def canonical_graph(g):
-    """The canonical representative of g's isomorphism class."""
-    key, _ = canonical_form(g)
-    return graph_from_canonical_key(g.n, key)
 
 
 def graph_from_canonical_key(n, key):

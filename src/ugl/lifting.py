@@ -5,7 +5,7 @@ A ``LiftedMap`` acts coordinatewise on product tuples and carries
 internal sets to internal sets, by image and by preimage.
 ``clique_transversal_trace`` builds, from a complete transversal of a
 principal trace, the trace whose reduced product maps onto the
-transversal through ``lift_map``.
+transversal through a ``LiftedMap``.
 """
 
 from itertools import combinations
@@ -95,10 +95,6 @@ class LiftedMap(_Frozen):
                 v for v in _bits(self.source.trace.g1_masks[alpha])
                 if theta[alpha][v] in given[alpha])
         return InternalSet(self.source.core, parts)
-
-
-def lift_map(source, target, theta):
-    return LiftedMap(source, target, theta)
 
 
 def clique_transversal_trace(t, transversal):

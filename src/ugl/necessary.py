@@ -8,20 +8,12 @@ edges of G.  A set B of host non-edges is *necessary* when every
 completion uses at least one element of B: no matter how the host is
 re-placed and extended into a member, some pair from B gets glued.
 
-Two independent decision routes are implemented, under one work budget
-(``WORK_BUDGET``).  Both keep sets of host non-edges as pair masks: bit
-k stands for the k-th host non-edge in column order (0,1), (0,2),
-(1,2), (0,3), ..., and a mask for the host plus its pairs.
+One completion search decides necessity, under one work budget
+(``WORK_BUDGET``) that also bounds the sweep behind the minimal sets.
+Both keep sets of host non-edges as pair masks: bit k stands for the
+k-th host non-edge in column order (0,1), (0,2), (1,2), (0,3), ..., and
+a mask for the host plus its pairs.
 
-* Enumeration: list the minimal member supergraphs of H on V(H),
-  record the host non-edges each adds, and test that B meets every such
-  added set.  The used set of an edge-preserving bijection psi of H
-  into a member g2 is the added set of psi^-1(g2).  That graph is a
-  member (it is isomorphic to g2) and contains H (psi preserves edges),
-  so the identity placements already give every used set.  The sweep
-  branches on the witness pairs of the search route below, and the
-  subset-minimal necessary sets are the minimal hitting sets of what it
-  finds.
 * Search: a member g between the floor E(H) | psi(E(H)) and the
   complement of psi(B), for any bijection psi, pulls back to psi^-1(g),
   a member that contains E(H) and avoids B.  So B is necessary iff no
@@ -35,6 +27,14 @@ k stands for the k-th host non-edge in column order (0,1), (0,2),
   cycle, a pair incident to an asteroidal triple, or a missing diagonal
   of an induced 4-cycle or 4-path.  Adding any pair outside those sets
   leaves the witness intact, so the branching is complete.
+* Sweep: list the minimal member supergraphs of H on V(H) and record
+  the host non-edges each adds.  The used set of an edge-preserving
+  bijection psi of H into a member g2 is the added set of psi^-1(g2).
+  That graph is a member (it is isomorphic to g2) and contains H (psi
+  preserves edges), so the identity placements already give every used
+  set, and B is necessary iff it meets each added set.  The sweep
+  branches on the witness pairs of the search, and the subset-minimal
+  necessary sets are the minimal hitting sets of what it finds.
 
 The flag vocabulary for a candidate set: ``necessary``, ``submin`` (no
 proper subset is necessary), ``mincard`` (no smaller necessary set
@@ -44,8 +44,8 @@ claim and is skipped by verification.
 
 The pair masks, the check of candidate pairs, the spend, the
 witness-pair branching, the sweep and its hitting sets live in
-``completions``; the two routes, the flags and the set format live
-here.
+``completions``; the search, the minimal sets, the flags and the set
+format live here.
 """
 
 from functools import cache
@@ -142,7 +142,7 @@ def parse_necessary_set(text):
 
 
 # ---------------------------------------------------------------------------
-# enumeration route
+# the sweep and the minimal sets
 # ---------------------------------------------------------------------------
 
 def necessity_constraints(shape, h):
@@ -157,13 +157,6 @@ def necessity_constraints(shape, h):
     """
     return [frozenset(s) for s in
             _sorted_pairs(*_minimal_completions(shape, h, _Spend()))]
-
-
-def necessary_by_enumeration(shape, h, edges):
-    """Necessity decided against the explicit constraint family."""
-    _check_pairs(h, edges)
-    b = set(edges)
-    return all(b & s for s in necessity_constraints(shape, h))
 
 
 def minimal_necessary_sets(shape, h):
@@ -185,7 +178,7 @@ def minimal_necessary_sets(shape, h):
 
 
 # ---------------------------------------------------------------------------
-# search route
+# the completion search
 # ---------------------------------------------------------------------------
 
 def necessity_counterexample(shape, h, edges, spend=None):
@@ -232,10 +225,6 @@ def necessity_counterexample(shape, h, edges, spend=None):
     return None
 
 
-def is_necessary(shape, h, edges):
-    return necessity_counterexample(shape, h, edges) is None
-
-
 def counterexample_checks(shape, h, edges, completion, psi):
     """Re-verify a non-necessity counterexample from scratch."""
     if completion.n != h.n or sorted(psi) != list(range(h.n)):
@@ -261,22 +250,6 @@ def forced_edges(shape, h):
     check_shape(shape)
     return [e for e in h.non_edges()
             if recognize(shape, h.with_edges([e])) is None]
-
-
-def compute_flags(shape, h, edges):
-    """The full flag vector for a candidate set, read off the minimal sets.
-
-    A set is necessary when it contains a minimal necessary set, and
-    subset-minimal when it is one.
-    """
-    _check_pairs(h, edges)
-    b = tuple(sorted(edges))
-    mins = _minimal_hits(shape, h, _Spend())
-    smallest = min((len(s) for s in mins), default=0)
-    mincard = b in mins and len(b) == smallest
-    return {"necessary": any(set(s) <= set(b) for s in mins),
-            "submin": b in mins, "mincard": mincard,
-            "unique": mincard and sum(len(s) == smallest for s in mins) == 1}
 
 
 def verify_claims(shape, h, ns):

@@ -5,8 +5,11 @@ Two hereditary graph classes ("shapes") are supported:
 * ``tree``: comparability graphs of rooted forests, equivalently the
   graphs satisfying Wolk's diagonal condition (every path x0-x1-x2-x3
   has a chord x0-x2 or x1-x3), equivalently the graphs with no induced
-  4-cycle and no induced 4-path.  The three characterizations are
-  implemented independently and tested against each other.
+  4-cycle and no induced 4-path.  ``recognize`` decides membership by
+  a nested-neighborhood test and names a non-member's induced 4-cycle
+  or 4-path; the tests check it against the diagonal condition
+  (``catalog.diagonal_violation``) and against the comparability
+  graphs of the rooted forests they enumerate.
 * ``interval``: intersection graphs of open intervals on the line.  A
   graph is a member iff it has no chordless cycle of length >= 4 and no
   asteroidal triple (Lekkerkerker-Boland); non-membership certificates
@@ -26,8 +29,8 @@ The maximal cliques of a chordal graph and their consecutive order live
 in ``chordal``, which a tree member's recognition never runs, and the
 obstruction families in ``catalog``, which only a tree non-member's
 witness needs here.  The interval models and realization live in
-``intervals``, the minimal obstructions, the rooted forests and the
-witness parser in ``obstructions``; no recognition runs either.
+``intervals``, the minimal obstructions and the witness parser in
+``obstructions``; no recognition runs either.
 ``_MOVED`` serves nine of their names here: the three that cli's
 realize and obstructions run through here, where the bench times them,
 and six that the bench reads.  Like these rows, the covering families of

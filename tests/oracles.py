@@ -2,21 +2,25 @@
 
 Everything here is written the slow, obviously-correct way (raw
 itertools sweeps, no pruning, no shared code with the package internals
-beyond the Graph value type, unless an oracle's docstring names what it
-shares) so that agreement is meaningful.
+beyond the Graph value type, unless an oracle's docstring or section
+names what it shares) so that agreement is meaningful.
 """
 
 from itertools import combinations, permutations
 
 from ugl import _bits, chordal
 from ugl.catalog import INTERVAL, family_graph
+from ugl.completions import _check_pairs, _minimal_hits, _Spend
 from ugl.distributions import Trace
 from ugl.embeddings import iter_embeddings
-from ugl.errors import ConsistencyError, InputError
+from ugl.errors import CapabilityError, ConsistencyError, InputError
 from ugl.fulldist import FullDistribution, PropertyReport, all_subsets
 from ugl.graphs import EDGES_ONLY, INDUCED, Graph, find_embedding
 from ugl.intervals import IntervalModel
-from ugl.isomorphism import enumerate_graphs, induced_subgraph
+from ugl.isomorphism import (canonical_key, enumerate_graphs,
+                             graph_from_canonical_key)
+from ugl.necessary import necessity_constraints
+from ugl.obstructions import OBSTRUCTION_CAP
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
                         _avoid_components, find_asteroidal_triple, recognize)
@@ -1247,3 +1251,115 @@ def loop_edge_count(rp):
     """The edges of a reduced product, counted over every vertex pair."""
     return sum(1 for a, b in combinations(rp.vertices(), 2)
                if rp.has_edge(a, b))
+
+
+# ---------------------------------------------------------------------------
+# second routes that left the package, moved unchanged: the necessity
+# decision against the explicit constraint family, the flags read off the
+# minimal sets, induced subgraphs, and the comparability graphs of every
+# rooted forest.  They share what their imports name: the package's
+# constraint sweep, its minimal hitting sets and its canonical keys.
+# ---------------------------------------------------------------------------
+
+def necessary_by_enumeration(shape, h, edges):
+    """Necessity decided against the explicit constraint family."""
+    _check_pairs(h, edges)
+    b = set(edges)
+    return all(b & s for s in necessity_constraints(shape, h))
+
+
+def compute_flags(shape, h, edges):
+    """The full flag vector for a candidate set, read off the minimal sets.
+
+    A set is necessary when it contains a minimal necessary set, and
+    subset-minimal when it is one.
+    """
+    _check_pairs(h, edges)
+    b = tuple(sorted(edges))
+    mins = _minimal_hits(shape, h, _Spend())
+    smallest = min((len(s) for s in mins), default=0)
+    mincard = b in mins and len(b) == smallest
+    return {"necessary": any(set(s) <= set(b) for s in mins),
+            "submin": b in mins, "mincard": mincard,
+            "unique": mincard and sum(len(s) == smallest for s in mins) == 1}
+
+
+def induced_subgraph(g, vertices):
+    """Induced subgraph on ``vertices``, relabeled 0.. in ascending order.
+
+    Out-of-range or repeated vertices are input errors.
+    """
+    vs = sorted(vertices)
+    if len(set(vs)) != len(vs):
+        raise InputError("repeated vertex in induced subgraph selection")
+    for v in vs:
+        if not (0 <= v < g.n):
+            raise InputError("vertex %r out of range" % (v,))
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [(pos[u], pos[v]) for u, v in combinations(vs, 2) if g.has_edge(u, v)]
+    return Graph(len(vs), edges)
+
+
+def _rooted_trees(max_size):
+    """Rooted trees as canonical nested tuples, per size; a tree is the
+    sorted tuple of its child subtrees."""
+    trees = {1: [()]}
+    sizes = {(): 1}
+    for s in range(2, max_size + 1):
+        found = set()
+
+        def fill(remaining, pool_index, chosen, pool):
+            if remaining == 0:
+                found.add(tuple(sorted(chosen)))
+                return
+            for i in range(pool_index, len(pool)):
+                t = pool[i]
+                if sizes[t] <= remaining:
+                    fill(remaining - sizes[t], i, chosen + [t], pool)
+
+        pool = [t for size in range(1, s) for t in trees[size]]
+        fill(s - 1, 0, [], pool)
+        trees[s] = sorted(found)
+        for t in trees[s]:
+            sizes[t] = s
+    return trees, sizes
+
+
+def _forest_graph(forest, sizes):
+    """Comparability graph of a forest (ancestor pairs are edges)."""
+    total = sum(sizes[t] for t in forest)
+    edges = []
+    next_id = 0
+
+    def walk(tree, ancestors):
+        nonlocal next_id
+        me = next_id
+        next_id += 1
+        edges.extend((a, me) for a in ancestors)
+        for child in tree:
+            walk(child, ancestors + [me])
+
+    for tree in forest:
+        walk(tree, [])
+    return Graph(total, edges)
+
+
+def forest_comparability_classes(max_n):
+    """Canonical forms of comparability graphs of all rooted forests with
+    at most ``max_n`` nodes, sorted.  Bounded to max_n <= 7."""
+    if max_n > OBSTRUCTION_CAP:
+        raise CapabilityError("forest enumeration bounded to n <= %d" % OBSTRUCTION_CAP)
+    trees, sizes = _rooted_trees(max_n) if max_n >= 1 else ({}, {})
+    pool = [t for s in range(1, max_n + 1) for t in trees[s]]
+    forests = []
+
+    def fill(remaining, pool_index, chosen):
+        forests.append(list(chosen))
+        for i in range(pool_index, len(pool)):
+            t = pool[i]
+            if sizes[t] <= remaining:
+                fill(remaining - sizes[t], i, chosen + [t])
+
+    fill(max_n, 0, [])
+    keys = {canonical_key(_forest_graph(f, sizes)) for f in forests}
+    return [graph_from_canonical_key(n, key) for n, key in sorted(keys)]

@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations, product
 
-from ugl.catalog import INTERVAL, TREE, family_graph, is_diagonal
+from ugl.catalog import INTERVAL, TREE, diagonal_violation, family_graph
 from ugl.cli import main
 from ugl.covering import CoveringFamily
 from ugl.distributions import (
@@ -27,8 +27,7 @@ from ugl.intervals import (format_interval_model, parse_interval_model,
                            realize_intervals)
 from ugl.isomorphism import canonical_key, enumerate_graphs
 from ugl.necessary import family_necessary_set, verify_claims
-from ugl.obstructions import (forest_comparability_classes,
-                              minimal_obstructions, parse_witness)
+from ugl.obstructions import minimal_obstructions, parse_witness
 from ugl.refinement import (find_multiplicative_refinement, format_trace,
                             is_refinement)
 from ugl.shapes import format_witness, recognize
@@ -40,6 +39,7 @@ from ugl.ultragraph import (
     parse_internal_set,
 )
 
+from oracles import forest_comparability_classes
 from test_cli import QUORUM_CEX_TRACE
 from test_distributions import random_monotone, random_trace
 
@@ -117,7 +117,7 @@ def test_tree_membership_three_way_equivalence_on_small_classes():
         for n in range(1, 7):
             for g in enumerate_graphs(n):
                 total += 1
-                a = is_diagonal(g)
+                a = diagonal_violation(g) is None
                 b = (find_embedding(c4, g, INDUCED) is None
                      and find_embedding(l4, g, INDUCED) is None)
                 c = canonical_key(g) in forest_keys

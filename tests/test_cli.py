@@ -125,18 +125,19 @@ def test_recognize_oversized_header_is_capability(tmp_path, capsys):
     assert code == 3 and out == "" and "capability" in err
 
 
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, MemoryError])
 def test_unexpected_exception_is_internal_error(tmp_path, capsys,
-                                                monkeypatch):
+                                                monkeypatch, error):
     import ugl.cli
 
     def broken(args, out):
-        raise RuntimeError("boom")
+        raise error("boom")
 
     monkeypatch.setitem(ugl.cli._HANDLERS, "recognize", broken)
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     code, out, err = run(capsys, "recognize", "--shape", "interval", gf)
     assert code == 4 and out == ""
-    assert err.splitlines()[-1] == "internal: RuntimeError: boom"
+    assert err.splitlines()[-1] == "internal: %s: boom" % error.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -1114,11 +1115,10 @@ FORMER_NAMES = {
     "covering": """CoveringFamily EXPLICIT PRINCIPAL QUORUM _Rows _bits
         _build_family _checked_mask _edges _graphs _has _mask _parse_int""",
     "necessary": """FLAG_NAMES InputError NecessarySet WORK_BUDGET
-        check_shape compute_flags counterexample_checks
-        family_necessary_set forced_edges format_necessary_set is_necessary
-        minimal_necessary_sets necessary_by_enumeration
-        necessity_constraints necessity_counterexample parse_necessary_set
-        recognize verify_claims""",
+        check_shape counterexample_checks family_necessary_set forced_edges
+        format_necessary_set minimal_necessary_sets necessity_constraints
+        necessity_counterexample parse_necessary_set recognize
+        verify_claims""",
     "completions": """_Spend _TREE_PATTERN_NON_EDGES _branch_bits
         _check_pairs _minimal_completions _minimal_hits _non_edges _pairs
         _sorted_pairs""",
@@ -1127,7 +1127,7 @@ FORMER_NAMES = {
         combinations eta eta_clique_witness eta_extension
         extend_to_internal_clique format_internal_set format_product_vertex
         parse_internal_set product""",
-    "lifting": """LiftedMap clique_transversal_trace lift_map""",
+    "lifting": """LiftedMap clique_transversal_trace""",
 }
 
 

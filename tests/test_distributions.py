@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import ugl.distributions as D
 from ugl.catalog import INTERVAL, TREE, family_str, shape_families
-from ugl.covering import CoveringFamily
+from ugl.covering import CoveringFamily, _edges
 from ugl.distributions import (
     Trace,
     adequacy_report,
@@ -339,6 +340,28 @@ def test_supports_and_adequacy():
     assert bad_b == []
     assert bad_p == [(0, 2), (1, 2)]
     assert not is_pair_adequate(t)
+
+
+def test_adequacy_reads_a_sparse_wide_trace_in_time_linear_in_its_edges():
+    # one index, 15,000 formulas, g2 the matching {i, i + 7,500}: its rows
+    # are 15,000 bits wide with one bit each, so a reader that costs the
+    # width of each row spends about 2 s before the first bad pair
+    n, half = 15000, 7500
+    t = Trace(CoveringFamily.quorum(1, 1), n, [range(n)],
+              [[(i, i + half) for i in range(half)]])
+    start = time.perf_counter()
+    assert not is_pair_adequate(t)
+    assert time.perf_counter() - start < 0.5
+    assert t.g2 == (frozenset((i, i + half) for i in range(half)),)
+
+
+def test_edges_reads_rows_of_every_density():
+    # sparse rows are read lowest bit first, dense ones through their
+    # binary string; both give the pairs in ascending order
+    rng = random.Random(4)
+    for p in (0.0, 0.01, 0.1, 0.2, 0.5, 1.0):
+        pairs = [e for e in combinations(range(300), 2) if rng.random() < p]
+        assert _edges(Graph(300, pairs).rows) == pairs
 
 
 def test_empty_trace_fully_inadequate():

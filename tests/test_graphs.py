@@ -9,9 +9,8 @@ from ugl.embeddings import Embedding, iter_embeddings
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Graph,
                         find_embedding, format_graph, parse_graph)
-from ugl.isomorphism import (automorphisms, canonical_form, canonical_graph,
-                             canonical_key, enumerate_graphs,
-                             graph_from_canonical_key, induced_subgraph,
+from ugl.isomorphism import (automorphisms, canonical_form, canonical_key,
+                             enumerate_graphs, graph_from_canonical_key,
                              is_isomorphic)
 from ugl.refinement import enumerate_maximal_cliques
 
@@ -58,16 +57,16 @@ def test_graph_is_immutable_and_hashable():
 # ---------------------------------------------------------------------------
 
 def test_induced_subgraph_relabels_ascending():
-    assert induced_subgraph(C4, [0, 1, 2]).edges() == [(0, 1), (1, 2)]
-    assert induced_subgraph(C4, [1, 3]).edges() == []
-    assert induced_subgraph(C4, range(4)) == C4
+    assert oracles.induced_subgraph(C4, [0, 1, 2]).edges() == [(0, 1), (1, 2)]
+    assert oracles.induced_subgraph(C4, [1, 3]).edges() == []
+    assert oracles.induced_subgraph(C4, range(4)) == C4
 
 
 def test_induced_subgraph_rejects_bad_selections():
     with pytest.raises(InputError):
-        induced_subgraph(C4, [0, 4])
+        oracles.induced_subgraph(C4, [0, 4])
     with pytest.raises(InputError):
-        induced_subgraph(C4, [1, 1])
+        oracles.induced_subgraph(C4, [1, 1])
 
 
 def test_induced_subgraph_matches_definition():
@@ -77,7 +76,7 @@ def test_induced_subgraph_matches_definition():
     for _ in range(50):
         g = random_graph(rng, rng.randint(0, 6))
         vs = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
-        sub = induced_subgraph(g, vs)
+        sub = oracles.induced_subgraph(g, vs)
         for i, j in combinations(range(len(vs)), 2):
             assert sub.has_edge(i, j) == g.has_edge(vs[i], vs[j])
 
@@ -149,7 +148,6 @@ def test_canonical_form_permutation_achieves_key():
         relabel = {v: i for i, v in enumerate(perm)}
         moved = Graph(g.n, [(relabel[u], relabel[v]) for u, v in g.edges()])
         assert graph_from_canonical_key(g.n, key) == moved
-        assert canonical_graph(g) == moved
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +238,8 @@ def test_enumeration_is_sorted_and_canonical():
     gs = enumerate_graphs(5)
     keys = [canonical_form(g)[0] for g in gs]
     assert keys == sorted(keys)
-    assert all(canonical_graph(g) == g for g in gs)
+    assert all(graph_from_canonical_key(g.n, canonical_form(g)[0]) == g
+               for g in gs)
 
 
 def test_enumeration_cap():

@@ -9,16 +9,16 @@ from ugl.catalog import INTERVAL, TREE, family_graph
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import Graph
 from ugl.isomorphism import automorphisms, enumerate_graphs
-from ugl.necessary import (NecessarySet, compute_flags, counterexample_checks,
+from ugl.necessary import (NecessarySet, counterexample_checks,
                            family_necessary_set, forced_edges,
-                           format_necessary_set, is_necessary,
-                           minimal_necessary_sets, necessary_by_enumeration,
+                           format_necessary_set, minimal_necessary_sets,
                            necessity_constraints, necessity_counterexample,
                            parse_necessary_set, verify_claims)
 from ugl.shapes import recognize
 
 import oracles
-from oracles import classwide_constraints, minimize_family
+from oracles import (classwide_constraints, compute_flags, minimize_family,
+                     necessary_by_enumeration)
 from test_cli import fresh_python
 
 C4 = family_graph("C4")
@@ -86,9 +86,9 @@ def test_set_file_rejects(text):
 
 def test_pairs_checked_against_host():
     with pytest.raises(InputError):
-        is_necessary(TREE, C4, [(0, 1)])
+        necessity_counterexample(TREE, C4, [(0, 1)])
     with pytest.raises(InputError):
-        is_necessary(TREE, C4, [(0, 4)])
+        necessity_counterexample(TREE, C4, [(0, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_routes_agree_on_catalog_hosts():
     for kind, param in [("III", 5), ("III", 6), ("IV", 2), ("V", 1)]:
         shape, host, ns = family_necessary_set(kind, param)
         assert necessary_by_enumeration(shape, host, ns.edges)
-        assert is_necessary(shape, host, ns.edges)
+        assert necessity_counterexample(shape, host, ns.edges) is None
 
 
 def test_counterexamples_check_out():
@@ -323,7 +323,7 @@ def test_necessity_is_automorphism_stable():
         for sigma in automorphisms(host):
             moved = sorted(tuple(sorted((sigma[u], sigma[v])))
                            for u, v in ns.edges)
-            assert is_necessary(shape, host, moved)
+            assert necessity_counterexample(shape, host, moved) is None
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def test_verify_claims_failure_evidence():
     assert not ok and verdicts == {"mincard": False}
     tag, smaller = evidence["mincard"]
     assert tag == "smaller" and len(smaller) == 3
-    assert is_necessary(shape6, host6, smaller)
+    assert necessity_counterexample(shape6, host6, smaller) is None
 
 
 def test_verify_claims_settles_cardinality_on_large_hosts():
@@ -446,7 +446,8 @@ def test_capability_bounds():
     with pytest.raises(CapabilityError):
         necessity_counterexample(INTERVAL, big, [(0, 1)])
     shape, host, ns = family_necessary_set("IV", 5)
-    assert host.n == 9 and is_necessary(shape, host, ns.edges)
+    assert host.n == 9
+    assert necessity_counterexample(shape, host, ns.edges) is None
     wide = Graph(7, [])
     assert necessity_constraints(INTERVAL, wide) == [frozenset()]
 
@@ -516,13 +517,13 @@ def test_verify_claims_share_one_spend(monkeypatch):
     monkeypatch.setattr(necessary, "WORK_BUDGET", 2000)
     with pytest.raises(CapabilityError):
         verify_claims(shape, host, ns)
-    assert is_necessary(shape, host, ns.edges)
+    assert necessity_counterexample(shape, host, ns.edges) is None
 
 
 def test_member_host_has_no_necessary_sets():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert minimal_necessary_sets(INTERVAL, path) == []
-    assert not is_necessary(INTERVAL, path, [(0, 2)])
+    assert necessity_counterexample(INTERVAL, path, [(0, 2)]) is not None
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert minimal_necessary_sets(TREE, triangle) == []
 
@@ -554,8 +555,9 @@ def test_property_routes_agree(args):
 @settings(max_examples=40, deadline=None)
 def test_property_supersets_stay_necessary(args):
     shape, h, b = args
-    if not is_necessary(shape, h, b):
+    if necessity_counterexample(shape, h, b) is not None:
         return
     rest = [e for e in h.non_edges() if e not in b]
     if rest:
-        assert is_necessary(shape, h, tuple(b) + (rest[0],))
+        assert necessity_counterexample(
+            shape, h, tuple(b) + (rest[0],)) is None

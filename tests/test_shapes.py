@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugl.catalog import (INTERVAL, TREE, diagonal_violation, family_graph,
-                         family_str, is_diagonal, parse_family,
-                         shape_families)
+                         family_str, parse_family, shape_families)
 from ugl.chordal import chordal_cliques, clique_spans
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import Graph, parse_graph
 from ugl.intervals import (IntervalModel, format_interval_model,
                            parse_interval_model, realize_intervals)
-from ugl.isomorphism import enumerate_graphs, induced_subgraph, is_isomorphic
-from ugl.obstructions import (forest_comparability_classes,
-                              minimal_obstructions, parse_witness)
+from ugl.isomorphism import enumerate_graphs, is_isomorphic
+from ugl.obstructions import minimal_obstructions, parse_witness
 from ugl.refinement import enumerate_maximal_cliques
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
@@ -29,10 +27,12 @@ from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
 from ugl import chordal, shapes
 from oracles import (backtracking_realize_intervals, brute_diagonal,
                      brute_interval_graph, eager_asteroidal_triple,
-                     enumerated_minimal_obstructions, list_realize_intervals,
-                     loop_diagonal_violation, mask_chordal_cliques,
-                     pairwise_model_checks, recursive_chordless_cycle,
-                     row_mask_clique_spans, search_recognize)
+                     enumerated_minimal_obstructions,
+                     forest_comparability_classes, induced_subgraph,
+                     list_realize_intervals, loop_diagonal_violation,
+                     mask_chordal_cliques, pairwise_model_checks,
+                     recursive_chordless_cycle, row_mask_clique_spans,
+                     search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -137,7 +137,7 @@ def test_shape_families_listing():
 
 def test_diagonal_matches_oracle_small():
     for g in graphs_up_to(5):
-        assert is_diagonal(g) == brute_diagonal(g), g
+        assert (diagonal_violation(g) is None) == brute_diagonal(g), g
 
 
 def test_diagonal_violation_is_a_real_violation():
@@ -152,10 +152,11 @@ def test_diagonal_violation_is_a_real_violation():
 
 
 def test_diagonal_examples():
-    assert not is_diagonal(family_graph("C4"))
-    assert not is_diagonal(family_graph("L4"))
-    assert is_diagonal(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-    assert is_diagonal(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    assert diagonal_violation(family_graph("C4")) is not None
+    assert diagonal_violation(family_graph("L4")) is not None
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert diagonal_violation(k4) is None
+    assert diagonal_violation(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])) is None
 
 
 def test_diagonal_violation_matches_the_former_loops():
@@ -690,7 +691,7 @@ def test_forest_class_counts():
 
 def test_forest_classes_satisfy_diagonal():
     for g in forest_comparability_classes(6):
-        assert is_diagonal(g)
+        assert diagonal_violation(g) is None
         assert recognize(TREE, g) is None
 
 

@@ -12,10 +12,6 @@ SOURCE = Path(ugl.__file__).resolve().parent
 SELF_CALLS = {
     # at most 8 vertices (ENUMERATION_CAP)
     "isomorphism.canonical_form.rec": "capped",
-    # rooted forests of at most 7 vertices (OBSTRUCTION_CAP)
-    "obstructions._forest_graph.walk": "capped",
-    "obstructions._rooted_trees.fill": "capped",
-    "obstructions.forest_comparability_classes.fill": "capped",
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 import ugl.ultragraph as U
 from ugl.covering import CoveringFamily
 from ugl.distributions import Trace
-from ugl.lifting import clique_transversal_trace, lift_map
+from ugl.lifting import LiftedMap, clique_transversal_trace
 from ugl.errors import CapabilityError, ConsistencyError, InputError
 from ugl.refinement import LosInstance, find_multiplicative_refinement
 
@@ -335,7 +335,7 @@ def test_eta_extension_iff_refinement_exhaustive():
 def test_lift_identity():
     t = principal_trace([({0, 1}, [(0, 1)]), ({0, 2}, [(0, 2)])], 3)
     rp = U.build(t)
-    ident = lift_map(rp, rp, {a: {v: v for v in t.g1[a]} for a in rp.core})
+    ident = LiftedMap(rp, rp, {a: {v: v for v in t.g1[a]} for a in rp.core})
     for tup in rp.vertices():
         assert ident.apply(tup) == tup
     s = U.InternalSet(rp.core, {0: {0}, 1: {0, 2}})
@@ -347,11 +347,11 @@ def test_lift_requires_total_maps():
     t = principal_trace([({0, 1}, [(0, 1)])], 2)
     rp = U.build(t)
     with pytest.raises(InputError):
-        lift_map(rp, rp, {0: {0: 0}})
+        LiftedMap(rp, rp, {0: {0: 0}})
     with pytest.raises(InputError):
-        lift_map(rp, rp, {0: {0: 0, 1: 5}})
+        LiftedMap(rp, rp, {0: {0: 0, 1: 5}})
     with pytest.raises(InputError):
-        lift_map(rp, rp, {})
+        LiftedMap(rp, rp, {})
 
 
 def test_lift_core_containment():
@@ -360,8 +360,8 @@ def test_lift_core_containment():
     rps = U.build(small)
     rpb = U.build(big)
     with pytest.raises(InputError):
-        lift_map(rpb, rps, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 1}})
-    lm = lift_map(rps, rpb, {0: {0: 1, 1: 0}})
+        LiftedMap(rpb, rps, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 1}})
+    lm = LiftedMap(rps, rpb, {0: {0: 1, 1: 0}})
     assert lm.apply((0,)) == (1, 0)
     assert lm.apply((1,)) == (0, 0)
 
@@ -380,7 +380,7 @@ def test_lift_image_and_preimage_match_tuples():
         rp = U.build(t)
         theta = {a: {v: rng.choice(sorted(t.g1[a])) for v in t.g1[a]}
                  for a in rp.core}
-        lm = lift_map(rp, rp, theta)
+        lm = LiftedMap(rp, rp, theta)
         s = U.InternalSet(rp.core,
                           {a: {v for v in t.g1[a] if rng.random() < 0.6}
                            for a in rp.core})
@@ -398,7 +398,7 @@ def test_lift_inclusion_image_is_component_product():
     refined = Trace(t.family, 3, [{0, 1}, {1, 2}], [[(0, 1)], [(1, 2)]])
     rp_small = U.build(refined)
     rp_big = U.build(t)
-    lm = lift_map(rp_small, rp_big,
+    lm = LiftedMap(rp_small, rp_big,
                     {a: {v: v for v in refined.g1[a]} for a in rp_small.core})
     full = U.InternalSet(rp_small.core, {0: {0, 1}, 1: {1, 2}})
     assert lm.image_of(full) == U.InternalSet(rp_big.core,
@@ -408,7 +408,7 @@ def test_lift_inclusion_image_is_component_product():
 def test_lift_constant_map_image_single_vertex():
     t = principal_trace([({0, 1}, [(0, 1)])], 2)
     rp = U.build(t)
-    lm = lift_map(rp, rp, {0: {0: 1, 1: 1}})
+    lm = LiftedMap(rp, rp, {0: {0: 1, 1: 1}})
     s = U.InternalSet((0,), {0: {0, 1}})
     assert lm.image_of(s) == U.InternalSet((0,), {0: {1}})
 
@@ -419,7 +419,7 @@ def test_lift_homomorphism_sends_cliques_to_quotient_cliques():
     target = principal_trace([({0, 1}, [(0, 1)])], 2)
     rp = U.build(t)
     rpt = U.build(target)
-    lm = lift_map(rp, rpt, {0: {0: 0, 1: 1, 2: 0}})
+    lm = LiftedMap(rp, rpt, {0: {0: 0, 1: 1, 2: 0}})
     clique = [(0,), (1,), (2,)]
     assert rp.induces_clique(clique)
     image = [lm.apply(x) for x in clique]
@@ -438,7 +438,7 @@ def test_lift_nonedge_preserving_pulls_back_cliques():
         if (u, v) not in src.g2[0]:
             a, b = theta[0][u], theta[0][v]
             assert a != b and (min(a, b), max(a, b)) not in dst.g2[0]
-    lm = lift_map(rp_s, rp_d, theta)
+    lm = LiftedMap(rp_s, rp_d, theta)
     for part in ({0, 1}, {2, 3}, {0}, {3}, set()):
         s = U.InternalSet((0,), {0: part})
         if s.is_clique_in(rp_d):
@@ -448,7 +448,7 @@ def test_lift_nonedge_preserving_pulls_back_cliques():
 def test_lift_preimage_of_missed_fill_is_empty():
     small = principal_trace([({0, 1}, [(0, 1)])], 2)
     big = principal_trace([({0, 1}, [(0, 1)]), ({0, 1}, [(0, 1)])], 2)
-    lm = lift_map(U.build(small), U.build(big), {0: {0: 0, 1: 1}})
+    lm = LiftedMap(U.build(small), U.build(big), {0: {0: 0, 1: 1}})
     s = U.InternalSet((0, 1), {0: {0, 1}, 1: {1}})
     assert lm.preimage_of(s).count() == 0
 
@@ -517,7 +517,7 @@ def test_transversal_psi_restricts_to_eta_correspondence():
     t = principal_trace([({0, 1, 2}, full), ({0, 1, 2}, full)], 3)
     h = {0: (0, 1), 1: (1, 2), 2: (2, 0)}
     new, theta = clique_transversal_trace(t, h)
-    psi = lift_map(U.build(new), U.build(t), theta)
+    psi = LiftedMap(U.build(new), U.build(t), theta)
     me = U.eta(new)
     for b in range(3):
         assert psi.apply(me[b]) == h[b]

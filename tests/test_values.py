@@ -19,7 +19,7 @@ from ugl.intervals import IntervalModel
 from ugl.necessary import NecessarySet, format_necessary_set
 from ugl.refinement import LosInstance
 from ugl.shapes import IRREDUCIBLE_CYCLE, ObstructionWitness
-from ugl.lifting import lift_map
+from ugl.lifting import LiftedMap
 from ugl.ultragraph import InternalSet, build
 
 
@@ -50,7 +50,7 @@ EXAMPLES = {
         extension_distribution(_trace())),
     "ReducedProduct": _product,
     "InternalSet": lambda: InternalSet((0, 1), {1: {2}, 0: {0, 1}}),
-    "LiftedMap": lambda: lift_map(_product(), _product(), {
+    "LiftedMap": lambda: LiftedMap(_product(), _product(), {
         0: {0: 1, 1: 0}, 1: {0: 0, 1: 1, 2: 2}}),
 }
 
