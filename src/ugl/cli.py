@@ -161,7 +161,7 @@ def _cmd_recognize(args, out):
 
 def _cmd_realize(args, out):
     g = graphs.parse_graph(read_text(args.graphfile))
-    got = shapes.realize_intervals(g, args.distinct_endpoints)
+    got = shapes.realize_intervals(g)
     if isinstance(got, shapes.ObstructionWitness):
         out.write(shapes.format_witness(got))
         return 1

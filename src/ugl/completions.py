@@ -9,7 +9,7 @@ A mask has bit k for the k-th host non-edge in column order (0,1),
 budget is ``necessary.WORK_BUDGET``.
 """
 
-from . import check_shape, necessary, shapes
+from . import _bits, check_shape, necessary, shapes
 from .errors import CapabilityError, InputError
 
 
@@ -20,13 +20,8 @@ from .errors import CapabilityError, InputError
 def _non_edges(h):
     """The host's non-edges (i, j), i < j, in column order, and the bit
     of each, keyed by (i, j) and by (j, i)."""
-    ne = []
-    for j, row in enumerate(h.rows):
-        m = ~row & (1 << j) - 1
-        while m:
-            low = m & -m
-            ne.append((low.bit_length() - 1, j))
-            m ^= low
+    ne = [(i, j) for j, row in enumerate(h.rows)
+          for i in _bits(~row & (1 << j) - 1)]
     idx = {}
     for k, (i, j) in enumerate(ne):
         idx[i, j] = idx[j, i] = k
@@ -43,12 +38,7 @@ def _check_pairs(h, edges):
 
 def _pairs(ne, mask):
     """The pairs of a mask over the non-edges ne, by ascending bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(ne[low.bit_length() - 1])
-        mask ^= low
-    return out
+    return [ne[k] for k in _bits(mask)]
 
 
 class _Spend:

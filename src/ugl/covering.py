@@ -6,7 +6,9 @@ A *covering family* is an upward closed collection of nonempty subsets
 of an index set I = {0..nI-1}: quorum, principal, or an explicit list
 of minimal members.  Index sets are masks.  Per index, a vertex set is
 a mask and an edge set is adjacency rows (``Graph.rows``); ``_graphs``
-checks and builds both.
+checks and builds both from vertex iterables and pair lists, and code
+that already holds checked masks and rows builds its value with
+``_freeze``.
 """
 
 from itertools import combinations
@@ -188,38 +190,27 @@ def _has(mask, x):
     return isinstance(x, int) and x >= 0 and bool(mask >> x & 1)
 
 
-class _Rows(tuple):
-    """Per-index adjacency rows (``Graph.rows`` format) already checked,
-    which ``_graphs`` takes as they are; a trace stores its g2 so."""
-
-    __slots__ = ()
-
-
 def _graphs(n_formulas, vertex_sets, pair_lists, v, p):
     """Per index, the vertex mask of a vertex iterable and the adjacency
-    rows of a pair list (``v`` and ``p`` name them in errors); rows given
-    as ``_Rows`` pass through.  Every pair must lie inside the vertex set
-    of its index."""
+    rows of a pair list (``v`` and ``p`` name them in errors).  Every
+    pair must lie inside the vertex set of its index."""
     if n_formulas < 0:
         raise InputError("formula count must be nonnegative")
     masks = tuple(_checked_mask(s, n_formulas, v + " entry") for s in vertex_sets)
-    out = pair_lists
-    if not isinstance(out, _Rows):
-        empty = (0,) * n_formulas
-        out = []
-        for pairs in pair_lists:
-            rows = [0] * n_formulas
-            for x, y in pairs:
-                if x == y or not (0 <= x < n_formulas and 0 <= y < n_formulas):
-                    raise InputError("%s pair (%r, %r) %s" % (
-                        p, x, y, "is degenerate" if x == y else "out of range"))
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-            out.append(tuple(rows) if any(rows) else empty)
-        out = _Rows(out)
+    empty = (0,) * n_formulas
+    out = []
+    for pairs in pair_lists:
+        rows = [0] * n_formulas
+        for x, y in pairs:
+            if x == y or not (0 <= x < n_formulas and 0 <= y < n_formulas):
+                raise InputError("%s pair (%r, %r) %s" % (
+                    p, x, y, "is degenerate" if x == y else "out of range"))
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+        out.append(tuple(rows) if any(rows) else empty)
     for alpha, (m, rs) in enumerate(zip(masks, out)):
         if any(r & ~m for r in rs):
             x, y = next(e for e in _edges(rs) if not m >> e[0] & m >> e[1] & 1)
             raise InputError("%s pair (%d, %d) outside %s at index %d"
                              % (p, x, y, v, alpha))
-    return masks, out
+    return masks, tuple(out)

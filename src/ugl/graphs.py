@@ -25,7 +25,7 @@ operation is a pure function.
 
 from itertools import combinations
 
-from . import _Value, _forward, _freeze, embeddings
+from . import _Value, _bits, _forward, _freeze, embeddings
 from .errors import CapabilityError, InputError, content_lines, parse_number
 
 GRAPH_VERTEX_CAP = 10000
@@ -86,14 +86,8 @@ class Graph(_Value):
 
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
-        out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                out.append((u, v))
-                m &= m - 1
-        return out
+        return [(u, v) for u, r in enumerate(self.rows)
+                for v in _bits(r >> u + 1 << u + 1)]
 
     def non_edges(self):
         """Sorted list of unordered non-adjacent distinct pairs."""

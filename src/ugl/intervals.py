@@ -2,7 +2,8 @@
 format.
 
 A member's model is read off the clique order that recognition already
-built (``shapes._interval_certificate``); a non-member gets the
+built (``shapes._interval_certificate``), with endpoints exactly
+0..2n-1, so no model needs an endpoint mode; a non-member gets the
 recognizer's witness.  Only ``realize`` runs this module; ``shapes``
 serves its names.
 """
@@ -17,9 +18,9 @@ from .shapes import _interval_certificate
 class IntervalModel(_Value):
     """Open intervals (a_v, b_v) with integer endpoints, one per vertex."""
 
-    __slots__ = ("n", "intervals", "distinct")
+    __slots__ = ("n", "intervals")
 
-    def __init__(self, n, intervals, distinct=False):
+    def __init__(self, n, intervals):
         intervals = tuple((a, b) for a, b in intervals)
         if len(intervals) != n:
             raise InputError("expected %d intervals, got %d" % (n, len(intervals)))
@@ -29,11 +30,7 @@ class IntervalModel(_Value):
                     raise InputError("interval endpoint %r is not an integer" % (e,))
             if a >= b:
                 raise InputError("empty interval (%d, %d)" % (a, b))
-        if distinct:
-            ends = [e for ab in intervals for e in ab]
-            if len(set(ends)) != len(ends):
-                raise InputError("distinct-endpoint model has a repeated endpoint")
-        _freeze(self, n, intervals, distinct)
+        _freeze(self, n, intervals)
 
     def __repr__(self):
         return "IntervalModel(%d, %r)" % (self.n, self.intervals)
@@ -60,7 +57,7 @@ def format_interval_model(m):
     return "".join("i %d %d %d\n" % (v, *m.intervals[v]) for v in range(m.n))
 
 
-def parse_interval_model(text, distinct=False):
+def parse_interval_model(text):
     rows = {}
     for line in content_lines(text):
         parts = line.split()
@@ -75,10 +72,10 @@ def parse_interval_model(text, distinct=False):
     n = len(rows)
     if set(rows) != set(range(n)):
         raise InputError("interval model must cover vertices 0..n-1")
-    return IntervalModel(n, [rows[v] for v in range(n)], distinct)
+    return IntervalModel(n, [rows[v] for v in range(n)])
 
 
-def realize_intervals(g, distinct_endpoints=False):
+def realize_intervals(g):
     """An IntervalModel for g, or an ObstructionWitness if none exists.
 
     The witness is ``recognize``'s.  A member's model is read off the
@@ -87,9 +84,9 @@ def realize_intervals(g, distinct_endpoints=False):
     span ends there close.  Two vertices meet iff they share a clique
     iff their spans meet iff one opens before the other closes.
     Endpoints land on 0..2n-1, so the model is normalized and all
-    endpoints are pairwise distinct in either mode.  Beyond recognition,
-    O(n) steps and lists of n ints: ``at[p]`` counts the endpoints
-    before clique p, then is the next free slot there.
+    endpoints are pairwise distinct.  Beyond recognition, O(n) steps and
+    lists of n ints: ``at[p]`` counts the endpoints before clique p, then
+    is the next free slot there.
     """
     spans, witness = _interval_certificate(g)
     if witness is not None:
@@ -109,4 +106,4 @@ def realize_intervals(g, distinct_endpoints=False):
     for a, (_, last) in zip(left, spans):
         intervals.append((a, at[last]))
         at[last] += 1
-    return _freeze(IntervalModel, n, tuple(intervals), distinct_endpoints)
+    return _freeze(IntervalModel, n, tuple(intervals))

@@ -27,6 +27,7 @@ importable from there.  ``enumerate_graphs`` and ``automorphisms`` run
 in no request: the benchmark's traced round wraps them.
 """
 
+from . import _bits
 from .embeddings import iter_embeddings
 from .errors import CapabilityError, InputError
 from .graphs import INDUCED, Graph
@@ -125,11 +126,8 @@ def _stabilizer_orbits(n, gammas, prefix):
             w = gm[v]
             if not orbit[v] >> w & 1:
                 merged = orbit[v] | orbit[w]
-                m = merged
-                while m:
-                    low = m & -m
-                    orbit[low.bit_length() - 1] = merged
-                    m ^= low
+                for u in _bits(merged):
+                    orbit[u] = merged
     return orbit
 
 
@@ -206,15 +204,8 @@ def _extend_keys(n, parent_keys):
 def _vertex_invariants(g):
     """Per vertex (degree, neighbour degree sum); isomorphisms keep them."""
     deg = [r.bit_count() for r in g.rows]
-    out = []
-    for v, r in enumerate(g.rows):
-        total = 0
-        while r:
-            low = r & -r
-            total += deg[low.bit_length() - 1]
-            r ^= low
-        out.append((deg[v], total))
-    return out
+    return [(deg[v], sum(deg[u] for u in _bits(r)))
+            for v, r in enumerate(g.rows)]
 
 
 def enumerate_graphs(n):

@@ -10,7 +10,10 @@ genuine covering problem and can fail.  Its choices are the maximal
 cliques of the index graphs (Bron-Kerbosch with pivoting).  Restriction
 to the essential range, rebuilding a trace from its graph sequence and
 the trace text writer live here too.  The search keeps one index mask
-per formula and pair as its supports.  ``distributions`` serves
+per formula and pair as its supports.  The search and the restriction
+build their results with ``_freeze`` from masks and rows that are
+already checked; rebuilding from a graph sequence checks its edges
+as the ``Trace`` constructor does.  ``distributions`` serves
 the search, ``is_refinement`` and the writer to the bench, and
 ``graphs`` the clique enumeration.
 """
@@ -18,8 +21,8 @@ the search, ``is_refinement`` and the writer to the bench, and
 from itertools import chain, combinations
 
 from . import _Value, _freeze, distributions, graphs
-from .covering import (PRINCIPAL, QUORUM, _Rows, _bits, _edges, _graphs,
-                       _has, _mask)
+from .covering import (PRINCIPAL, QUORUM, _bits, _edges, _graphs, _has,
+                       _mask)
 from .distributions import Trace, is_pair_adequate
 from .errors import ConsistencyError, InputError
 
@@ -68,8 +71,8 @@ def from_graph_sequence(family, n_formulas, seq, instance=None,
             raise InputError("sequence graph on %d vertices, expected %d"
                              % (g.n, n_formulas))
         g1.append(vertices)
-        g2.append(g.rows)
-    t = Trace(family, n_formulas, g1, _Rows(g2), instance)
+        g2.append(g.edges())
+    t = Trace(family, n_formulas, g1, g2, instance)
     if require_adequate:
         bad_b, bad_p = distributions.adequacy_report(t)
         if bad_b or bad_p:
@@ -106,11 +109,12 @@ def restrict(t):
     fam = t.family.restrict(order)
     inst = t.instance
     if inst is not None:
-        inst = LosInstance(t.n_formulas,
-                           [_bits(inst.k1_masks[a]) for a in order],
-                           _Rows(inst.k2_rows[a] for a in order))
-    return Trace(fam, t.n_formulas, [_bits(t.g1_masks[a]) for a in order],
-                 _Rows(t.g2_rows[a] for a in order), inst)
+        inst = _freeze(LosInstance, len(order), t.n_formulas,
+                       tuple(inst.k1_masks[a] for a in order),
+                       tuple(inst.k2_rows[a] for a in order))
+    return _freeze(Trace, fam, t.n_formulas,
+                   tuple(t.g1_masks[a] for a in order),
+                   tuple(t.g2_rows[a] for a in order), inst)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +222,10 @@ def find_multiplicative_refinement(t):
             toggle(assigned.pop(), 1 << a)
         elif a + 1 < n:
             tried[a + 1] = 0
-    return Trace(t.family, nb, assigned, _Rows(
+    masks = tuple(map(_mask, assigned))
+    return _freeze(Trace, t.family, nb, masks, tuple(
         tuple(k & ~(1 << v) if k >> v & 1 else 0 for v in range(nb))
-        for k in map(_mask, assigned)), t.instance)
+        for k in masks), t.instance)
 
 
 # ---------------------------------------------------------------------------

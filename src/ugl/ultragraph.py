@@ -13,9 +13,12 @@ an internal clique when every component induces a clique; on tuples
 this corresponds to the quotient reading where two tuples sharing a
 coordinate count as adjacent there (a loop at every vertex).  The
 constant-tuple embedding eta sends each formula to the tuple that
-repeats it; its image extends to an internal clique exactly when the
-trace has a multiplicative refinement, which is the finite shadow of
-the compactness argument this module exists to exercise.
+repeats it; its image extends to an internal clique exactly when it is
+complete, and then the clique takes every formula at every core index.
+That happens exactly when the trace has a multiplicative refinement,
+which is the finite shadow of the compactness argument this module
+exists to exercise.  ``extend_to_internal_clique`` grows any complete
+set of product vertices; no request runs it.
 
 Non-principal families are refused: without a single generating core
 the componentwise reading of edges is not sound.  Maps between reduced
@@ -250,24 +253,22 @@ def parse_internal_set(text):
     return InternalSet(core, parts)
 
 
-def extend_to_internal_clique(rp, target, require_complete=True):
+def extend_to_internal_clique(rp, target):
     """Grow a complete set of product vertices into an internal clique.
 
     The target must be pairwise adjacent in the quotient reading (equal
     coordinates allowed); each projection is then a per-index clique
     and is extended to the lexicographically least maximal clique
-    containing it.  A target that is not complete either raises (the
-    default) or yields None: no internal clique can hold it, since the
-    denotation of an internal clique is pairwise quotient-adjacent.
+    containing it.  A target that is not complete is an input error:
+    no internal clique can hold it, since the denotation of an internal
+    clique is pairwise quotient-adjacent.
     """
     ts = [rp.check_vertex(x) for x in target]
     for a, b in combinations(ts, 2):
         if a != b and not rp.loop_adjacent(a, b):
-            if require_complete:
-                raise InputError(
-                    "target tuples %s and %s are not adjacent"
-                    % (format_product_vertex(a), format_product_vertex(b)))
-            return None
+            raise InputError(
+                "target tuples %s and %s are not adjacent"
+                % (format_product_vertex(a), format_product_vertex(b)))
     parts = {}
     for i, alpha in enumerate(rp.core):
         proj = {x[i] for x in ts}
@@ -289,12 +290,14 @@ def eta_extension(t):
 
     None covers both failure modes: a formula missing somewhere on the
     core, and an eta image that is not complete.  Succeeds exactly when
-    the trace has a multiplicative refinement.
+    the trace has a multiplicative refinement.  A complete image puts
+    every formula at every core index, where each pair is an edge, so
+    the one internal clique around it takes all the formulas at each.
     """
     try:
-        etamap = eta(t)
+        if eta_clique_witness(t) is not None:
+            return None
     except ConsistencyError:
         return None
-    rp = build(t)
-    return extend_to_internal_clique(rp, list(etamap.values()),
-                                     require_complete=False)
+    core = _bits(t.family.param)
+    return InternalSet(core, dict.fromkeys(core, range(t.n_formulas)))

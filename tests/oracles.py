@@ -576,7 +576,7 @@ def eager_asteroidal_triple(g):
     return None
 
 
-def backtracking_realize_intervals(g, distinct_endpoints=False):
+def backtracking_realize_intervals(g):
     """An IntervalModel for g, or an ObstructionWitness if none exists.
 
     Backtracks over interleavings of the 2n endpoints: at each slot the
@@ -584,12 +584,12 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
     ascending vertex order.  Opening a vertex next to an active
     non-neighbor, or closing one before all its neighbors were met,
     prunes the branch.  Endpoints land on 0..2n-1, so the model is
-    normalized and all endpoints are pairwise distinct in either mode.
-    It shares ``recognize`` with the package for the witness.
+    normalized and all endpoints are pairwise distinct.  It shares
+    ``recognize`` with the package for the witness.
     """
     n = g.n
     if n == 0:
-        return IntervalModel(0, (), distinct_endpoints)
+        return IntervalModel(0, ())
     rows = g.rows
     left = [None] * n
     right = [None] * n
@@ -629,8 +629,7 @@ def backtracking_realize_intervals(g, distinct_endpoints=False):
         return False
 
     if rec(0, 0):
-        return IntervalModel(n, [(left[v], right[v]) for v in range(n)],
-                             distinct_endpoints)
+        return IntervalModel(n, [(left[v], right[v]) for v in range(n)])
     witness = recognize(INTERVAL, g)
     assert witness is not None, "realization failed on an interval graph"
     return witness
@@ -802,7 +801,7 @@ def row_mask_clique_spans(rows, cliques):
     return spans
 
 
-def list_realize_intervals(g, distinct_endpoints=False):
+def list_realize_intervals(g):
     """``realize_intervals`` as it was when it listed each clique
     position's opening and closing vertices and built the model through
     the checking constructor.  It shares ``chordal_cliques`` and, for a
@@ -830,7 +829,7 @@ def list_realize_intervals(g, distinct_endpoints=False):
         for v in closes[p]:
             right[v] = pos
             pos += 1
-    return IntervalModel(n, list(zip(left, right)), distinct_endpoints)
+    return IntervalModel(n, list(zip(left, right)))
 
 
 def pairwise_model_checks(m, g):

@@ -156,8 +156,9 @@ def test_realize_distinct_endpoints(tmp_path, capsys):
     gf = write(tmp_path, "tri.graph", "graph 3\ne 0 1\ne 0 2\ne 1 2\n")
     code, out, _ = run(capsys, "realize", "--distinct-endpoints", gf)
     assert code == 0
-    model = parse_interval_model(out, distinct=True)
+    model = parse_interval_model(out)
     assert model.checks(parse_graph("graph 3\ne 0 1\ne 0 2\ne 1 2\n"))
+    assert sorted(e for ab in model.intervals for e in ab) == list(range(6))
 
 
 def test_realize_obstruction(tmp_path, capsys):
@@ -177,7 +178,10 @@ def test_long_path_recognize_and_realize(tmp_path, capsys):
     assert run(capsys, "recognize", "--shape", "interval", gf)[:2] == (0, "member\n")
     code, out, _ = run(capsys, "realize", gf)
     assert code == 0
-    assert parse_interval_model(out, distinct=True).checks(parse_graph(text))
+    model = parse_interval_model(out)
+    assert model.checks(parse_graph(text))
+    ends = sorted(e for ab in model.intervals for e in ab)
+    assert ends == list(range(2 * n))
 
 
 def test_strip_recognize_and_realize(tmp_path, capsys):
@@ -320,6 +324,20 @@ def test_necessary_verify_bad_claim(tmp_path, capsys):
                                        if not l.startswith("psi ")))
     assert counterexample_checks(INTERVAL, parse_graph(C4_TEXT), [(0, 2)],
                                  completion, psi)
+
+
+def test_necessary_verify_redundant_and_smaller_evidence(tmp_path, capsys):
+    # on the path 0-1-2-3 the tree claim {0-2, 0-3, 1-3} is necessary,
+    # but 0-3 is redundant and the necessary {0-2, 1-3} is smaller
+    gf = write(tmp_path, "L4.graph", "graph 4\ne 0 1\ne 1 2\ne 2 3\n")
+    sf = write(tmp_path, "B.set", "B 0-2 0-3 1-3\nflags necessary=1 "
+                                  "submin=1 mincard=1 unique=1\n")
+    code, out, _ = run(capsys, "necessary", "--shape", "tree", gf,
+                       "--verify", sf)
+    assert code == 1
+    assert out == ("flag submin fail\nredundant 0-3\n"
+                   "flag mincard fail\nsmaller 0-2 1-3\n"
+                   "flag unique fail\nsmaller 0-2 1-3\n")
 
 
 def test_necessary_flag_conflict(tmp_path, capsys):
@@ -628,6 +646,21 @@ def test_ultragraph_extend_eta(tmp_path, capsys):
     assert s.is_clique_in(rp)
     for b in range(t.n_formulas):
         assert s.contains((b, b))
+
+
+def test_ultragraph_extend_eta_on_a_symbolic_product(tmp_path, capsys):
+    # K40 at both core indices: 1,600 product vertices, past the 1,000
+    # up to which the edges are counted
+    k40 = "".join(" %d-%d" % p for p in combinations(range(40), 2))
+    vs = " ".join(map(str, range(40)))
+    tf = write(tmp_path, "k40.trace",
+               "indices 2\nformulas 40\nfamily principal 0 1\n"
+               "g1 0 : %s\ng1 1 : %s\ng2 0 :%s\ng2 1 :%s\n"
+               % (vs, vs, k40, k40))
+    code, out, _ = run(capsys, "ultragraph", "--extend-eta", tf)
+    assert code == 0
+    assert out == ("core 0 1\nvertices 1600\nedges symbolic\neta complete\n"
+                   "K 0 : %s\nK 1 : %s\n" % (vs, vs))
 
 
 def test_ultragraph_incomplete_eta(tmp_path, capsys):
@@ -1112,7 +1145,7 @@ FORMER_NAMES = {
         find_multiplicative_refinement format_trace graph_sequence
         is_multiplicative_trace is_pair_adequate is_refinement pair_support
         parse_trace singleton_support""",
-    "covering": """CoveringFamily EXPLICIT PRINCIPAL QUORUM _Rows _bits
+    "covering": """CoveringFamily EXPLICIT PRINCIPAL QUORUM _bits
         _build_family _checked_mask _edges _graphs _has _mask _parse_int""",
     "necessary": """FLAG_NAMES InputError NecessarySet WORK_BUDGET
         check_shape counterexample_checks family_necessary_set forced_edges

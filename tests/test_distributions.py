@@ -447,6 +447,11 @@ def test_parse_missing_rows_default_empty():
     "indices 2\nformulas 2\nfamily quorum 1\ng1 +0 : 0\n",
     "indices 2\nformulas 2\nfamily quorum 1\ng1 0 : 0 \u0661\n",
     "indices 2\nformulas 2\nfamily quorum 1\ng1 0 : 0 1\ng2 0 : 0-+1\n",
+    "indices 0\nformulas 2\nfamily quorum 1\n",
+    "indices 2\nformulas 2\nfamily principal 0\nmember 1\n",
+    "indices 2\nformulas 2\nfamily explicit x\n",
+    "indices 2\nformulas 2\nfamily bogus 1\n",
+    "indices 2\nformulas 2\nfamily\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(InputError):

@@ -113,6 +113,9 @@ def test_graph_parser_accepts_comments():
     "graph 4\ne +0 3",
     "graph 4\ne 0 \u0663",
     "graph 4\ne 0 3_0",
+    "graph 3 4",
+    "graph -2",
+    "graph 3\ne 0 1 2",
 ])
 def test_graph_parser_rejects_malformed_input(text):
     with pytest.raises(InputError):

@@ -78,6 +78,8 @@ def test_set_file_round_trip():
     "B 0-\u0662 +1-3\nflags necessary=1 submin=0 mincard=0 unique=0",
     "B +0-2\nflags necessary=0 submin=0 mincard=0 unique=0",
     "B 0-2_0\nflags necessary=0 submin=0 mincard=0 unique=0",
+    "B 0-2\nflags necessary=1 submin=0 mincard=0 unique=0\n"
+    "flags necessary=1 submin=0 mincard=0 unique=0",
 ])
 def test_set_file_rejects(text):
     with pytest.raises(InputError):

@@ -398,7 +398,7 @@ def test_realize_models_on_random_interval_graphs():
     for _ in range(300):
         g = random_interval_graph(rng, rng.randint(1, 60))
         assert recognize(INTERVAL, g) is None
-        m = realize_intervals(g, distinct_endpoints=True)
+        m = realize_intervals(g)
         assert isinstance(m, IntervalModel) and m.checks(g)
         ends = sorted(e for ab in m.intervals for e in ab)
         assert ends == list(range(2 * g.n))
@@ -498,13 +498,12 @@ def test_realize_matches_the_list_oracle(tmp_path_factory, monkeypatch):
     models = 0
     for rounds[0] in range(3):
         for g in cases:
-            for distinct in (False, True):
-                got = realize_intervals(g, distinct)
-                assert got == list_realize_intervals(g, distinct), g.edges()
-                if isinstance(got, IntervalModel):
-                    # built without the constructor: it would accept it
-                    assert IntervalModel(g.n, got.intervals, got.distinct) == got
-                    models += 1
+            got = realize_intervals(g)
+            assert got == list_realize_intervals(g), g.edges()
+            if isinstance(got, IntervalModel):
+                # built without the constructor: it would accept it
+                assert IntervalModel(g.n, got.intervals) == got
+                models += 1
     assert models > 1000
 
 
@@ -594,10 +593,10 @@ def test_realize_agrees_with_recognize():
 
 def test_realize_distinct_endpoints():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    m = realize_intervals(g, distinct_endpoints=True)
-    assert isinstance(m, IntervalModel) and m.distinct
+    m = realize_intervals(g)
+    assert isinstance(m, IntervalModel)
     ends = [e for ab in m.intervals for e in ab]
-    assert len(set(ends)) == len(ends)
+    assert sorted(ends) == list(range(2 * g.n))
     assert m.checks(g)
 
 
@@ -613,8 +612,6 @@ def test_interval_model_validation():
         IntervalModel(2, [(0, 1)])
     with pytest.raises(InputError):
         IntervalModel(1, [(3, 3)])
-    with pytest.raises(InputError):
-        IntervalModel(2, [(0, 2), (2, 4)], distinct=True)
     IntervalModel(2, [(0, 2), (2, 4)])
 
 

@@ -255,8 +255,6 @@ def test_extend_rejects_incomplete_target():
     rp = U.build(t)
     with pytest.raises(InputError):
         U.extend_to_internal_clique(rp, [(0,), (2,)])
-    assert U.extend_to_internal_clique(rp, [(0,), (2,)],
-                                       require_complete=False) is None
 
 
 def test_extend_path_pair():
