@@ -4,12 +4,12 @@ reduced products.
 The package itself holds what every request executes: the shape names,
 which the command line parser checks before any graph code runs (so an
 interval request never executes ``catalog``), the set-bit iterator of
-the graph modules' bitmask rows, and the base of the value types.  A
-``_Frozen`` object's fields are its ``__slots__``, set once when it is
-built; setting or deleting one raises ``AttributeError``, and ``copy``,
-``deepcopy`` and ``pickle`` rebuild it from its fields.  A ``_Value`` is
-also equal to any object of its type with equal fields, and hashes as
-the tuple of its fields; the other frozen objects compare by identity.
+the graph modules' bitmask rows, and the one base of the value types.
+A ``_Value``'s fields are its ``__slots__``, set once when it is built;
+setting or deleting one raises ``AttributeError``, and ``copy``,
+``deepcopy`` and ``pickle`` rebuild it from its fields.  It is equal to
+any object of its type with equal fields, and hashes as the tuple of
+its fields.
 
 Importing the package registers every module but ``cli`` in
 ``sys.modules`` unexecuted and binds it here, so a module executes when
@@ -55,8 +55,9 @@ def _freeze(obj, *values):
     return obj
 
 
-class _Frozen:
-    """An object whose fields are fixed once built; compared by identity."""
+class _Value:
+    """An object whose fields are fixed once built, equal to any of its
+    type with equal fields."""
 
     __slots__ = ()
 
@@ -71,12 +72,6 @@ class _Frozen:
 
     def __reduce__(self):
         return _freeze, (type(self), *self._fields())
-
-
-class _Value(_Frozen):
-    """A frozen object equal to any of its type with equal fields."""
-
-    __slots__ = ()
 
     def __eq__(self, other):
         return type(other) is type(self) and self._fields() == other._fields()

@@ -16,7 +16,7 @@ module; ``distributions`` serves ``extension_distribution`` and
 
 from itertools import combinations
 
-from . import _Frozen, _Value, _freeze
+from . import _Value, _freeze
 from .covering import _bits, _checked_mask, _edges, _mask
 from .distributions import FORMULA_CAP
 from .errors import CapabilityError, InputError
@@ -169,7 +169,7 @@ def extension_distribution(t):
     return _freeze(FullDistribution, t.n_formulas, t.n_indices, tuple(masks))
 
 
-class PropertyReport(_Frozen):
+class PropertyReport(_Value):
     """Boolean verdicts from check_properties with first witnesses, kept
     as (property, witness) items (``witness_items``); the view
     ``witnesses`` builds the property -> witness dict on each access."""

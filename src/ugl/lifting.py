@@ -2,22 +2,23 @@
 the trace a clique transversal induces with its comparison map.
 
 A ``LiftedMap`` acts coordinatewise on product tuples and carries
-internal sets to internal sets, by image and by preimage.
-``clique_transversal_trace`` builds, from a complete transversal of a
-principal trace, the trace whose reduced product maps onto the
-transversal through a ``LiftedMap``.
+internal sets to internal sets, by image and by preimage; like every
+value it compares by its fields.  ``clique_transversal_trace`` builds,
+from a complete transversal of a principal trace, the trace whose
+reduced product maps onto the transversal through a ``LiftedMap``; the
+transversal's core coordinates are checked as vertices, and as pairwise
+adjacent, by the trace's own ``ReducedProduct``.
 """
 
 from itertools import combinations
 
-from . import _Frozen, _freeze
-from .covering import PRINCIPAL, _bits, _has
+from . import _Value, _freeze, ultragraph as ug
+from .covering import _bits, _has
 from .distributions import Trace
-from .errors import CapabilityError, InputError
-from .ultragraph import InternalSet
+from .errors import InputError
 
 
-class LiftedMap(_Frozen):
+class LiftedMap(_Value):
     """Coordinatewise map between reduced products.
 
     Acts through per-index vertex maps on the source core; target core
@@ -77,7 +78,7 @@ class LiftedMap(_Frozen):
         parts = {alpha: frozenset((v,)) for alpha, v in self.fills}
         for alpha, part in zip(s.core, s.part_sets):
             parts[alpha] = frozenset(theta[alpha][v] for v in part)
-        return InternalSet(self.target.core, parts)
+        return ug.InternalSet(self.target.core, parts)
 
     def preimage_of(self, s):
         """Preimage of an internal set; internal over the source core."""
@@ -86,7 +87,7 @@ class LiftedMap(_Frozen):
         given, theta = s.parts, self.theta
         for alpha, v in self.fills:
             if v not in given[alpha]:
-                return InternalSet(
+                return ug.InternalSet(
                     self.source.core,
                     {a: frozenset() for a in self.source.core})
         parts = {}
@@ -94,7 +95,7 @@ class LiftedMap(_Frozen):
             parts[alpha] = frozenset(
                 v for v in _bits(self.source.trace.g1_masks[alpha])
                 if theta[alpha][v] in given[alpha])
-        return InternalSet(self.source.core, parts)
+        return ug.InternalSet(self.source.core, parts)
 
 
 def clique_transversal_trace(t, transversal):
@@ -109,9 +110,7 @@ def clique_transversal_trace(t, transversal):
     formula to its transversal value, which lifts to a map of reduced
     products carrying the constant tuple of beta to h_beta.
     """
-    if t.family.kind != PRINCIPAL:
-        raise CapabilityError("transversal traces need a principal family")
-    core = tuple(_bits(t.family.param))
+    rp = ug.build(t)
     nb = t.n_formulas
     h = {}
     for b in range(nb):
@@ -122,19 +121,12 @@ def clique_transversal_trace(t, transversal):
             raise InputError(
                 "transversal for formula %d must cover every index" % b)
         h[b] = tup
-    for b in range(nb):
-        for alpha in core:
-            if not _has(t.g1_masks[alpha], h[b][alpha]):
-                raise InputError(
-                    "transversal value for formula %d at index %d is not a "
-                    "vertex" % (b, alpha))
+    on_core = [rp.check_vertex(h[b][alpha] for alpha in rp.core)
+               for b in range(nb)]
     for b, c in combinations(range(nb), 2):
-        for alpha in core:
-            x, y = h[b][alpha], h[c][alpha]
-            if x != y and not t.g2_rows[alpha][x] >> y & 1:
-                raise InputError(
-                    "transversal images of formulas %d and %d are not "
-                    "adjacent at index %d" % (b, c, alpha))
+        if not rp.loop_adjacent(on_core[b], on_core[c]):
+            raise InputError("transversal images of formulas %d and %d are "
+                             "not adjacent" % (b, c))
     l1 = []
     l2 = []
     for alpha in range(t.n_indices):
@@ -147,5 +139,5 @@ def clique_transversal_trace(t, transversal):
         l1.append(vs)
         l2.append(es)
     new = Trace(t.family, nb, l1, l2)
-    theta = {alpha: {b: h[b][alpha] for b in l1[alpha]} for alpha in core}
+    theta = {alpha: {b: h[b][alpha] for b in l1[alpha]} for alpha in rp.core}
     return new, theta

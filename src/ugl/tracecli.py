@@ -79,29 +79,20 @@ def _cmd_trace_condition(args, out):
 
 def _cmd_ultragraph(args, out):
     t = dist.parse_trace(read_text(args.tracefile))
+    # everything is decided before any output, as in trace-check; the
+    # witness search stops at the first gap, so the eta image is scanned
+    # in full at most once
     rp = ug.build(t)
-    ug.eta(t)
+    edges = "%d" % rp.edge_count() if rp.size <= 1000 else "symbolic"
+    s = ug.eta_extension(t) if args.extend_eta else None
+    witness = ug.eta_clique_witness(t) if s is None else None
     out.write("core " + " ".join(str(a) for a in rp.core) + "\n")
-    out.write("vertices %d\n" % rp.size)
-    if rp.size <= 1000:
-        out.write("edges %d\n" % rp.edge_count())
-    else:
-        out.write("edges symbolic\n")
-    witness = ug.eta_clique_witness(t)
-    if witness is None:
-        out.write("eta complete\n")
-        complete = True
-    else:
-        out.write("eta incomplete %d %d at %d\n" % witness)
-        complete = False
+    out.write("vertices %s\nedges %s\n" % (ug.format_count(rp.size), edges))
+    out.write("eta complete\n" if witness is None
+              else "eta incomplete %d %d at %d\n" % witness)
     if args.extend_eta:
-        s = ug.eta_extension(t)
-        if s is None:
-            out.write("none\n")
-            return 1
-        out.write(ug.format_internal_set(s))
-        return 0
-    return 0 if complete else 1
+        out.write("none\n" if s is None else ug.format_internal_set(s))
+    return 0 if witness is None else 1
 
 
 HANDLERS = {

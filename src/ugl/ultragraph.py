@@ -4,9 +4,13 @@ A trace whose family is principal with generator J induces a product
 graph: vertices are tuples picking one g1(alpha) vertex for each alpha
 in J, and two tuples are adjacent when they are coordinatewise
 adjacent at every alpha in J.  Over a one-element J this is just the
-per-index graph; larger J multiply the vertex counts, so the product
-is materialized only below a size cap and everything else works on
-componentwise data.
+per-index graph; larger J multiply the vertex counts.  So a
+``ReducedProduct`` keeps only the trace, the core J and the vertex
+count (the product of the vertex counts at J), reads its vertices and
+edges from the trace's masks and rows, is materialized only below a
+size cap, and prints a count past 4,300 digits as ``symbolic``.  One
+check, shared by ``build`` and the eta functions, reads J from the
+family.
 
 Internal sets are products of per-index subsets.  An internal set is
 an internal clique when every component induces a clique; on tuples
@@ -27,26 +31,36 @@ transversals induce, live in ``lifting``; no request runs them.
 """
 
 from itertools import combinations, product
+from math import prod
 
-from . import _Frozen, _Value, _freeze, graphs
+from . import _Value, _freeze, graphs
 from .covering import PRINCIPAL, _bits, _has
 from .distributions import Trace
 from .errors import (CapabilityError, ConsistencyError, InputError,
                      content_lines, parse_number)
 
 MATERIALIZE_CAP = 10 ** 6
+# str() of an int refuses more than 4,300 digits under Python's default
+# limit
+DECIMAL_CAP = 10 ** 4300
 
 
-class ReducedProduct(_Frozen):
+def format_count(n):
+    """n in decimal, or ``symbolic`` from 4,301 digits on."""
+    return "%d" % n if n < DECIMAL_CAP else "symbolic"
+
+
+class ReducedProduct(_Value):
     """Product graph of the per-index graphs over the principal core."""
 
-    __slots__ = ("trace", "core", "parts", "size")
+    __slots__ = ("trace", "core", "size")
 
-    def __init__(self, trace, core, parts, size):
-        _freeze(self, trace, core, parts, size)
+    def __init__(self, trace, core, size):
+        _freeze(self, trace, core, size)
 
     def __repr__(self):
-        return "ReducedProduct(core=%r, size=%d)" % (list(self.core), self.size)
+        return "ReducedProduct(core=%r, size=%s)" % (
+            list(self.core), format_count(self.size))
 
     def check_vertex(self, tup):
         tup = tuple(tup)
@@ -59,32 +73,29 @@ class ReducedProduct(_Frozen):
         return tup
 
     def has_edge(self, tu, tv):
-        """Strict product adjacency: an edge at every core coordinate."""
-        tu = self.check_vertex(tu)
-        tv = self.check_vertex(tv)
-        if tu == tv:
-            return False
-        for x, y, alpha in zip(tu, tv, self.core):
-            if not self.trace.g2_rows[alpha][x] >> y & 1:
-                return False
-        return True
+        """Strict product adjacency: an edge at every core coordinate
+        (so the tuples differ at each, as no vertex has a loop)."""
+        return self._adjacent(tu, tv, False)
 
     def loop_adjacent(self, tu, tv):
         """Quotient adjacency: per coordinate, equal or an edge."""
+        return self._adjacent(tu, tv, True)
+
+    def _adjacent(self, tu, tv, loops):
         tu = self.check_vertex(tu)
         tv = self.check_vertex(tv)
-        for x, y, alpha in zip(tu, tv, self.core):
-            if x != y and not self.trace.g2_rows[alpha][x] >> y & 1:
-                return False
-        return True
+        rows = self.trace.g2_rows
+        return all(loops and x == y or rows[alpha][x] >> y & 1
+                   for x, y, alpha in zip(tu, tv, self.core))
 
     def vertices(self):
         """All tuples in lexicographic order; capped."""
         if self.size > MATERIALIZE_CAP:
             raise CapabilityError(
-                "product with %d vertices exceeds the materialization cap"
-                % self.size)
-        return [tup for tup in product(*self.parts)]
+                "product with %s vertices exceeds the materialization cap"
+                % format_count(self.size))
+        return list(product(*(_bits(self.trace.g1_masks[alpha])
+                              for alpha in self.core)))
 
     def to_graph(self):
         """The materialized product as (Graph, vertex order); capped."""
@@ -100,21 +111,29 @@ class ReducedProduct(_Frozen):
         """The number of edges.  Two tuples adjacent at every core index
         differ there, and the core is nonempty, so the ordered adjacent
         pairs number the product of the per-index ordered edge counts."""
-        count = 1
-        for alpha in self.core:
-            count *= sum(r.bit_count() for r in self.trace.g2_rows[alpha])
-        return count // 2
+        return prod(sum(r.bit_count() for r in self.trace.g2_rows[alpha])
+                    for alpha in self.core) // 2
 
     def induces_clique(self, tuples, loops=False):
         """Whether the tuples are pairwise adjacent (strictly, or in the
         quotient reading when loops is set)."""
         ts = [self.check_vertex(t) for t in tuples]
-        test = self.loop_adjacent if loops else self.has_edge
-        return all(test(a, b) for a, b in combinations(ts, 2) if a != b)
+        return all(self._adjacent(a, b, loops)
+                   for a, b in combinations(ts, 2) if a != b)
 
 
 def format_product_vertex(tup):
     return "(" + ",".join(str(x) for x in tup) + ")"
+
+
+def _core(t):
+    """The generator of a trace's principal family, ascending."""
+    if not isinstance(t, Trace):
+        raise InputError("build expects a Trace")
+    if t.family.kind != PRINCIPAL:
+        raise CapabilityError(
+            "reduced products need a principal family; got %s" % t.family.kind)
+    return tuple(_bits(t.family.param))
 
 
 def build(t):
@@ -123,17 +142,9 @@ def build(t):
     The core is the family generator; an index with no vertices there
     makes the product empty.
     """
-    if not isinstance(t, Trace):
-        raise InputError("build expects a Trace")
-    if t.family.kind != PRINCIPAL:
-        raise CapabilityError(
-            "reduced products need a principal family; got %s" % t.family.kind)
-    core = tuple(_bits(t.family.param))
-    parts = tuple(tuple(_bits(t.g1_masks[alpha])) for alpha in core)
-    size = 1
-    for p in parts:
-        size *= len(p)
-    return ReducedProduct(t, core, parts, size)
+    core = _core(t)
+    return ReducedProduct(
+        t, core, prod(t.g1_masks[alpha].bit_count() for alpha in core))
 
 
 def eta(t):
@@ -144,24 +155,22 @@ def eta(t):
     dict formula -> product vertex; distinct formulas give tuples
     differing everywhere, so the map is injective.
     """
-    rp = build(t)
-    out = {}
+    core = _core(t)
     for b in range(t.n_formulas):
-        for alpha in rp.core:
+        for alpha in core:
             if not t.g1_masks[alpha] >> b & 1:
                 raise ConsistencyError(
                     "formula %d missing from index %d of the core" % (b, alpha))
-        out[b] = tuple(b for _ in rp.core)
-    return out
+    return {b: (b,) * len(core) for b in range(t.n_formulas)}
 
 
 def eta_clique_witness(t):
     """First (beta, gamma, alpha) where the eta image misses an edge,
     or None when the image induces a complete subgraph."""
-    rp = build(t)
-    etamap = eta(t)
-    for b, c in combinations(sorted(etamap), 2):
-        for alpha in rp.core:
+    eta(t)
+    core = _core(t)
+    for b, c in combinations(range(t.n_formulas), 2):
+        for alpha in core:
             if not t.g2_rows[alpha][b] >> c & 1:
                 return b, c, alpha
     return None
@@ -299,5 +308,5 @@ def eta_extension(t):
             return None
     except ConsistencyError:
         return None
-    core = _bits(t.family.param)
+    core = _core(t)
     return InternalSet(core, dict.fromkeys(core, range(t.n_formulas)))

@@ -688,6 +688,60 @@ def test_ultragraph_quorum_rejected(tmp_path, capsys):
     assert code == 3 and "capability" in err
 
 
+def test_ultragraph_prints_a_count_past_4300_digits_as_symbolic(
+        tmp_path, capsys):
+    # 2^14300 product vertices, 4,305 digits: str() of the count would
+    # raise past Python's default limit of 4,300 digits
+    n = 14300
+    text = ("indices %d\nformulas 2\nfamily principal %s\n" % (
+        n, " ".join(map(str, range(n))))
+        + "".join("g1 %d : 0 1\n" % a for a in range(n)))
+    tf = write(tmp_path, "wide.trace", text)
+    for extend in ((), ("--extend-eta",)):
+        code, out, err = run(capsys, "ultragraph", *extend, tf)
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[1:4] == ["vertices symbolic", "edges symbolic",
+                              "eta incomplete 0 1 at 0"]
+        assert lines[4:] == (["none"] if extend else [])
+    rp = build(parse_trace(text))
+    assert repr(rp) == "ReducedProduct(core=%r, size=symbolic)" % list(
+        range(n))
+
+
+def test_ultragraph_builds_once_and_scans_eta_in_full_at_most_once(
+        tmp_path, monkeypatch, capsys):
+    import ugl.ultragraph as ug
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(t):
+            got = fn(t)
+            # a witness search that returns None scanned the whole image
+            calls.append(name + (" -> None" if got is None else ""))
+            return got
+        return wrapper
+
+    for name in ("build", "eta_clique_witness", "eta_extension"):
+        monkeypatch.setattr(ug, name, counted(name, getattr(ug, name)))
+    good = write(tmp_path, "good.trace", GOOD_TRACE)
+    gap = write(tmp_path, "gap.trace",
+                "indices 2\nformulas 2\nfamily principal 0 1\n"
+                "g1 0 : 0 1\ng1 1 : 0 1\ng2 0 : 0-1\n")
+    for argv, want in [
+            ([good], ["build", "eta_clique_witness -> None"]),
+            (["--extend-eta", good],
+             ["build", "eta_clique_witness -> None", "eta_extension"]),
+            ([gap], ["build", "eta_clique_witness"]),
+            (["--extend-eta", gap],
+             ["build", "eta_clique_witness", "eta_extension -> None",
+              "eta_clique_witness"])]:
+        calls.clear()
+        code, _, _ = run(capsys, "ultragraph", *argv)
+        assert code == (0 if argv[-1] == good else 1)
+        assert calls == want, argv
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
