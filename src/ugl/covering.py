@@ -5,15 +5,16 @@ declaration.
 A *covering family* is an upward closed collection of nonempty subsets
 of an index set I = {0..nI-1}: quorum, principal, or an explicit list
 of minimal members.  Index sets are masks.  Per index, a vertex set is
-a mask and an edge set is adjacency rows (``Graph.rows``); ``_graphs``
-checks and builds both from vertex iterables and pair lists, and code
-that already holds checked masks and rows builds its value with
-``_freeze``.
+a mask and an edge set is adjacency rows (``Graph.rows``), read with the
+package's ``_bits`` and ``_edges``.  ``_graphs`` checks and builds both
+from vertex iterables and pair lists, ``_is_clique`` is the one clique
+test of a mask against rows, and code that already holds checked masks
+and rows builds its value with ``_freeze``.
 """
 
 from itertools import combinations
 
-from . import _Value, _bits as _low_bits, _freeze
+from . import _Value, _bits, _edges, _freeze
 from .errors import ConsistencyError, InputError, parse_number
 
 QUORUM = "quorum"
@@ -162,32 +163,14 @@ def _build_family(n_indices, decl, members):
     raise InputError("unknown family kind %r" % kind)
 
 
-def _bits(mask):
-    """The positions of the set bits of mask, ascending, in one pass over
-    its binary string: this reader serves the wide, dense index masks and
-    dense adjacency rows.  On 200,000 set bits it takes 0.02 s, where
-    ``ugl._bits``, lowest bit first, takes 2.9 s (Python 3.11)."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
-
-
-def _edges(rows):
-    """The pairs (u, v), u < v, of adjacency rows, ascending."""
-    return [(u, u + 1 + i) for u, r in enumerate(rows)
-            for i in _row_bits(r >> u + 1)]
-
-
-def _row_bits(row):
-    """The positions of the set bits of an adjacency row, ascending:
-    through its binary string when one bit in eight is set, else lowest
-    bit first.  The rows of K1000 take 0.085 s and 0.151 s these two ways,
-    those of a 15,000-vertex matching 1.8 s and 0.009 s (Python 3.11)."""
-    return (_bits if row.bit_count() * 8 >= row.bit_length()
-            else _low_bits)(row)
-
-
 def _has(mask, x):
     """Whether x is a vertex of the vertex mask; vertices are ints."""
     return isinstance(x, int) and x >= 0 and bool(mask >> x & 1)
+
+
+def _is_clique(mask, rows):
+    """Whether the vertices of mask are pairwise edges of the rows."""
+    return all(mask & ~rows[b] == 1 << b for b in _bits(mask))
 
 
 def _graphs(n_formulas, vertex_sets, pair_lists, v, p):

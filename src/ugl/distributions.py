@@ -23,23 +23,23 @@ own: covering families, the per-index mask helpers and the family
 declaration's reader in ``covering``; the refinement search, Łoś
 instances, restriction and the trace writer in ``refinement``; full
 distributions, level maps and the property checks in ``fulldist``.
-``_MOVED`` serves the five names of the last two that the bench reads
+``_MOVED`` serves the four names of the last two that the bench reads
 here.
 """
 
 from itertools import chain, combinations
 
-from . import (INTERVAL, _Value, _forward, _freeze, catalog, check_shape,
-               graphs, refinement)
-from .covering import (CoveringFamily, _bits, _build_family, _edges, _graphs,
-                       _has, _mask, _parse_int)
+from . import (INTERVAL, _Value, _bits, _edges, _forward, _freeze, catalog,
+               check_shape, graphs, refinement)
+from .covering import (CoveringFamily, _build_family, _graphs, _has,
+                       _is_clique, _mask, _parse_int)
 from .errors import CapabilityError, InputError, content_lines
 
 # Kept for the bench, which reads these names here (bench/check.py,
-# bench/child.py); trace-refine runs its two through here for the spans.
+# bench/child.py); trace-refine calls its search through here for spans.
 _MOVED = {
-    **dict.fromkeys(("find_multiplicative_refinement", "is_refinement",
-                     "format_trace"), "refinement"),
+    **dict.fromkeys(("find_multiplicative_refinement", "is_refinement"),
+                    "refinement"),
     **dict.fromkeys(("extension_distribution", "check_properties"),
                     "fulldist"),
 }
@@ -154,8 +154,7 @@ def graph_sequence(t):
 
 def is_multiplicative_trace(t):
     """True iff every index with vertices carries a complete graph."""
-    return all(rs[b] | 1 << b == m for m, rs in zip(t.g1_masks, t.g2_rows)
-               for b in _bits(m))
+    return all(map(_is_clique, t.g1_masks, t.g2_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def iter_embeddings(h, g, mode, avoid=None):
     # of the earlier non-neighbours: a popped candidate, adjacent to the
     # images of its earlier neighbours, must be adjacent to no other
     # image of an earlier vertex.
-    adj_before, avoid_before = ([list(_bits(r & (1 << k) - 1))
+    adj_before, avoid_before = ([_bits(r & (1 << k) - 1)
                                  for k, r in enumerate(rows)]
                                 for rows in (hrows, avoided))
     # depth-first on an explicit stack: level k holds the candidates of

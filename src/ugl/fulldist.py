@@ -16,8 +16,8 @@ module; ``distributions`` serves ``extension_distribution`` and
 
 from itertools import combinations
 
-from . import _Value, _freeze
-from .covering import _bits, _checked_mask, _edges, _mask
+from . import _Value, _bits, _edges, _freeze
+from .covering import _checked_mask, _mask
 from .distributions import FORMULA_CAP
 from .errors import CapabilityError, InputError
 

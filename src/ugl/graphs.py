@@ -3,7 +3,8 @@
 Everything downstream (shape recognizers, obstruction catalogs, necessary
 sets, reduced products) works over graphs on vertex set 0..n-1 stored as
 per-vertex adjacency bitmasks; the index sets of ``distributions``
-(covering families, supports) are bitmasks too.  This module owns the
+(covering families, supports) are bitmasks too, and every module reads
+both with the package's ``_bits`` and ``_edges``.  This module owns the
 ``Graph`` value type, its text format, the two embedding modes
 (edges-only and induced) and ``find_embedding``, the lexicographically
 least embedding, which the bench times here.  The ``Embedding`` value
@@ -25,7 +26,7 @@ operation is a pure function.
 
 from itertools import combinations
 
-from . import _Value, _bits, _forward, _freeze, embeddings
+from . import _Value, _edges, _forward, _freeze, embeddings
 from .errors import CapabilityError, InputError, content_lines, parse_number
 
 GRAPH_VERTEX_CAP = 10000
@@ -86,8 +87,7 @@ class Graph(_Value):
 
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
-        return [(u, v) for u, r in enumerate(self.rows)
-                for v in _bits(r >> u + 1 << u + 1)]
+        return _edges(self.rows)
 
     def non_edges(self):
         """Sorted list of unordered non-adjacent distinct pairs."""

@@ -12,8 +12,8 @@ adjacent, by the trace's own ``ReducedProduct``.
 
 from itertools import combinations
 
-from . import _Value, _freeze, ultragraph as ug
-from .covering import _bits, _has
+from . import _Value, _bits, _freeze, ultragraph as ug
+from .covering import _has
 from .distributions import Trace
 from .errors import InputError
 

@@ -20,9 +20,8 @@ the search, ``is_refinement`` and the writer to the bench, and
 
 from itertools import chain, combinations
 
-from . import _Value, _freeze, distributions, graphs
-from .covering import (PRINCIPAL, QUORUM, _bits, _edges, _graphs, _has,
-                       _mask)
+from . import _Value, _bits, _edges, _freeze, distributions, graphs
+from .covering import PRINCIPAL, QUORUM, _graphs, _has, _is_clique, _mask
 from .distributions import Trace, is_pair_adequate
 from .errors import ConsistencyError, InputError
 
@@ -48,12 +47,9 @@ class LosInstance(_Value):
 
     def is_clique(self, alpha, delta):
         """Whether delta induces a clique (vertices present, pairs edges)."""
-        vs, rows = self.k1_masks[alpha], self.k2_rows[alpha]
         d = frozenset(delta)
-        if not all(_has(vs, x) for x in d):
-            return False
-        m = sum(1 << x for x in d)
-        return all(m & ~rows[x] == 1 << x for x in d)
+        return (all(_has(self.k1_masks[alpha], x) for x in d)
+                and _is_clique(_mask(d), self.k2_rows[alpha]))
 
 
 def from_graph_sequence(family, n_formulas, seq, instance=None,

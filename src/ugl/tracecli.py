@@ -7,7 +7,7 @@ Each handler takes the parsed argv and the output stream and returns
 the exit code, as cli's own handlers do.
 """
 
-from . import SHAPES, distributions as dist, ultragraph as ug
+from . import SHAPES, distributions as dist, refinement, ultragraph as ug
 from .errors import InputError, read_text
 
 
@@ -59,7 +59,7 @@ def _cmd_trace_refine(args, out):
     if r is None:
         out.write("none\n")
         return 1
-    out.write(dist.format_trace(r))
+    out.write(refinement.format_trace(r))
     return 0
 
 
@@ -80,18 +80,19 @@ def _cmd_trace_condition(args, out):
 def _cmd_ultragraph(args, out):
     t = dist.parse_trace(read_text(args.tracefile))
     # everything is decided before any output, as in trace-check; the
-    # witness search stops at the first gap, so the eta image is scanned
-    # in full at most once
+    # eta image is scanned once, and a complete one extends to the
+    # internal clique of every formula at every core index
     rp = ug.build(t)
     edges = "%d" % rp.edge_count() if rp.size <= 1000 else "symbolic"
-    s = ug.eta_extension(t) if args.extend_eta else None
-    witness = ug.eta_clique_witness(t) if s is None else None
+    witness = ug.eta_clique_witness(t)
     out.write("core " + " ".join(str(a) for a in rp.core) + "\n")
     out.write("vertices %s\nedges %s\n" % (ug.format_count(rp.size), edges))
     out.write("eta complete\n" if witness is None
               else "eta incomplete %d %d at %d\n" % witness)
     if args.extend_eta:
-        out.write("none\n" if s is None else ug.format_internal_set(s))
+        full = dict.fromkeys(rp.core, range(t.n_formulas))
+        out.write("none\n" if witness
+                  else ug.format_internal_set(ug.InternalSet(rp.core, full)))
     return 0 if witness is None else 1
 
 

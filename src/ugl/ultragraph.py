@@ -33,8 +33,8 @@ transversals induce, live in ``lifting``; no request runs them.
 from itertools import combinations, product
 from math import prod
 
-from . import _Value, _freeze, graphs
-from .covering import PRINCIPAL, _bits, _has
+from . import _Value, _bits, _freeze, graphs
+from .covering import PRINCIPAL, _has, _is_clique, _mask
 from .distributions import Trace
 from .errors import (CapabilityError, ConsistencyError, InputError,
                      content_lines, parse_number)
@@ -227,10 +227,8 @@ class InternalSet(_Value):
             if not all(_has(rp.trace.g1_masks[alpha], x) for x in part):
                 raise InputError(
                     "part at index %d leaves the vertex set" % alpha)
-            rows = rp.trace.g2_rows[alpha]
-            for u, v in combinations(sorted(part), 2):
-                if not rows[u] >> v & 1:
-                    return False
+            if not _is_clique(_mask(part), rp.trace.g2_rows[alpha]):
+                return False
         return True
 
 

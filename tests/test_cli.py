@@ -730,12 +730,9 @@ def test_ultragraph_builds_once_and_scans_eta_in_full_at_most_once(
                 "g1 0 : 0 1\ng1 1 : 0 1\ng2 0 : 0-1\n")
     for argv, want in [
             ([good], ["build", "eta_clique_witness -> None"]),
-            (["--extend-eta", good],
-             ["build", "eta_clique_witness -> None", "eta_extension"]),
+            (["--extend-eta", good], ["build", "eta_clique_witness -> None"]),
             ([gap], ["build", "eta_clique_witness"]),
-            (["--extend-eta", gap],
-             ["build", "eta_clique_witness", "eta_extension -> None",
-              "eta_clique_witness"])]:
+            (["--extend-eta", gap], ["build", "eta_clique_witness"])]:
         calls.clear()
         code, _, _ = run(capsys, "ultragraph", *argv)
         assert code == (0 if argv[-1] == good else 1)
@@ -1174,7 +1171,7 @@ def test_moved_names_stay_importable_where_they_were():
 
 
 # The names (dunders aside) that each module serves: its own, and the
-# nineteen that the bench reads through an old home.  A name that moved
+# eighteen that the bench reads through an old home.  A name that moved
 # without a bench reader is listed under its new home alone.
 FORMER_NAMES = {
     "graphs": """CapabilityError EDGES_ONLY GRAPH_VERTEX_CAP Graph INDUCED
@@ -1196,7 +1193,7 @@ FORMER_NAMES = {
         TRACE_FORMULA_CAP TRACE_INDEX_CAP Trace _collect_rows _index_graphs
         adequacy_report check_necessary_conditions check_properties
         check_sop2_condition combinations extension_distribution
-        find_multiplicative_refinement format_trace graph_sequence
+        find_multiplicative_refinement graph_sequence
         is_multiplicative_trace is_pair_adequate is_refinement pair_support
         parse_trace singleton_support""",
     "covering": """CoveringFamily EXPLICIT PRINCIPAL QUORUM _bits
@@ -1258,7 +1255,7 @@ def test_former_names_resolve_from_their_old_homes():
                 if name not in vars(module) and name in vars(new_home):
                     assert value is vars(new_home)[name], (home, name)
                     moved.add((home, name))
-    assert len(moved) == 19
+    assert len(moved) == 18
     for module, names in bench_names()[0].items():
         for name in names:
             assert callable(getattr(importlib.import_module(module),

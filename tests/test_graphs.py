@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugl import _bits, _edges
+from ugl.covering import _is_clique
 from ugl.embeddings import Embedding, iter_embeddings
 from ugl.errors import CapabilityError, InputError
 from ugl.graphs import (EDGES_ONLY, GRAPH_VERTEX_CAP, INDUCED, Graph,
@@ -44,6 +46,36 @@ def test_edges_are_sorted_and_deduped():
     assert g.edges() == [(0, 1), (0, 2)]
     assert g.edge_count() == 2
     assert g.non_edges() == [(1, 2)]
+
+
+def test_bits_reads_every_mask_like_a_bit_loop():
+    import random
+    rng = random.Random(13)
+    masks = [*range(256), 1 << 14999, (1 << 15000) - 1, rng.getrandbits(15000)]
+    # either side of the switch to the binary-string read: 33 or 32 of 40
+    # and of 257 bits set, 512 or 511 of 10,000
+    for width, count in ((40, 33), (40, 32), (257, 33), (257, 32),
+                         (10000, 512), (10000, 511)):
+        picked = rng.sample(range(width - 1), count - 1) + [width - 1]
+        masks.append(sum(1 << b for b in picked))
+    for m in masks:
+        got = _bits(m)
+        assert type(got) is list
+        assert got == [i for i in range(m.bit_length()) if m >> i & 1], m
+
+
+def test_edges_and_clique_test_read_rows_like_pair_loops():
+    import random
+    from itertools import combinations
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice((0.3, 0.8, 1.0)))
+        pairs = list(combinations(range(n), 2))
+        assert _edges(g.rows) == [p for p in pairs if g.has_edge(*p)]
+        mask = rng.getrandbits(n) if n else 0
+        assert _is_clique(mask, g.rows) == all(
+            g.has_edge(u, v) for u, v in pairs if mask >> u & mask >> v & 1)
 
 
 def test_graph_is_immutable_and_hashable():
