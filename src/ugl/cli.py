@@ -21,11 +21,11 @@ A request executes only the package modules it uses: recognize
 --shape interval executes graphs, shapes and chordal, and consecutive
 too where the maximal cliques, in the order they are found, hold some
 vertex's cliques apart; a tree member executes graphs and shapes
-alone, and a tree non-member adds chordal, catalog and embeddings (to
-place its witness's family graph); realize adds intervals to the
-interval set; obstructions executes catalog, embeddings, graphs,
-shapes, isomorphism and obstructions; necessary adds necessary,
-completions and embeddings to the recognize set of its shape.  The
+alone, and a tree non-member adds catalog (to name its witness's
+family); realize adds intervals to the interval set; obstructions
+executes catalog, embeddings, graphs, shapes, isomorphism and
+obstructions; necessary adds necessary, completions and embeddings to
+graphs and shapes, and chordal for --shape interval.  The
 trace commands' handlers live in tracecli: trace-check and
 trace-condition execute tracecli, catalog, covering, embeddings, graphs
 and distributions; trace-refine tracecli, covering, distributions,

@@ -3,11 +3,10 @@ search that yields every embedding in lexicographic order.
 
 Edges-only and induced modes, optionally with pairs that must map to
 non-edges.  ``graphs.find_embedding`` takes the first, least witness
-from here; the tree non-member's witness, the catalog placements, the
-automorphism scans of ``necessary`` and ``isomorphism`` (embeddings
-onto a graph of the pattern's size, so bijections) and the obstruction
-re-verification run this module, and no interval or realize request,
-nor a tree member's recognition, compiles it.
+from here; the catalog placements, the automorphism scans of
+``necessary`` and ``isomorphism`` (embeddings onto a graph of the
+pattern's size, so bijections) and the obstruction re-verification run
+this module, and no recognize or realize request compiles it.
 """
 
 from itertools import combinations, compress

@@ -7,11 +7,11 @@ per-vertex adjacency bitmasks; the index sets of ``distributions``
 both with the package's ``_bits`` and ``_edges``.  This module owns the
 ``Graph`` value type, its text format, the two embedding modes
 (edges-only and induced) and ``find_embedding``, the lexicographically
-least embedding, which the bench times here.  The ``Embedding`` value
-and the search behind it live in ``embeddings``, which tree
-non-members, the catalog's placements, ``necessary``, ``isomorphism``
-and ``obstructions`` run: no interval or realize request, nor a tree
-member's recognition, compiles it.
+least embedding, which the bench times here and the tests use; no
+module of the package calls it.  The ``Embedding`` value and the search
+behind it live in ``embeddings``, which the catalog's placements,
+``necessary``, ``isomorphism`` and ``obstructions`` run: no recognize
+or realize request compiles it.
 
 Induced subgraphs, canonical forms, isomorphism tests and one-per-class
 enumeration live in ``isomorphism``, which only the obstruction catalog
@@ -180,7 +180,9 @@ INDUCED = "induced"
 
 
 def find_embedding(h, g, mode):
-    """Lexicographically least embedding h -> g in ``mode``, or None."""
+    """Lexicographically least embedding h -> g in ``mode``, or None.
+    No module of the package calls this: the bench traces it here, and
+    the tests' lexicographic witness searches run it."""
     for m in embeddings.iter_embeddings(h, g, mode):
         return embeddings.Embedding(m, mode)
     return None

@@ -10,8 +10,6 @@ here.  No request but ``obstructions`` runs this module, so it lives
 apart from the recognizers; ``shapes`` serves its names.
 """
 
-from itertools import combinations
-
 from .catalog import check_shape, family_graph, parse_family, shape_families
 from .embeddings import Embedding
 from .errors import CapabilityError, InputError, parse_number
@@ -50,15 +48,11 @@ def witness_checks(w, g):
     if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
         return False
     if w.kind == IRREDUCIBLE_CYCLE:
-        k = len(vs)
-        if k < 4:
-            return False
-        for i, j in combinations(range(k), 2):
-            adjacent = g.has_edge(vs[i], vs[j])
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-        return True
+        # each cycle vertex sees exactly its two cycle neighbors on it
+        on = sum(1 << v for v in vs)
+        return len(vs) >= 4 and all(
+            g.rows[v] & on == 1 << vs[i - 1] | 1 << vs[i + 1 - len(vs)]
+            for i, v in enumerate(vs))
     if w.kind == ASTEROIDAL_TRIPLE:
         if len(vs) != 3:
             return False

@@ -124,7 +124,10 @@ def enumerate_maximal_cliques(g, within=None):
     Bron-Kerbosch with a pivot of most candidate neighbors, on an
     explicit stack of (clique, candidates, excluded) masks, so no frame
     is held per clique vertex; the cliques are sorted, so the order in
-    which nodes are expanded does not show."""
+    which nodes are expanded does not show.  The pivot scan stops at
+    the first vertex that sees every candidate but itself (every
+    candidate, when some vertex is excluded), as no later one beats it.
+    """
     rows = g.rows
     out = []
     stack = [(0, (1 << g.n) - 1 if within is None else within, 0)]
@@ -133,15 +136,17 @@ def enumerate_maximal_cliques(g, within=None):
         if not p and not x:
             out.append(r)
             continue
-        px = p | x
+        most = p.bit_count() - (not x)
         pivot = -1
         best = -1
-        m = px
+        m = p | x
         while m:
             v = (m & -m).bit_length() - 1
             score = (p & rows[v]).bit_count()
             if score > best:
                 best, pivot = score, v
+                if score == most:
+                    break
             m &= m - 1
         ext = p & ~rows[pivot]
         while ext:

@@ -6,10 +6,10 @@ Two hereditary graph classes ("shapes") are supported:
   graphs satisfying Wolk's diagonal condition (every path x0-x1-x2-x3
   has a chord x0-x2 or x1-x3), equivalently the graphs with no induced
   4-cycle and no induced 4-path.  ``recognize`` decides membership by
-  a nested-neighborhood test and names a non-member's induced 4-cycle
-  or 4-path; the tests check it against the diagonal condition
-  (``catalog.diagonal_violation``) and against the comparability
-  graphs of the rooted forests they enumerate.
+  a nested-neighborhood test and names the induced 4-cycle or 4-path
+  at a non-member's first unnested edge; the tests check it against
+  the diagonal condition (``catalog.diagonal_violation``) and against
+  the comparability graphs of the rooted forests they enumerate.
 * ``interval``: intersection graphs of open intervals on the line.  A
   graph is a member iff it has no chordless cycle of length >= 4 and no
   asteroidal triple (Lekkerkerker-Boland); non-membership certificates
@@ -20,15 +20,18 @@ Two hereditary graph classes ("shapes") are supported:
 
 Recognition is polynomial and iterative for both shapes: ``tree`` by a
 nested-neighborhood test on each edge, ``interval`` by a chordality test
-(maximum cardinality search), a consecutive-ones test on the maximal
-cliques, and the witness searches only on non-members.  Witnesses do not
-depend on how membership was decided: each is the first one in the
-fixed order of its search.
+(maximum cardinality search) and a consecutive-ones test on the maximal
+cliques.  The tree witness and the chordless cycle are read off the
+point where the test fails, in O(m) bitmask work; only a chordal
+interval non-member runs a separate search, for the first asteroidal
+triple in lexicographic order.  So a witness depends on how membership
+was decided, and the tests check each against ``witness_checks`` and
+the verdicts against the lexicographic searches of ``tests/oracles.py``.
 
 The maximal cliques of a chordal graph and their consecutive order live
-in ``chordal``, which a tree member's recognition never runs, and the
+in ``chordal``, which a tree recognition never runs, and the
 obstruction families in ``catalog``, which only a tree non-member's
-witness needs here.  The interval models and realization live in
+witness text needs here.  The interval models and realization live in
 ``intervals``, the minimal obstructions and the witness parser in
 ``obstructions``; no recognition runs either.
 ``_MOVED`` serves nine of their names here: the three that cli's
@@ -40,12 +43,11 @@ and six that the bench reads.  Like these rows, the covering families of
 from itertools import combinations
 
 # cli registers catalog and chordal unexecuted, so each executes where
-# it is first used: catalog where a family graph is built, chordal where
-# an interval test or a tree non-member's chordality test runs
+# it is first used: catalog where a family is named, chordal where an
+# interval test runs
 from . import (INTERVAL, TREE, _bits, _forward, _Value, _freeze, catalog,
                check_shape, chordal, obstructions)
 from .errors import InputError
-from .graphs import INDUCED, find_embedding
 
 # cli's realize and obstructions run their names through here, where
 # bench/child.py TRACED times them; bench/check.py and bench/gen.py read
@@ -66,75 +68,12 @@ __getattr__ = _forward(__name__, _MOVED)
 # interval obstructions: chordless cycles and asteroidal triples
 # ---------------------------------------------------------------------------
 
-def _reaches(rows, start, allowed, target):
-    """Whether a path from ``start`` through ``allowed`` vertices reaches a
-    vertex of ``target`` (both bitmasks): a breadth-first search that
-    expands each vertex once."""
-    seen = frontier = rows[start] & allowed
-    while frontier:
-        if frontier & target:
-            return True
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & allowed & ~seen
-        seen |= frontier
-    return False
-
-
 def find_chordless_cycle(g):
-    """First chordless cycle of length >= 4 as a vertex list, or None.
-
-    The order is that of a depth-first search over induced paths: the
-    start v0 ascending, each path's start is its least vertex, a path
-    grows by its tail's neighbors in ascending order, and it closes when
-    the new vertex sees v0 and no inner path vertex.
-
-    The search descends into a vertex w only when the path extended by w
-    can still close into a hole: some vertex above v0, off the path and
-    outside the neighborhoods of the inner path vertices is reachable
-    from w through such vertices and sees v0.  A shortest such route is
-    induced, so it closes the path into a hole, and every hole below the
-    path is such a route; so exactly the subtrees that hold no hole are
-    pruned, and the first hit is the one the unpruned search finds.  For
-    the two-vertex path [v0, w] the common neighbors of v0 and w are
-    excluded too (they would close a triangle), and the edge w-v0 is not
-    a route.  A path that can close always has a next vertex that closes
-    it or can itself close, so the search never backtracks below the
-    first step: O(m + n * d) reachability tests for maximum degree d,
-    each O(n) bitmask operations, and no recursion.
-    """
-    n = g.n
-    rows = g.rows
-    for v0 in range(n):
-        above = ((1 << n) - 1) & ~((1 << (v0 + 1)) - 1)
-        target = rows[v0]
-        for w in _bits(target & above):
-            if _reaches(rows, w, above & ~(1 << w) & ~(target & rows[w]), target):
-                break
-        else:
-            continue
-        path = [v0, w]
-        free = above & ~(1 << w)
-        inner = 0
-        while True:
-            tail = path[-1]
-            grown = inner | rows[tail]
-            for x in _bits(rows[tail] & free & ~inner):
-                if target >> x & 1:
-                    if len(path) >= 3:
-                        return path + [x]
-                    continue
-                if _reaches(rows, x, free & ~(1 << x) & ~grown, target):
-                    break
-            else:
-                raise AssertionError("a closable path has no next vertex")
-            path.append(x)
-            free &= ~(1 << x)
-            inner = grown
-    return None
+    """The chordless cycle of length >= 4 that ``chordal.chordal_cliques``
+    reads off the failed elimination test, as a vertex list, or None for
+    a chordal graph.  No request runs this: recognition reads the same
+    cycle off the same search, and the bench traces this name."""
+    return chordal.chordal_cliques(g.rows)[1]
 
 
 def _avoid_components(g, v):
@@ -235,13 +174,15 @@ def format_witness(w):
 # recognition
 # ---------------------------------------------------------------------------
 
-def _nested_neighborhoods(g):
-    """Whether every edge uv has N[u] within N[v] or N[v] within N[u]
-    (closed neighborhoods): O(m) bitmask tests.
+def _unnested_path(g):
+    """The first edge uv (u < v, ascending) with N[u] not within N[v] and
+    N[v] not within N[u] (closed neighborhoods), as the path x-u-v-y
+    with x the least vertex of N[u] - N[v] and y that of N[v] - N[u]; or
+    None if every edge's neighborhoods are nested.  O(m) bitmask tests.
 
-    This holds iff g has no induced C4 or L4: x in N[u] - N[v] and y in
-    N[v] - N[u] make x-u-v-y one of the two, and the middle edge of
-    either has neither neighborhood inside the other.
+    x-u-v-y is an induced C4 if xy is an edge and an induced L4
+    otherwise, and the middle edge of either has neither neighborhood
+    inside the other, so None means g has neither.
     """
     rows = g.rows
     closed = [r | 1 << v for v, r in enumerate(rows)]
@@ -250,8 +191,11 @@ def _nested_neighborhoods(g):
         for v in _bits(rows[u] >> (u + 1) << (u + 1)):
             both = cu & closed[v]
             if both != cu and both != closed[v]:
-                return False
-    return True
+                x = cu ^ both
+                y = closed[v] ^ both
+                return ((x & -x).bit_length() - 1, u, v,
+                        (y & -y).bit_length() - 1)
+    return None
 
 
 def _interval_certificate(g):
@@ -259,16 +203,14 @@ def _interval_certificate(g):
     clique positions (``chordal.clique_spans``), or (None, witness)
     otherwise.
 
-    A non-chordal graph gets ``find_chordless_cycle``'s cycle and a
-    chordal non-member ``find_asteroidal_triple``'s triple: the witness
-    that running the two searches in that order gives.  Near-linear up
-    to the witness searches, which run only on non-members.
+    A non-chordal graph gets the chordless cycle that the chordality
+    search reads off its failure, and a chordal non-member
+    ``find_asteroidal_triple``'s triple.  Near-linear up to the triple
+    search, which runs only on chordal non-members.
     """
-    cliques = chordal.chordal_cliques(g.rows)
-    if cliques is None:
-        cycle = find_chordless_cycle(g)
-        assert cycle is not None, "no chordless cycle in a non-chordal graph"
-        return None, ObstructionWitness(IRREDUCIBLE_CYCLE, cycle)
+    cliques, hole = chordal.chordal_cliques(g.rows)
+    if hole is not None:
+        return None, ObstructionWitness(IRREDUCIBLE_CYCLE, hole)
     spans = chordal.clique_spans(g.rows, cliques)
     if spans is not None:
         return spans, None
@@ -281,18 +223,14 @@ def recognize(shape, g):
     """None for members, otherwise a deterministic ObstructionWitness.
 
     ``tree``: members pass the nested-neighborhood test; a non-member
-    gets the first induced C4, else the first induced L4; a chordal
-    non-member has no induced C4 and goes straight to the L4 search.
-    ``interval``: see ``_interval_certificate``.
+    gets the induced C4 or L4 x-u-v-y at its first unnested edge
+    (``_unnested_path``).  ``interval``: see ``_interval_certificate``.
     """
     check_shape(shape)
     if shape == TREE:
-        if _nested_neighborhoods(g):
+        path = _unnested_path(g)
+        if path is None:
             return None
-        is_chordal = chordal.chordal_cliques(g.rows) is not None
-        for kind in ("L4",) if is_chordal else ("C4", "L4"):
-            emb = find_embedding(catalog.family_graph(kind), g, INDUCED)
-            if emb is not None:
-                return ObstructionWitness(FORBIDDEN_FAMILY, emb.mapping, (kind, None))
-        raise AssertionError("no induced C4 or L4 beside unnested neighborhoods")
+        kind = "C4" if g.rows[path[0]] >> path[3] & 1 else "L4"
+        return _freeze(ObstructionWitness, FORBIDDEN_FAMILY, path, (kind, None))
     return _interval_certificate(g)[1]

@@ -166,13 +166,20 @@ def eta(t):
 
 def eta_clique_witness(t):
     """First (beta, gamma, alpha) where the eta image misses an edge,
-    or None when the image induces a complete subgraph."""
+    or None when the image induces a complete subgraph.
+
+    For each beta in turn, the least gamma above it missing from some
+    core index's row of beta, and the least such index: O(n * |core|)
+    big-int operations."""
     eta(t)
     core = _core(t)
-    for b, c in combinations(range(t.n_formulas), 2):
-        for alpha in core:
-            if not t.g2_rows[alpha][b] >> c & 1:
-                return b, c, alpha
+    n = t.n_formulas
+    for b in range(n):
+        above = (1 << n - b - 1) - 1
+        gaps = [(b + (m & -m).bit_length(), alpha) for alpha in core
+                if (m := ~t.g2_rows[alpha][b] >> b + 1 & above)]
+        if gaps:
+            return (b, *min(gaps))
     return None
 
 

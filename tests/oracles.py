@@ -538,12 +538,28 @@ def recursive_chordless_cycle(g, min_len=4):
     return None
 
 
+def pairwise_cycle_checks(vs, g):
+    """``witness_checks`` of a chordless cycle as it was when it tested
+    every pair of the listed vertices: distinct vertices of g, at least
+    four, adjacent exactly when consecutive around the cycle."""
+    k = len(vs)
+    if k < 4 or len(set(vs)) != k or any(not 0 <= v < g.n for v in vs):
+        return False
+    for i, j in combinations(range(k), 2):
+        consecutive = j - i == 1 or (i == 0 and j == k - 1)
+        if g.has_edge(vs[i], vs[j]) != consecutive:
+            return False
+    return True
+
+
 def search_recognize(shape, g):
-    """The recognizer before the polynomial tests: induced C4 and L4
-    searches for ``tree`` (the C4 search also runs on chordal graphs,
-    which the package skips); the recursive chordless-cycle search and
-    then the asteroidal-triple scan for ``interval``.  It shares
-    ``find_embedding`` and ``find_asteroidal_triple`` with the package."""
+    """The recognizer as lexicographic witness searches: the least
+    induced C4, else the least induced L4, for ``tree``; the recursive
+    chordless-cycle search and then the asteroidal-triple scan for
+    ``interval``.  The package reads its C4, L4 and holes off the failed
+    tests instead, so only verdicts and witness kinds agree with these.
+    It shares ``find_embedding`` and ``find_asteroidal_triple`` with the
+    package."""
     if shape == "tree":
         for kind in ("C4", "L4"):
             emb = find_embedding(family_graph(kind), g, INDUCED)
@@ -809,7 +825,7 @@ def list_realize_intervals(g):
     their modules, so a test that replaces the one replaces both), and
     orders the cliques with ``row_mask_clique_spans``.
     """
-    cliques = chordal.chordal_cliques(g.rows)
+    cliques = chordal.chordal_cliques(g.rows)[0]
     spans = None if cliques is None else row_mask_clique_spans(g.rows, cliques)
     if spans is None:
         return recognize(INTERVAL, g)
@@ -1362,3 +1378,21 @@ def forest_comparability_classes(max_n):
     fill(max_n, 0, [])
     keys = {canonical_key(_forest_graph(f, sizes)) for f in forests}
     return [graph_from_canonical_key(n, key) for n, key in sorted(keys)]
+
+
+def pairwise_eta_clique_witness(t):
+    """``ultragraph.eta_clique_witness`` as it was when it tested the eta
+    image pair by pair: the first pair (beta, gamma) in lexicographic
+    order, and the first core index in ascending order, where gamma is
+    missing from beta's row.  Like the package it reads the core from a
+    principal family and requires every formula at every core index."""
+    core = _bits(t.family.param)
+    for b in range(t.n_formulas):
+        for alpha in core:
+            if not t.g1_masks[alpha] >> b & 1:
+                raise ConsistencyError("formula %d missing" % b)
+    for b, c in combinations(range(t.n_formulas), 2):
+        for alpha in core:
+            if not t.g2_rows[alpha][b] >> c & 1:
+                return b, c, alpha
+    return None

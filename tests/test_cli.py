@@ -935,17 +935,18 @@ def unexecuted_after(*argv):
 
 
 def test_graph_commands_leave_trace_modules_unexecuted(tmp_path):
-    # the catalog and the embedding search execute only where a family
-    # graph is placed (a tree non-member's witness), the interval kernels
-    # only where an interval test or a chordality test runs, and the
-    # consecutive-ones placement only where the clique order leaves a
-    # gap; no graph command runs tracecli
+    # the catalog executes only where a family is named (a tree
+    # non-member's witness, the obstruction catalog), the embedding
+    # search only where a family graph is placed, the interval kernels
+    # only where an interval test runs, and the consecutive-ones
+    # placement only where the clique order leaves a gap; no graph
+    # command runs tracecli
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("necessary distributions ultragraph tracecli isomorphism "
             "obstructions intervals refinement fulldist covering lifting "
             "completions")
     assert (unexecuted_after("recognize", "--shape", "tree", gf)
-            == "1 " + left + " consecutive")
+            == "1 chordal " + left + " embeddings consecutive")
     assert (unexecuted_after("recognize", "--shape", "interval", gf)
             == "1 catalog " + left + " embeddings consecutive")
     assert unexecuted_after("realize", gf) == "1 catalog " + left.replace(
@@ -963,7 +964,8 @@ def test_necessary_leaves_trace_modules_unexecuted(tmp_path):
     gf = write(tmp_path, "C4.graph", C4_TEXT)
     left = ("distributions ultragraph tracecli isomorphism obstructions "
             "intervals refinement fulldist covering lifting consecutive")
-    assert unexecuted_after("necessary", "--shape", "tree", gf) == "0 " + left
+    assert (unexecuted_after("necessary", "--shape", "tree", gf)
+            == "0 catalog chordal " + left)
     assert (unexecuted_after("necessary", "--shape", "interval", gf)
             == "0 catalog " + left)
 
@@ -1038,8 +1040,9 @@ def test_recognize_and_realize_compile_no_module_larger_than_cli(tmp_path):
                 for shape in ("tree", "interval") for g in (c4, path, gap)]
     requests += [["realize", g] for g in (c4, path, gap)]
     executed = fresh_python(EXECUTED % (requests,)).split()
-    assert {"ugl.cli", "ugl.graphs", "ugl.intervals", "ugl.embeddings",
+    assert {"ugl.cli", "ugl.graphs", "ugl.intervals", "ugl.catalog",
             "ugl.consecutive"} <= set(executed)
+    assert "ugl.embeddings" not in executed
     limit = ast_nodes("ugl.cli")
     sizes = {m: ast_nodes(m) for m in executed}
     assert {m: n for m, n in sizes.items() if n > limit} == {}, limit
@@ -1069,7 +1072,8 @@ def test_interval_members_run_the_clique_placement_only_on_a_gap(tmp_path):
     # the embedding search; the consecutive-ones placement executes
     # only where the search order of the cliques leaves a gap.  (The
     # tests above pin the embedding search for tree members and
-    # non-members, necessary and the non-chordal C4.)
+    # non-members, necessary and the non-chordal C4: only necessary
+    # runs it.)
     p4 = write(tmp_path, "P4.graph", PATH4_TEXT)
     gap = write(tmp_path, "gap.graph", GAP_TEXT)
 
@@ -1180,12 +1184,12 @@ FORMER_NAMES = {
         format_graph parse_graph""",
     "embeddings": "Embedding iter_embeddings",
     "fulldist": "conjugate distribution_from_conjugate graphlike_extension",
-    "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INDUCED INTERVAL
+    "shapes": """ASTEROIDAL_TRIPLE FORBIDDEN_FAMILY INTERVAL
         IRREDUCIBLE_CYCLE InputError ObstructionWitness TREE
         WITNESS_KINDS _avoid_components _bits _interval_certificate
-        _nested_neighborhoods _reaches check_shape
+        _unnested_path check_shape
         combinations family_graph family_str find_asteroidal_triple
-        find_chordless_cycle find_embedding format_interval_model
+        find_chordless_cycle format_interval_model
         format_witness minimal_obstructions parse_family
         parse_interval_model parse_witness realize_intervals recognize
         shape_families""",

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,8 @@ from ugl.graphs import Graph, parse_graph
 from ugl.intervals import (IntervalModel, format_interval_model,
                            parse_interval_model, realize_intervals)
 from ugl.isomorphism import enumerate_graphs, is_isomorphic
-from ugl.obstructions import minimal_obstructions, parse_witness
+from ugl.obstructions import (minimal_obstructions, parse_witness,
+                              witness_checks)
 from ugl.refinement import enumerate_maximal_cliques
 from ugl.shapes import (ASTEROIDAL_TRIPLE, FORBIDDEN_FAMILY,
                         IRREDUCIBLE_CYCLE, ObstructionWitness,
@@ -30,9 +31,9 @@ from oracles import (backtracking_realize_intervals, brute_diagonal,
                      enumerated_minimal_obstructions,
                      forest_comparability_classes, induced_subgraph,
                      list_realize_intervals, loop_diagonal_violation,
-                     mask_chordal_cliques, pairwise_model_checks,
-                     recursive_chordless_cycle, row_mask_clique_spans,
-                     search_recognize)
+                     mask_chordal_cliques, pairwise_cycle_checks,
+                     pairwise_model_checks, recursive_chordless_cycle,
+                     row_mask_clique_spans, search_recognize)
 
 NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 SUN = Graph(6, [(0, 1), (1, 2), (0, 2),
@@ -222,6 +223,19 @@ def test_witness_checks():
     assert ObstructionWitness(FORBIDDEN_FAMILY, (0, 1, 2, 3, 4), ("III", 5)).checks(five)
 
 
+def test_cycle_checks_match_the_pairwise_oracle():
+    # every vertex sequence of up to 5 distinct vertices, and one past
+    # the graph, on every graph of 5 or fewer vertices
+    held = 0
+    for g in graphs_up_to(5):
+        for k in range(g.n + 2):
+            for vs in permutations(range(g.n + 1), k):
+                got = ObstructionWitness(IRREDUCIBLE_CYCLE, vs).checks(g)
+                assert got == pairwise_cycle_checks(vs, g), (g.edges(), vs)
+                held += got
+    assert held == 90
+
+
 def test_witness_construction_rejects():
     with pytest.raises(InputError):
         ObstructionWitness("cycle", (0, 1, 2, 3))
@@ -336,29 +350,49 @@ def random_subtree_graph(rng, n):
                      if subtrees[u] & subtrees[v]])
 
 
-def assert_same_as_oracles(g):
-    assert find_chordless_cycle(g) == recursive_chordless_cycle(g), g.edges()
+def assert_agrees_with_oracles(g):
+    """Verdicts equal the lexicographic searches', and every witness
+    re-verifies: a tree witness x-u-v-y is a C4 exactly when x sees y,
+    and an interval non-member gets a hole, printed from its least
+    vertex towards the smaller neighbor, exactly when it has one."""
+    hole = find_chordless_cycle(g)
+    assert (hole is None) == (recursive_chordless_cycle(g) is None), g.edges()
     assert find_asteroidal_triple(g) == eager_asteroidal_triple(g), g.edges()
     for shape in (TREE, INTERVAL):
-        assert recognize(shape, g) == search_recognize(shape, g), (shape, g.edges())
+        w = recognize(shape, g)
+        assert (w is None) == (search_recognize(shape, g) is None), (
+            shape, g.edges())
+        if w is None:
+            continue
+        assert witness_checks(w, g), (shape, g.edges(), w)
+        vs = w.vertices
+        if shape == TREE:
+            assert w.kind == FORBIDDEN_FAMILY, g.edges()
+            kind = "C4" if g.has_edge(vs[0], vs[3]) else "L4"
+            assert w.family == (kind, None), g.edges()
+        elif hole is not None:
+            assert w == ObstructionWitness(IRREDUCIBLE_CYCLE, hole), g.edges()
+            assert vs[0] == min(vs) and vs[1] < vs[-1], g.edges()
+        else:
+            assert w.kind == ASTEROIDAL_TRIPLE, g.edges()
 
 
 def test_search_agrees_with_oracles_up_to_seven():
     for g in graphs_up_to(7):
         for seed in range(3):
-            assert_same_as_oracles(relabeled(g, seed))
+            assert_agrees_with_oracles(relabeled(g, seed))
 
 
 def test_search_agrees_with_oracles_on_random_graphs():
     rng = random.Random(2)
     for _ in range(600):
-        assert_same_as_oracles(random_gnp(rng, rng.randint(8, 16)))
+        assert_agrees_with_oracles(random_gnp(rng, rng.randint(8, 16)))
 
 
 def test_search_agrees_with_oracles_on_chordal_graphs():
     rng = random.Random(3)
     for _ in range(300):
-        assert_same_as_oracles(random_subtree_graph(rng, rng.randint(4, 24)))
+        assert_agrees_with_oracles(random_subtree_graph(rng, rng.randint(4, 24)))
 
 
 def test_asteroidal_triple_scan_builds_components_on_demand(monkeypatch):
@@ -413,7 +447,7 @@ def test_clique_spans_under_shuffled_clique_orders():
             g = random_interval_graph(rng, rng.randint(1, 40))
         else:
             g = random_subtree_graph(rng, rng.randint(1, 24))
-        cliques = chordal_cliques(g.rows)
+        cliques = chordal_cliques(g.rows)[0]
         member = find_asteroidal_triple(g) is None
         for _ in range(3):
             rng.shuffle(cliques)
@@ -432,10 +466,10 @@ def shuffled_cliques(rounds):
     search = chordal.chordal_cliques
 
     def cliques(rows):
-        got = search(rows)
+        got, hole = search(rows)
         if got is not None:
             random.Random("%d %r" % (rounds[0], rows)).shuffle(got)
-        return got
+        return got, hole
     return cliques
 
 
@@ -460,11 +494,12 @@ def test_chordal_cliques_match_the_full_mask_oracle(tmp_path_factory):
               for _ in range(100)]
     chordal_graphs = 0
     for g in cases:
-        got = chordal_cliques(g.rows)
+        got, hole = chordal_cliques(g.rows)
         want = mask_chordal_cliques(g.rows)
         if want is None:
-            assert got is None, g.edges()
+            assert got is None and hole is not None, g.edges()
             continue
+        assert hole is None, g.edges()
         chordal_graphs += 1
         assert all(c & 1 for _, c in got), g.edges()
         assert [c << lo for lo, c in got] == want, g.edges()
@@ -473,12 +508,12 @@ def test_chordal_cliques_match_the_full_mask_oracle(tmp_path_factory):
 
 def test_clique_spans_match_the_row_mask_oracle(tmp_path_factory):
     rng = random.Random(24)
-    cases = [g for g in graphs_up_to(7) if chordal_cliques(g.rows) is not None]
+    cases = [g for g in graphs_up_to(7) if chordal_cliques(g.rows)[1] is None]
     assert len(cases) == 532
     cases += bench_graphs(tmp_path_factory)
     paths = {True: 0, False: 0}
     for g in cases:
-        cliques = chordal_cliques(g.rows)
+        cliques = chordal_cliques(g.rows)[0]
         if cliques is None:
             continue
         for shuffle in range(4 if g.n <= 7 else 2):

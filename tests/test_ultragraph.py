@@ -180,6 +180,32 @@ def test_eta_witness_names_first_missing_edge():
     assert U.eta_clique_witness(t) == (0, 2, 1)
 
 
+def test_eta_witness_matches_the_pairwise_scan():
+    # random traces whose indices carry every formula, half of them
+    # complete graphs and the rest missing one to three pairs, some
+    # shared between indices: the least pair first, then the least core
+    # index, and gaps off the core do not count
+    rng = random.Random(31)
+    gaps = 0
+    for _ in range(400):
+        n = rng.randint(2, 40)
+        indices = rng.randint(1, 4)
+        core = rng.sample(range(indices), rng.randint(1, indices))
+        shared = rng.choice(pairs_of(range(n)))
+        graphs = []
+        for _ in range(indices):
+            es = pairs_of(range(n))
+            if rng.random() < 0.5:
+                for gap in {shared, *rng.sample(es, min(2, len(es)))}:
+                    es.remove(gap)
+            graphs.append((set(range(n)), es))
+        t = principal_trace(graphs, n, core)
+        got = U.eta_clique_witness(t)
+        assert got == oracles.pairwise_eta_clique_witness(t), (n, core, got)
+        gaps += got is not None
+    assert 100 < gaps < 390
+
+
 # ---------------------------------------------------------------------------
 # internal sets
 # ---------------------------------------------------------------------------
